@@ -127,11 +127,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    available = corpus.demo_names()
     if args.list:
-        for name in corpus.demo_names():
+        for name in available:
             print(name)
         return 0
-    names = [args.name] if args.name else corpus.demo_names()
+    if args.name and args.name not in available:
+        print(f"error: unknown demo {args.name!r}; available: {', '.join(available)}",
+              file=_sys.stderr)
+        return 2
+    names = [args.name] if args.name else available
     failures = 0
     for name in names:
         result = corpus.run_demo(name)
@@ -164,13 +169,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 2
-    except KeyError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
     except PosetSysError as exc:

@@ -17,7 +17,8 @@ which is the strongest self-check this package has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -60,7 +61,9 @@ class ObservabilityProfile:
     """All observability subspaces of one system, in global coordinates.
 
     ``confined[(i, j)]`` intersects ``upstream[i]`` with coordinate block j and
-    ``projected[(i, j)]`` projects it there (for j in the up-set of i).
+    ``projected[(i, j)]`` projects it there (for j in the up-set of i). The
+    aggregates are the sums of the per-node spaces and the flags are read off
+    them; both are derived here, so they always match the per-node parts.
     """
 
     unobservable: Subspace
@@ -70,38 +73,29 @@ class ObservabilityProfile:
     node_independent: dict
     node_floor: dict
     node_ceiling: dict
-    independent: Subspace
-    floor: Subspace
-    ceiling: Subspace
-    observable: bool
-    independently_observable: bool
-    weakly_downstream_observable: bool
-    weakly_locally_observable: bool
+    independent: Subspace = field(init=False)
+    floor: Subspace = field(init=False)
+    ceiling: Subspace = field(init=False)
+    observable: bool = field(init=False)
+    independently_observable: bool = field(init=False)
+    weakly_downstream_observable: bool = field(init=False)
+    weakly_locally_observable: bool = field(init=False)
 
-    def equals(self, other: "ObservabilityProfile") -> bool:
-        scalar = (
-            self.observable == other.observable
-            and self.independently_observable == other.independently_observable
-            and self.weakly_downstream_observable == other.weakly_downstream_observable
-            and self.weakly_locally_observable == other.weakly_locally_observable
+    def __post_init__(self):
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        zero = Subspace.zero(self.unobservable.ambient)
+        put("independent", zero.sum(*self.node_independent.values()))
+        put("floor", zero.sum(*self.node_floor.values()))
+        put("ceiling", zero.sum(*self.node_ceiling.values()))
+        put("observable", self.unobservable.is_zero())
+        put("independently_observable", self.independent.is_zero())
+        put("weakly_downstream_observable", self.floor.is_zero())
+        put(
+            "weakly_locally_observable",
+            all(self.confined[(i, i)].is_zero() for i in self.node_floor),
         )
-        return (
-            scalar
-            and self.unobservable.equals(other.unobservable)
-            and _dict_equal(self.upstream, other.upstream)
-            and _dict_equal(self.confined, other.confined)
-            and _dict_equal(self.projected, other.projected)
-            and _dict_equal(self.node_independent, other.node_independent)
-            and _dict_equal(self.node_floor, other.node_floor)
-            and _dict_equal(self.node_ceiling, other.node_ceiling)
-            and self.independent.equals(other.independent)
-            and self.floor.equals(other.floor)
-            and self.ceiling.equals(other.ceiling)
-        )
-
-
-def _dict_equal(a: dict, b: dict) -> bool:
-    return a.keys() == b.keys() and all(a[k].equals(b[k]) for k in a)
 
 
 def profile(sys: PosetCausalSystem) -> ObservabilityProfile:
@@ -109,7 +103,6 @@ def profile(sys: PosetCausalSystem) -> ObservabilityProfile:
     require_valid(sys)
     poset = sys.poset
     n = sys.n
-    total = n.total
     unobs = unobservable(sys)
     upstream = {i: upstream_indistinguishable(sys, i) for i in poset.nodes}
 
@@ -126,33 +119,23 @@ def profile(sys: PosetCausalSystem) -> ObservabilityProfile:
     node_ceiling = {}
     for j in poset.nodes:
         downs = sorted(derived_set(poset, {j}, "down"))
-        floor_j = None
-        indep_j = None
-        for i in downs:
-            floor_j = confined[(i, j)] if floor_j is None else floor_j.intersect(confined[(i, j)])
-            indep_j = projected[(i, j)] if indep_j is None else indep_j.intersect(projected[(i, j)])
-        node_floor[j] = floor_j
-        node_independent[j] = indep_j
+        node_floor[j] = reduce(Subspace.intersect, (confined[(i, j)] for i in downs))
+        node_independent[j] = reduce(Subspace.intersect, (projected[(i, j)] for i in downs))
         node_ceiling[j] = unobs.coordinate_project(n, (j,))
-        if not floor_j.equals(blocks[j].intersect(unobs)):
+        if not node_floor[j].equals(blocks[j].intersect(unobs)):
             raise StructureViolation(
                 f"floor at node {j} disagrees with the confined unobservable set (internal bug)"
             )
 
-    cut = None
+    pieces = []
     for i in poset.nodes:
         rest = [j for j in poset.nodes if j not in derived_set(poset, {i}, "up")]
-        piece = upstream[i].sum(coordinate_subspace(n, rest))
-        cut = piece if cut is None else cut.intersect(piece)
-    if not cut.equals(unobs):
+        pieces.append(upstream[i].sum(coordinate_subspace(n, rest)))
+    if not reduce(Subspace.intersect, pieces).equals(unobs):
         raise StructureViolation(
             "unobservable set is not the intersection of the embedded upstream sets (internal bug)"
         )
 
-    floor = _block_sum(node_floor, total)
-    independent = _block_sum(node_independent, total)
-    ceiling = _block_sum(node_ceiling, total)
-    wlo = all(confined[(i, i)].is_zero() for i in poset.nodes)
     return ObservabilityProfile(
         unobservable=unobs,
         upstream=upstream,
@@ -161,21 +144,7 @@ def profile(sys: PosetCausalSystem) -> ObservabilityProfile:
         node_independent=node_independent,
         node_floor=node_floor,
         node_ceiling=node_ceiling,
-        independent=independent,
-        floor=floor,
-        ceiling=ceiling,
-        observable=unobs.is_zero(),
-        independently_observable=independent.is_zero(),
-        weakly_downstream_observable=floor.is_zero(),
-        weakly_locally_observable=wlo,
     )
-
-
-def _block_sum(parts: dict, total: int) -> Subspace:
-    out = Subspace.zero(total)
-    for j in sorted(parts):
-        out = out.sum(parts[j])
-    return out
 
 
 def profile_via_duality(sys: PosetCausalSystem) -> ObservabilityProfile:
@@ -189,7 +158,6 @@ def profile_via_duality(sys: PosetCausalSystem) -> ObservabilityProfile:
     rp = reach_profile(dual)
     poset = sys.poset
     n = sys.n
-    total = n.total
 
     unobs = rp.reachable.complement()
     upstream = {}
@@ -213,10 +181,6 @@ def profile_via_duality(sys: PosetCausalSystem) -> ObservabilityProfile:
         node_independent[j] = blocks[j].ominus(rp.node_independent[j])
         node_ceiling[j] = blocks[j].ominus(rp.node_floor[j])
 
-    floor = _block_sum(node_floor, total)
-    independent = _block_sum(node_independent, total)
-    ceiling = _block_sum(node_ceiling, total)
-    wlo = all(confined[(i, i)].is_zero() for i in poset.nodes)
     return ObservabilityProfile(
         unobservable=unobs,
         upstream=upstream,
@@ -225,11 +189,4 @@ def profile_via_duality(sys: PosetCausalSystem) -> ObservabilityProfile:
         node_independent=node_independent,
         node_floor=node_floor,
         node_ceiling=node_ceiling,
-        independent=independent,
-        floor=floor,
-        ceiling=ceiling,
-        observable=unobs.is_zero(),
-        independently_observable=independent.is_zero(),
-        weakly_downstream_observable=floor.is_zero(),
-        weakly_locally_observable=wlo,
     )

@@ -127,39 +127,28 @@ def profile(sys: PosetCausalSystem) -> ReachabilityProfile:
             exclusive[(i, j)] = blocks[i].intersect(down[j])
             projected[(i, j)] = down[j].coordinate_project(n, (i,))
 
+    zero = Subspace.zero(total)
     node_independent = {}
     node_ceiling = {}
     node_floor = {}
     for j in poset.nodes:
         ups = sorted(derived_set(poset, {j}, "up"))
-        indep = Subspace.zero(total)
-        ceil = Subspace.zero(total)
-        for i in ups:
-            indep = indep.sum(exclusive[(j, i)])
-            ceil = ceil.sum(projected[(j, i)])
-        node_independent[j] = indep
-        node_ceiling[j] = ceil
+        node_independent[j] = zero.sum(*(exclusive[(j, i)] for i in ups))
+        node_ceiling[j] = zero.sum(*(projected[(j, i)] for i in ups))
         node_floor[j] = blocks[j].intersect(reach)
-        if not ceil.equals(reach.coordinate_project(n, (j,))):
+        if not node_ceiling[j].equals(reach.coordinate_project(n, (j,))):
             raise StructureViolation(
                 f"ceiling at node {j} disagrees with the projected reachable set (internal bug)"
             )
 
-    summed = Subspace.zero(total)
-    for j in poset.nodes:
-        summed = summed.sum(down[j])
-    if not summed.equals(reach):
+    if not zero.sum(*down.values()).equals(reach):
         raise StructureViolation(
             "reachable set is not the sum of the downstream reachable sets (internal bug)"
         )
 
-    independent = _block_sum(node_independent, total)
-    floor = _block_sum(node_floor, total)
-    ceiling = _block_sum(node_ceiling, total)
-    local_hull = Subspace.zero(total)
-    for j in poset.nodes:
-        local_hull = local_hull.sum(projected[(j, j)])
-
+    independent = zero.sum(*node_independent.values())
+    floor = zero.sum(*node_floor.values())
+    ceiling = zero.sum(*node_ceiling.values())
     wlc = all(projected[(j, j)].dim == n.size(j) for j in poset.nodes)
     return ReachabilityProfile(
         reachable=reach,
@@ -172,19 +161,12 @@ def profile(sys: PosetCausalSystem) -> ReachabilityProfile:
         independent=independent,
         floor=floor,
         ceiling=ceiling,
-        local_hull=local_hull,
+        local_hull=zero.sum(*(projected[(j, j)] for j in poset.nodes)),
         controllable=reach.dim == total,
         independently_controllable=independent.dim == total,
         weakly_upstream_controllable=ceiling.dim == total,
         weakly_locally_controllable=wlc,
     )
-
-
-def _block_sum(parts: dict, total: int) -> Subspace:
-    out = Subspace.zero(total)
-    for j in sorted(parts):
-        out = out.sum(parts[j])
-    return out
 
 
 def weakly_locally_controllable(sys: PosetCausalSystem):

@@ -91,15 +91,21 @@ def _compress_to(sys: PosetCausalSystem, basis: np.ndarray) -> tuple:
     return a, b, c
 
 
-def _moments_match(sys: PosetCausalSystem, a, b, c, k_max: int) -> bool:
-    lhs_state = sys.B.entries
-    rhs_state = b
+def _moments_agree(first: tuple, second: tuple, k_max: int) -> bool:
+    """Exact equality of C A^k B for k = 0..k_max between two (A, B, C) triples."""
+    (a1, b1, c1), (a2, b2, c2) = first, second
     for _ in range(k_max + 1):
-        if not np.array_equal(la.mdot(sys.C.entries, lhs_state), la.mdot(c, rhs_state)):
+        lhs = la.mdot(c1, b1)
+        rhs = la.mdot(c2, b2)
+        if not (lhs.shape == rhs.shape and all(x == y for x, y in zip(lhs.flat, rhs.flat))):
             return False
-        lhs_state = la.mdot(sys.A.entries, lhs_state)
-        rhs_state = la.mdot(a, rhs_state)
+        b1 = la.mdot(a1, b1)
+        b2 = la.mdot(a2, b2)
     return True
+
+
+def _triple(sys: PosetCausalSystem) -> tuple:
+    return sys.A.entries, sys.B.entries, sys.C.entries
 
 
 def generalized_reduce(
@@ -129,8 +135,8 @@ def generalized_reduce(
         raise StructureViolation("reduction subspace misses the reachable-observable part")
     basis = target.basis
     a, b, c = _compress_to(sys, basis)
-    horizon = sys.state_dim + target.dim - 1 if sys.state_dim + target.dim else 0
-    if not _moments_match(sys, a, b, c, horizon):
+    horizon = max(sys.state_dim + target.dim - 1, 0)
+    if not _moments_agree(_triple(sys), (a, b, c), horizon):
         raise StructureViolation("compression failed to preserve the moments (internal bug)")
     return CompressedTriple(subspace=target, basis=basis, A=a, B=b, C=c)
 
@@ -206,14 +212,10 @@ def poset_reduce(sys: PosetCausalSystem, variant: str = "primal") -> ReducedSyst
             )
         per_block[j] = lead.ominus(cut)
 
-    subspace = Subspace.zero(n.total)
-    bases = []
-    dims = []
-    for j in poset.nodes:
-        subspace = subspace.sum(per_block[j])
-        bases.append(per_block[j].basis)
-        dims.append(per_block[j].dim)
-    basis = np.hstack(bases) if bases else la.zeros(n.total, 0)
+    parts = [per_block[j] for j in poset.nodes]
+    subspace = Subspace.zero(n.total).sum(*parts)
+    dims = [part.dim for part in parts]
+    basis = np.hstack([part.basis for part in parts]) if parts else la.zeros(n.total, 0)
 
     a, b, c = _compress_to(sys, basis) if basis.shape[1] else (
         la.zeros(0, 0),
@@ -231,7 +233,7 @@ def poset_reduce(sys: PosetCausalSystem, variant: str = "primal") -> ReducedSyst
         D=sys.D.entries,
     )
     require_valid(reduced)
-    horizon = sys.state_dim + reduced.state_dim - 1 if sys.state_dim + reduced.state_dim else 0
+    horizon = max(sys.state_dim + reduced.state_dim - 1, 0)
     if not moments_equal(sys, reduced, horizon):
         raise StructureViolation("structured reduction failed to preserve the moments")
 
@@ -257,15 +259,5 @@ def moments_equal(sys1: PosetCausalSystem, sys2: PosetCausalSystem, k_max: int |
     if sys1.input_dim != sys2.input_dim or sys1.output_dim != sys2.output_dim:
         raise DimensionMismatch("systems must share input and output dimensions")
     if k_max is None:
-        k_max = sys1.state_dim + sys2.state_dim - 1
-        k_max = max(k_max, 0)
-    lhs_state = sys1.B.entries
-    rhs_state = sys2.B.entries
-    for _ in range(k_max + 1):
-        lhs = la.mdot(sys1.C.entries, lhs_state)
-        rhs = la.mdot(sys2.C.entries, rhs_state)
-        if not (lhs.shape == rhs.shape and all(x == y for x, y in zip(lhs.flat, rhs.flat))):
-            return False
-        lhs_state = la.mdot(sys1.A.entries, lhs_state)
-        rhs_state = la.mdot(sys2.A.entries, rhs_state)
-    return True
+        k_max = max(sys1.state_dim + sys2.state_dim - 1, 0)
+    return _moments_agree(_triple(sys1), _triple(sys2), k_max)

@@ -8,6 +8,7 @@ keys are emitted in a fixed order.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 from .duality import DualityReport, verify_duality
 from .errors import StructureViolation
@@ -37,6 +38,21 @@ def _space_map(d: dict) -> dict:
     return {str(k) if isinstance(k, int) else _pair_key(k): _space(v) for k, v in sorted(d.items())}
 
 
+def _profile(prof, **extra) -> dict:
+    """Every field of a profile dataclass in field order, its flags last."""
+    out: dict = {}
+    flags: dict = {}
+    for f in fields(prof):
+        value = getattr(prof, f.name)
+        if isinstance(value, bool):
+            flags[f.name] = value
+        elif isinstance(value, dict):
+            out[f.name] = _space_map(value)
+        else:
+            out[f.name] = _space(value)
+    return {**out, **extra, "flags": flags}
+
+
 def analyze(sys: PosetCausalSystem, skip_duality: bool = False) -> dict:
     """Full analysis of a validated system as a JSON-ready dictionary."""
     report: dict = {}
@@ -47,49 +63,11 @@ def analyze(sys: PosetCausalSystem, skip_duality: bool = False) -> dict:
         "state_dim": sys.state_dim,
         "valid": vrep.ok,
     }
-    rp = reach_profile(sys)
-    report["reachability"] = {
-        "reachable": _space(rp.reachable),
-        "downstream": _space_map(rp.downstream),
-        "exclusive": _space_map(rp.exclusive),
-        "projected": _space_map(rp.projected),
-        "node_independent": _space_map(rp.node_independent),
-        "node_floor": _space_map(rp.node_floor),
-        "node_ceiling": _space_map(rp.node_ceiling),
-        "independent": _space(rp.independent),
-        "floor": _space(rp.floor),
-        "ceiling": _space(rp.ceiling),
-        "local_hull": _space(rp.local_hull),
-        "flags": {
-            "controllable": rp.controllable,
-            "independently_controllable": rp.independently_controllable,
-            "weakly_upstream_controllable": rp.weakly_upstream_controllable,
-            "weakly_locally_controllable": rp.weakly_locally_controllable,
-        },
-    }
+    report["reachability"] = _profile(reach_profile(sys))
     op = obs_profile(sys)
-    od = profile_via_duality(sys)
-    if not op.equals(od):
+    if op != profile_via_duality(sys):
         raise StructureViolation("direct and duality observability routes disagree (internal bug)")
-    report["observability"] = {
-        "unobservable": _space(op.unobservable),
-        "upstream": _space_map(op.upstream),
-        "confined": _space_map(op.confined),
-        "projected": _space_map(op.projected),
-        "node_independent": _space_map(op.node_independent),
-        "node_floor": _space_map(op.node_floor),
-        "node_ceiling": _space_map(op.node_ceiling),
-        "independent": _space(op.independent),
-        "floor": _space(op.floor),
-        "ceiling": _space(op.ceiling),
-        "duality_route_agrees": True,
-        "flags": {
-            "observable": op.observable,
-            "independently_observable": op.independently_observable,
-            "weakly_downstream_observable": op.weakly_downstream_observable,
-            "weakly_locally_observable": op.weakly_locally_observable,
-        },
-    }
+    report["observability"] = _profile(op, duality_route_agrees=True)
     if not skip_duality:
         drep: DualityReport = verify_duality(sys)
         report["duality"] = {

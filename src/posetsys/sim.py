@@ -205,6 +205,21 @@ def _restriction_indices(partition, nodes):
     return [k for j in sorted(nodes) for k in partition.block_range(j)]
 
 
+def _block_slice(partition, nodes, i) -> slice:
+    """Columns of block i within the concatenated blocks of ``nodes``."""
+    start = sum(partition.size(j) for j in nodes if j < i)
+    return slice(start, start + partition.size(i))
+
+
+def _nanmax(values) -> float:
+    """Largest value, 0.0 if there is none; unlike ``max``, a NaN anywhere gives NaN."""
+    return float(np.max(values, initial=0.0))
+
+
+def _deviation(x, y) -> float:
+    return _nanmax(np.abs(x - y))
+
+
 def verify_trajectory_decomposition(
     sys: PosetCausalSystem, x0, u: InputSignal, tolerance: float = 1e-8
 ) -> DecompositionReport:
@@ -231,95 +246,58 @@ def verify_trajectory_decomposition(
         raise DimensionMismatch("input signal has the wrong width")
 
     global_traj = simulate(sys, x0vec, u)
-    down = {i: derived(sys, "downstream", i) for i in poset.nodes}
-    local = {i: derived(sys, "local", i) for i in poset.nodes}
-
+    gx, gy = global_traj.states, global_traj.outputs
+    local_x, local_y, split_x, split_y, up = [], [], [], [], []
     down_embedded = {}
-    down_local_init = {}
+    local = {}
     for i in poset.nodes:
-        sub = down[i]
+        sub = derived(sys, "downstream", i)
         ui = u.restrict(_restriction_indices(m, (i,)))
-        down_nodes = sub.state_nodes
-        seed = np.zeros(sum(n.size(j) for j in down_nodes))
-        offset = 0
-        for j in down_nodes:
-            if j == i:
-                seed[offset : offset + n.size(j)] = x0vec[list(n.block_range(i))]
-            offset += n.size(j)
+        own_x = _block_slice(n, sub.state_nodes, i)
+        own_y = _block_slice(r, sub.output_nodes, i)
+        full_seed = x0vec[_restriction_indices(n, sub.state_nodes)]
+        seed = np.zeros_like(full_seed)
+        seed[own_x] = full_seed[own_x]
         traj = simulate(sub, seed, ui)
         emb_x = la.mat_to_float(sub.state_embedding())
         emb_y = la.mat_to_float(sub.output_embedding())
         down_embedded[i] = (traj.states @ emb_x.T, traj.outputs @ emb_y.T)
-        down_local_init[i] = traj
-
-    sum_states = sum(down_embedded[i][0] for i in poset.nodes)
-    sum_outputs = sum(down_embedded[i][1] for i in poset.nodes)
-    dev_sum_x = float(np.max(np.abs(global_traj.states - sum_states), initial=0.0))
-    dev_sum_y = float(np.max(np.abs(global_traj.outputs - sum_outputs), initial=0.0))
-
-    dev_local_x = 0.0
-    dev_local_y = 0.0
-    for i in poset.nodes:
-        sub = down[i]
-        ui = u.restrict(_restriction_indices(m, (i,)))
-        full_seed = x0vec[_restriction_indices(n, sub.state_nodes)]
         traj_full = simulate(sub, full_seed, ui)
-        loc_traj = simulate(local[i], x0vec[list(n.block_range(i))], ui)
-        pos = 0
-        for j in sub.state_nodes:
-            if j == i:
-                break
-            pos += n.size(j)
-        comp_x = traj_full.states[:, pos : pos + n.size(i)]
-        ypos = 0
-        for j in sub.output_nodes:
-            if j == i:
-                break
-            ypos += r.size(j)
-        comp_y = traj_full.outputs[:, ypos : ypos + r.size(i)]
-        dev_local_x = max(dev_local_x, float(np.max(np.abs(comp_x - loc_traj.states), initial=0.0)))
-        dev_local_y = max(dev_local_y, float(np.max(np.abs(comp_y - loc_traj.outputs), initial=0.0)))
+        local[i] = simulate(derived(sys, "local", i), x0vec[list(n.block_range(i))], ui)
+        local_x.append(_deviation(traj_full.states[:, own_x], local[i].states))
+        local_y.append(_deviation(traj_full.outputs[:, own_y], local[i].outputs))
 
-    dev_split_x = 0.0
-    dev_split_y = 0.0
+    sum_x = [_deviation(gx, sum(down_embedded[i][0] for i in poset.nodes))]
+    sum_y = [_deviation(gy, sum(down_embedded[i][1] for i in poset.nodes))]
+
     for i in poset.nodes:
-        ui = u.restrict(_restriction_indices(m, (i,)))
-        loc_traj = simulate(local[i], x0vec[list(n.block_range(i))], ui)
-        acc_x = loc_traj.states.copy()
-        acc_y = loc_traj.outputs.copy()
+        rows_x, rows_y = list(n.block_range(i)), list(r.block_range(i))
+        acc_x = local[i].states
+        acc_y = local[i].outputs
         for j in sorted(derived_set(poset, {i}, "strict_up")):
             contrib_x, contrib_y = down_embedded[j]
-            acc_x = acc_x + contrib_x[:, list(n.block_range(i))]
-            acc_y = acc_y + contrib_y[:, list(r.block_range(i))]
-        dev_split_x = max(
-            dev_split_x,
-            float(np.max(np.abs(global_traj.states[:, list(n.block_range(i))] - acc_x), initial=0.0)),
-        )
-        dev_split_y = max(
-            dev_split_y,
-            float(np.max(np.abs(global_traj.outputs[:, list(r.block_range(i))] - acc_y), initial=0.0)),
-        )
+            acc_x = acc_x + contrib_x[:, rows_x]
+            acc_y = acc_y + contrib_y[:, rows_y]
+        split_x.append(_deviation(gx[:, rows_x], acc_x))
+        split_y.append(_deviation(gy[:, rows_y], acc_y))
 
-    dev_up = 0.0
-    for i in poset.nodes:
         sub = derived(sys, "upstream", i)
         cols = _restriction_indices(m, sub.input_nodes)
-        seed = x0vec[_restriction_indices(n, sub.state_nodes)]
-        traj = simulate(sub, seed, u.restrict(cols))
-        restr = global_traj.states[:, _restriction_indices(n, sub.state_nodes)]
-        dev_up = max(dev_up, float(np.max(np.abs(traj.states - restr), initial=0.0)))
-        yglob = global_traj.outputs[:, list(r.block_range(i))]
-        dev_up = max(dev_up, float(np.max(np.abs(traj.outputs - yglob), initial=0.0)))
+        state_idx = _restriction_indices(n, sub.state_nodes)
+        traj = simulate(sub, x0vec[state_idx], u.restrict(cols))
+        up.append(_deviation(traj.states, gx[:, state_idx]))
+        up.append(_deviation(traj.outputs, gy[:, rows_y]))
 
+    families = {
+        "downstream_sum_states": sum_x,
+        "downstream_sum_outputs": sum_y,
+        "downstream_local_component_states": local_x,
+        "downstream_local_component_outputs": local_y,
+        "per_node_split_states": split_x,
+        "per_node_split_outputs": split_y,
+        "upstream_restriction": up,
+    }
     return DecompositionReport(
-        deviations={
-            "downstream_sum_states": dev_sum_x,
-            "downstream_sum_outputs": dev_sum_y,
-            "downstream_local_component_states": dev_local_x,
-            "downstream_local_component_outputs": dev_local_y,
-            "per_node_split_states": dev_split_x,
-            "per_node_split_outputs": dev_split_y,
-            "upstream_restriction": dev_up,
-        },
+        deviations={name: _nanmax(devs) for name, devs in families.items()},
         tolerance=tolerance,
     )

@@ -82,9 +82,11 @@ class Subspace:
 
     # lattice operations -----------------------------------------------
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._require_same_ambient(other)
-        return Subspace(self.ambient, np.hstack([self.basis, other.basis]))
+    def sum(self, *others: "Subspace") -> "Subspace":
+        """Span of this subspace and all ``others``, by one canonical elimination."""
+        for other in others:
+            self._require_same_ambient(other)
+        return Subspace(self.ambient, np.hstack([self.basis] + [o.basis for o in others]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._require_same_ambient(other)

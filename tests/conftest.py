@@ -10,23 +10,13 @@ import random
 import pytest
 
 from posetsys import _linalg as la
+from posetsys import corpus
 from posetsys.poset import Poset, build_poset
 from posetsys.reachability import ctrb_matrix
 from posetsys.system import PosetCausalSystem
 
-NAMED_POSETS = {
-    "p1": (3, [(1, 2), (1, 3)]),
-    "p2": (6, [(1, 2), (1, 3), (2, 4), (2, 5), (2, 6)]),
-    "p3": (3, [(2, 1), (3, 1)]),
-    "p4": (4, [(1, 2), (2, 4), (3, 4)]),
-    "p5": (4, [(1, 3), (1, 4), (2, 4)]),
-    "p6": (3, [(1, 2), (2, 3)]),
-}
-
-
-def named_poset(name: str) -> Poset:
-    p, edges = NAMED_POSETS[name]
-    return build_poset(p, edges)
+NAMED_POSETS = {name: corpus._POSETS[name] for name in ("p1", "p2", "p3", "p4", "p5", "p6")}
+named_poset = corpus.corpus_poset
 
 
 def random_poset(rng: random.Random, p: int) -> Poset:

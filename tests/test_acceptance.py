@@ -13,7 +13,7 @@ import numpy as np
 from conftest import NAMED_POSETS, named_poset, random_locally_controllable_system, random_system
 from posetsys import _linalg as la
 from posetsys.blockmat import BlockMatrix, Partition, compress, is_incident
-from posetsys.corpus import load_corpus_system
+from posetsys.corpus import _span, load_corpus_system
 from posetsys.duality import verify_duality
 from posetsys.errors import SingularMatrix
 from posetsys.observability import profile as obs_profile
@@ -27,20 +27,9 @@ from posetsys.reachability import (
 )
 from posetsys.reduction import kalman, moments_equal, poset_reduce
 from posetsys.sim import InputSignal, simulate, verify_trajectory_decomposition
-from posetsys.subspace import Subspace
 from posetsys.system import dual_system
 
 from conftest import structured_random_matrix
-
-
-def _span(ambient, combos):
-    cols = []
-    for combo in combos:
-        vec = [0] * ambient
-        for index, coef in combo.items():
-            vec[index - 1] = coef
-        cols.append(vec)
-    return Subspace.from_columns(ambient, cols)
 
 
 def _passed(name):

@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
+from posetsys import report
 from posetsys.cli import main
 from posetsys.corpus import demo_names, system_path
 from posetsys.fileio import load_system, system_to_dict
@@ -120,6 +122,15 @@ def test_demo_unknown_name(capsys):
     code, _, err = _run(capsys, "demo", "nope")
     assert code == 2
     assert "unknown demo" in err
+
+
+def test_internal_key_error_is_not_reported_as_bad_input(monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(report, "analyze", broken)
+    with pytest.raises(KeyError):
+        main(["analyze", str(system_path("two-node-local-gap"))])
 
 
 def test_analyze_reports_strict_chain_and_collapsed_bounds(capsys):

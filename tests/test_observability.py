@@ -121,11 +121,11 @@ def test_locally_observable_implies_observable(rng):
 
 def test_duality_route_agrees_everywhere(rng):
     sys = load_corpus_system("exObsEx")
-    assert profile(sys).equals(profile_via_duality(sys))
+    assert profile(sys) == profile_via_duality(sys)
     for _ in range(15):
         poset = random_poset(rng, rng.randint(1, 5))
         rand = random_system(rng, poset)
-        assert profile(rand).equals(profile_via_duality(rand))
+        assert profile(rand) == profile_via_duality(rand)
 
 
 def test_zero_system_profile():
@@ -137,7 +137,7 @@ def test_zero_system_profile():
     op = profile(sys)
     assert op.unobservable.equals(Subspace.full(2))
     via = profile_via_duality(sys)
-    assert op.equals(via)
+    assert op == via
     assert via.unobservable.complement().is_zero()
 
 

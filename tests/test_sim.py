@@ -131,6 +131,17 @@ def test_trajectory_decomposition_zero_case():
     assert rep.ok, rep.describe()
 
 
+def test_trajectory_decomposition_nan_input_fails_every_family():
+    sys = load_corpus_system("strict-chain-combined")
+    values = np.zeros((10, sys.input_dim))
+    values[0, 0] = np.nan
+    rep = verify_trajectory_decomposition(sys, None, InputSignal(step=0.01, values=values))
+    assert len(rep.deviations) == 7
+    assert all(math.isnan(v) for v in rep.deviations.values()), rep.deviations
+    assert not rep.ok
+    assert "(ok)" not in rep.describe()
+
+
 def test_trajectory_decomposition_randomized(rng):
     for _ in range(5):
         poset = random_poset(rng, rng.randint(1, 4))

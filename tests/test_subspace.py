@@ -47,9 +47,22 @@ def test_coordinate_span_operations():
     assert u.sum(v).equals(Subspace.full(3))
 
 
+def test_n_ary_sum_is_the_pairwise_fold_in_any_order(rng):
+    for _ in range(10):
+        parts = [_random_subspace(rng, 5, rng.randint(0, 2)) for _ in range(4)]
+        folded = parts[0]
+        for part in parts[1:]:
+            folded = folded.sum(part)
+        assert parts[0].sum(*parts[1:]) == folded
+        assert Subspace.zero(5).sum(*reversed(parts)) == folded
+        assert parts[0].sum() == parts[0]
+
+
 def test_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
         Subspace.full(2).sum(Subspace.full(3))
+    with pytest.raises(AmbientMismatch):
+        Subspace.full(2).sum(Subspace.zero(2), Subspace.full(3))
 
 
 def test_complement_involution_and_dims(rng):
