@@ -3,11 +3,19 @@
 All matrices are 2-D numpy arrays of dtype=object holding ``fractions.Fraction``
 entries (plain ints are tolerated as inputs and normalized on construction).
 Everything here is exact; nothing ever rounds.
+
+The interface stays Fraction arrays, but the two kernels the other routines
+are built on, ``mdot`` and ``rref``, compute on Python ints: they clear the
+denominators of each row on the way in and form Fractions only on the way
+out. A product then costs one gcd per output entry instead of one per
+multiply-add, and an elimination forms no Fraction until it divides out its
+pivots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -36,6 +44,7 @@ __all__ = [
 ]
 
 F = Fraction
+_ZERO = Fraction(0)
 
 
 def _coerce(x) -> Fraction:
@@ -81,13 +90,37 @@ def eye(n: int) -> np.ndarray:
     return out
 
 
+def _int_rows(m: np.ndarray) -> tuple[list[list[int]], list[int]]:
+    """Row i of ``m`` as integers ``rows[i]`` over the common denominator ``dens[i]``."""
+    rows, dens = [], []
+    for row in m.tolist():
+        row_dens = [x.denominator for x in row]
+        d = lcm(*row_dens)
+        if d == 1:
+            rows.append([x.numerator for x in row])
+        else:
+            rows.append([x.numerator * (d // e) for x, e in zip(row, row_dens)])
+        dens.append(d)
+    return rows, dens
+
+
 def mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact matrix product; handles zero-sized operands."""
+    """Exact matrix product; handles zero-sized operands.
+
+    With a = diag(da)^-1 Ia and b = Ib diag(db)^-1 for integer Ia, Ib, the
+    product is Ia Ib scaled by 1/(da[i] db[j]) entrywise.
+    """
     if a.shape[1] != b.shape[0]:
         raise IncompatibleShapes(f"cannot multiply {a.shape} by {b.shape}")
     if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
         return zeros(a.shape[0], b.shape[1])
-    return np.dot(a, b)
+    a_ints, a_dens = _int_rows(a)
+    b_ints, b_dens = _int_rows(b.T)
+    prod = np.dot(np.array(a_ints, dtype=object), np.array(b_ints, dtype=object).T)
+    out = np.empty(prod.shape, dtype=object)
+    for i, (row, da) in enumerate(zip(prod.tolist(), a_dens)):
+        out[i, :] = [Fraction(x, da * db) if x else _ZERO for x, db in zip(row, b_dens)]
+    return out
 
 
 def is_zero_matrix(a: np.ndarray) -> bool:
@@ -95,32 +128,43 @@ def is_zero_matrix(a: np.ndarray) -> bool:
 
 
 def rref(m: np.ndarray):
-    """Reduced row echelon form. Returns (R, pivot_columns)."""
-    r = m.copy()
-    nrows, ncols = r.shape
+    """Reduced row echelon form. Returns (R, pivot_columns).
+
+    Gauss-Jordan on integer rows: each row is cleared of denominators and
+    every update ``(p/g) row - (f/g) pivot_row`` is divided by its content,
+    which changes rows only by nonzero scalars. Dividing each pivot row by its
+    pivot at the end gives the reduced form, which is unique for the row space.
+    """
+    nrows, ncols = m.shape
+    rows = _int_rows(m)[0]
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
         if row >= nrows:
             break
-        sel = None
-        for i in range(row, nrows):
-            if r[i, col] != 0:
-                sel = i
-                break
+        sel = next((i for i in range(row, nrows) if rows[i][col]), None)
         if sel is None:
             continue
-        if sel != row:
-            r[[row, sel], :] = r[[sel, row], :]
-        piv = r[row, col]
-        if piv != 1:
-            r[row, :] = [x / piv for x in r[row, :]]
-        for i in range(nrows):
-            if i != row and r[i, col] != 0:
-                factor = r[i, col]
-                r[i, :] = [x - factor * y for x, y in zip(r[i, :], r[row, :])]
+        rows[row], rows[sel] = rows[sel], rows[row]
+        prow = rows[row]
+        piv = prow[col]
+        for i, cur in enumerate(rows):
+            factor = cur[col]
+            if factor and i != row:
+                g = gcd(piv, factor)
+                p, f = piv // g, factor // g
+                new = [p * x - f * y for x, y in zip(cur, prow)]
+                content = gcd(*new)
+                if content > 1:
+                    new = [x // content for x in new]
+                rows[i] = new
         pivots.append(col)
         row += 1
+    r = np.empty((nrows, ncols), dtype=object)  # not zeros(): rref calls no public function
+    r[...] = _ZERO
+    for i, col in enumerate(pivots):
+        piv = rows[i][col]
+        r[i, :] = [Fraction(x, piv) if x else _ZERO for x in rows[i]]
     return r, pivots
 
 

@@ -16,12 +16,13 @@ input components, one grid point per line.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from . import _linalg as la
-from .errors import ParseError
+from .errors import IncompatibleShapes, ParseError, PosetSysError
 from .poset import build_poset
 from .sim import InputSignal, Trajectory
 from .system import PosetCausalSystem
@@ -66,19 +67,36 @@ def _parse_matrix(rows, what: str) -> np.ndarray:
         raise ParseError(f"{what} must be a 2-D array")
     try:
         return la.fmat([[parse_rational(x) for x in row] for row in rows])
-    except ParseError as exc:
+    except (ParseError, IncompatibleShapes) as exc:
         raise ParseError(f"{what}: {exc}") from exc
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer; floats, booleans and strings are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def system_from_dict(doc: dict) -> PosetCausalSystem:
     try:
         poset_doc = doc["poset"]
         parts = doc["partitions"]
-        p = int(poset_doc["p"])
-        edges = [(int(j), int(i)) for j, i in poset_doc["edges"]]
-        n = [int(v) for v in parts["n"]]
-        m = [int(v) for v in parts["m"]]
-        r = [int(v) for v in parts["r"]]
+        p = _integer(poset_doc["p"], "poset p")
+        edges = []
+        for edge in _list(poset_doc["edges"], "poset edges"):
+            j, i = _list(edge, "an edge")
+            edges.append((_integer(j, "an edge endpoint"), _integer(i, "an edge endpoint")))
+        n, m, r = (
+            [_integer(v, f"partition size in {key}") for v in _list(parts[key], f"partition {key}")]
+            for key in ("n", "m", "r")
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed system document: {exc}") from exc
     poset = build_poset(p, edges)
@@ -95,7 +113,7 @@ def system_from_dict(doc: dict) -> PosetCausalSystem:
         mats[name] = mat
     x0 = None
     if doc.get("x0") is not None:
-        x0 = [parse_rational(v) for v in doc["x0"]]
+        x0 = [parse_rational(v) for v in _list(doc["x0"], "x0")]
         if len(x0) != sum(n):
             raise ParseError(f"x0 has {len(x0)} entries, expected {sum(n)}")
     return PosetCausalSystem(poset=poset, n=n, m=m, r=r, x0=x0, **mats)
@@ -150,9 +168,12 @@ def read_signal(path, step: float | None = None) -> InputSignal:
                 if not line:
                     continue
                 try:
-                    rows.append([float(tok) for tok in line.replace(",", " ").split()])
+                    row = [float(tok) for tok in line.replace(",", " ").split()]
                 except ValueError as exc:
                     raise ParseError(f"{path}:{lineno}: {exc}") from exc
+                if not all(map(math.isfinite, row)):
+                    raise ParseError(f"{path}:{lineno}: non-finite value in {line!r}")
+                rows.append(row)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not rows:
@@ -169,7 +190,10 @@ def read_signal(path, step: float | None = None) -> InputSignal:
         step = float(diffs[0])
         if step <= 0 or not np.allclose(diffs, step, rtol=1e-9, atol=1e-12):
             raise ParseError(f"{path}: time column is not a uniform increasing grid")
-    return InputSignal(step=float(step), values=values)
+    try:
+        return InputSignal(step=float(step), values=values)
+    except PosetSysError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def write_trajectory(traj: Trajectory, fh) -> None:

@@ -101,6 +101,8 @@ class InputSignal:
             vals = vals.reshape(-1, 1)
         if vals.ndim != 2:
             raise DimensionMismatch("input values must form a (steps, width) array")
+        if not (math.isfinite(self.step) and np.isfinite(vals).all()):
+            raise NonFinite("input signal has a NaN or infinite step or value")
         object.__setattr__(self, "values", vals)
         if self.step <= 0:
             raise DimensionMismatch("step size must be positive")

@@ -147,3 +147,34 @@ def test_analyze_reports_strict_chain_and_collapsed_bounds(capsys):
     doc2 = json.loads(out2)
     assert doc2["observability"]["ceiling"] == doc2["observability"]["independent"]
     assert doc2["observability"]["flags"]["observable"] is False
+
+
+def test_simulate_with_nan_signal_exits_2(tmp_path, capsys):
+    src = str(system_path("two-node-local-gap"))
+    sig = tmp_path / "sig.txt"
+    sig.write_text("0 1 2\n0.1 nan 2\n0.2 1 2\n")
+    code, out, err = _run(capsys, "simulate", src, str(sig))
+    assert code == 2
+    assert "non-finite" in err
+    assert out == ""
+    sig.write_text("0 1 2\n0.1 1 2\n")
+    assert _run(capsys, "simulate", src, str(sig))[0] == 0
+    code_h, _, err_h = _run(capsys, "simulate", src, str(sig), "--h", "nan")
+    assert code_h == 2
+    assert "NaN" in err_h
+
+
+@pytest.mark.parametrize("breakage", [
+    lambda d: d.__setitem__("x0", 5),
+    lambda d: d["partitions"].__setitem__("n", [1.7, 1.7]),
+    lambda d: d["partitions"].__setitem__("m", [True, 1]),
+    lambda d: d["poset"].__setitem__("p", 2.0),
+])
+def test_analyze_bad_document_exits_2(tmp_path, capsys, breakage):
+    doc = json.loads(system_path("two-node-local-gap").read_text())
+    breakage(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == "" and err.startswith("error:")

@@ -91,6 +91,20 @@ def test_malformed_documents_raise_parse_error():
         lambda d: d.__setitem__("A", [[1]]),
         lambda d: d.__setitem__("A", "nope"),
         lambda d: d["A"][0].__setitem__(0, "1/0"),
+        lambda d: d.__setitem__("A", [[0, 0], [0]]),
+        lambda d: d.__setitem__("x0", 5),
+        lambda d: d.__setitem__("x0", "12"),
+        lambda d: d["partitions"].__setitem__("n", [1.7, 1.7]),
+        lambda d: d["partitions"].__setitem__("n", [1.0, 1]),
+        lambda d: d["partitions"].__setitem__("m", [True, 1]),
+        lambda d: d["partitions"].__setitem__("r", ["1", 1]),
+        lambda d: d["partitions"].__setitem__("r", 2),
+        lambda d: d["poset"].__setitem__("p", 2.0),
+        lambda d: d["poset"].__setitem__("p", True),
+        lambda d: d["poset"].__setitem__("edges", 5),
+        lambda d: d["poset"].__setitem__("edges", "12"),
+        lambda d: d["poset"].__setitem__("edges", [[1, 2, 3]]),
+        lambda d: d["poset"].__setitem__("edges", [[1, 2.0]]),
     ):
         doc = json.loads(json.dumps(good))
         breakage(doc)
@@ -133,6 +147,14 @@ def test_signal_errors(tmp_path):
     path.write_text("0 1\n0.5 2\n2.0 3\n")
     with pytest.raises(ParseError):
         read_signal(path)
+    for text in ("0 1\n0.5 nan\n", "0 1\n0.5 -inf\n", "0 1\ninf 2\n"):
+        path.write_text(text)
+        with pytest.raises(ParseError, match=":2: non-finite"):
+            read_signal(path, step=0.5)
+    path.write_text("0 1\n0.5 2\n")
+    for step in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(ParseError):
+            read_signal(path, step=step)
 
 
 def test_write_trajectory_columns(tmp_path):

@@ -132,14 +132,26 @@ def test_trajectory_decomposition_zero_case():
 
 
 def test_trajectory_decomposition_nan_input_fails_every_family():
+    # InputSignal refuses NaN values, so the NaN enters through the initial state
     sys = load_corpus_system("strict-chain-combined")
-    values = np.zeros((10, sys.input_dim))
-    values[0, 0] = np.nan
-    rep = verify_trajectory_decomposition(sys, None, InputSignal(step=0.01, values=values))
+    x0 = [0.0] * sys.state_dim
+    x0[0] = math.nan
+    u = InputSignal(step=0.01, values=np.zeros((10, sys.input_dim)))
+    rep = verify_trajectory_decomposition(sys, x0, u)
     assert len(rep.deviations) == 7
     assert all(math.isnan(v) for v in rep.deviations.values()), rep.deviations
     assert not rep.ok
     assert "(ok)" not in rep.describe()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_input_signal_rejects_non_finite_values_and_step(bad):
+    values = np.zeros((4, 2))
+    values[2, 1] = bad
+    with pytest.raises(NonFinite):
+        InputSignal(step=0.1, values=values)
+    with pytest.raises(NonFinite):
+        InputSignal(step=bad, values=np.zeros((4, 2)))
 
 
 def test_trajectory_decomposition_randomized(rng):
