@@ -68,6 +68,10 @@ class Partition:
         start = self.offset(j)
         return range(start, start + self.size(j))
 
+    def indices(self, nodes) -> list:
+        """Global coordinates of the blocks in ``nodes``, in increasing node order."""
+        return [k for j in sorted(set(nodes)) for k in self.block_range(j)]
+
     def restrict(self, nodes) -> "Partition":
         """Same length, sizes zeroed outside ``nodes``."""
         keep = set(nodes)
@@ -151,16 +155,9 @@ def compress(m: BlockMatrix, rows, cols) -> BlockMatrix:
 
     The result's partitions keep all p entries with dropped sizes set to zero.
     """
-    row_keep = sorted(set(rows))
-    col_keep = sorted(set(cols))
-    for i in row_keep:
-        m.row_partition._check(i)
-    for j in col_keep:
-        m.col_partition._check(j)
-    ridx = [k for i in row_keep for k in m.row_partition.block_range(i)]
-    cidx = [k for j in col_keep for k in m.col_partition.block_range(j)]
-    sub = m.entries[np.ix_(ridx, cidx)] if ridx and cidx else la.zeros(len(ridx), len(cidx))
-    return BlockMatrix(sub, m.row_partition.restrict(row_keep), m.col_partition.restrict(col_keep))
+    rows, cols = set(rows), set(cols)
+    sub = m.entries[np.ix_(m.row_partition.indices(rows), m.col_partition.indices(cols))]
+    return BlockMatrix(sub, m.row_partition.restrict(rows), m.col_partition.restrict(cols))
 
 
 def structured_multiply(g: BlockMatrix, h: BlockMatrix, poset: Poset) -> BlockMatrix:

@@ -75,26 +75,9 @@ _SYSTEM_FILES = {
     "strict-chain-combined": "strict-chain-combined.json",
 }
 
-_ORDER = [
-    "order-basics",
-    "p1",
-    "p2",
-    "p3",
-    "p4",
-    "p5",
-    "p6",
-    "exLargeEx",
-    "two-node-local-gap",
-    "feedback-obstruction",
-    "exObsEx",
-    "kalman-structured-gap",
-    "dual-reduction-minimal",
-    "strict-chain-combined",
-]
-
 
 def demo_names() -> list:
-    return list(_ORDER)
+    return list(_RUNNERS)
 
 
 def corpus_poset(name: str) -> Poset:
@@ -160,8 +143,8 @@ def _flag_check(label: str, computed, expected) -> DemoCheck:
 
 
 def run_demo(name: str) -> DemoResult:
-    if name not in _ORDER:
-        raise KeyError(f"unknown demo {name!r}; available: {', '.join(_ORDER)}")
+    if name not in _RUNNERS:
+        raise KeyError(f"unknown demo {name!r}; available: {', '.join(_RUNNERS)}")
     return _RUNNERS[name](name)
 
 

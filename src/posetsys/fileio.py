@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from sys import get_int_max_str_digits
 
 import numpy as np
 
@@ -47,7 +48,12 @@ def parse_rational(value) -> Fraction:
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, str):
-            return Fraction(value.strip())
+            text = value.strip()
+            # Fraction expands the power, so "1e1000000000" would never finish
+            _, marker, exponent = text.lower().partition("e")
+            if marker and abs(int(exponent)) > (get_int_max_str_digits() or math.inf):
+                raise ValueError(f"exponent exceeds {get_int_max_str_digits()}")
+            return Fraction(text)
         if isinstance(value, float):
             raise TypeError("floats are not exact; write a decimal string instead")
         raise TypeError(f"unsupported entry type {type(value).__name__}")
@@ -99,6 +105,8 @@ def system_from_dict(doc: dict) -> PosetCausalSystem:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed system document: {exc}") from exc
+    if not len(n) == len(m) == len(r) == p:
+        raise ParseError(f"partitions have {len(n)}/{len(m)}/{len(r)} parts, poset has {p}")
     poset = build_poset(p, edges)
     mats = {}
     for name, shape in (("A", (sum(n), sum(n))), ("B", (sum(n), sum(m))),
@@ -145,7 +153,7 @@ def load_system(path) -> PosetCausalSystem:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8, an integer over the digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be an object")

@@ -74,12 +74,8 @@ def downstream_reachable(sys: PosetCausalSystem, i: int) -> Subspace:
 
 def coordinate_subspace(partition: Partition, nodes) -> Subspace:
     """The coordinate block subspace spanned by the blocks in ``nodes``."""
-    cols = []
     total = partition.total
-    for j in sorted(set(nodes)):
-        for k in partition.block_range(j):
-            cols.append([Fraction(1) if r == k else Fraction(0) for r in range(total)])
-    return Subspace.from_columns(total, cols)
+    return Subspace(total, la.eye(total)[:, partition.indices(nodes)])
 
 
 @dataclass(frozen=True)

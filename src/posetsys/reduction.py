@@ -164,10 +164,9 @@ class ReducedSystem:
 
     def block_basis(self, j: int) -> np.ndarray:
         """Basis of block j's retained subspace in that block's local coordinates."""
-        col0 = sum(self.block_dims[: j - 1])
-        cols = self.basis[:, col0 : col0 + self.block_dims[j - 1]]
-        rows = self.source_partition.block_range(j)
-        return cols[rows.start : rows.stop, :]
+        rows = self.source_partition.indices((j,))
+        cols = Partition(self.block_dims).indices((j,))
+        return self.basis[np.ix_(rows, cols)]
 
 
 def poset_reduce(sys: PosetCausalSystem, variant: str = "primal") -> ReducedSystem:

@@ -203,16 +203,6 @@ class DecompositionReport:
         return "\n".join(lines)
 
 
-def _restriction_indices(partition, nodes):
-    return [k for j in sorted(nodes) for k in partition.block_range(j)]
-
-
-def _block_slice(partition, nodes, i) -> slice:
-    """Columns of block i within the concatenated blocks of ``nodes``."""
-    start = sum(partition.size(j) for j in nodes if j < i)
-    return slice(start, start + partition.size(i))
-
-
 def _nanmax(values) -> float:
     """Largest value, 0.0 if there is none; unlike ``max``, a NaN anywhere gives NaN."""
     return float(np.max(values, initial=0.0))
@@ -254,10 +244,10 @@ def verify_trajectory_decomposition(
     local = {}
     for i in poset.nodes:
         sub = derived(sys, "downstream", i)
-        ui = u.restrict(_restriction_indices(m, (i,)))
-        own_x = _block_slice(n, sub.state_nodes, i)
-        own_y = _block_slice(r, sub.output_nodes, i)
-        full_seed = x0vec[_restriction_indices(n, sub.state_nodes)]
+        ui = u.restrict(m.indices(sub.input_nodes))
+        own_x = n.restrict(sub.state_nodes).block_range(i)
+        own_y = r.restrict(sub.output_nodes).block_range(i)
+        full_seed = x0vec[n.indices(sub.state_nodes)]
         seed = np.zeros_like(full_seed)
         seed[own_x] = full_seed[own_x]
         traj = simulate(sub, seed, ui)
@@ -265,7 +255,7 @@ def verify_trajectory_decomposition(
         emb_y = la.mat_to_float(sub.output_embedding())
         down_embedded[i] = (traj.states @ emb_x.T, traj.outputs @ emb_y.T)
         traj_full = simulate(sub, full_seed, ui)
-        local[i] = simulate(derived(sys, "local", i), x0vec[list(n.block_range(i))], ui)
+        local[i] = simulate(derived(sys, "local", i), x0vec[n.indices((i,))], ui)
         local_x.append(_deviation(traj_full.states[:, own_x], local[i].states))
         local_y.append(_deviation(traj_full.outputs[:, own_y], local[i].outputs))
 
@@ -273,7 +263,7 @@ def verify_trajectory_decomposition(
     sum_y = [_deviation(gy, sum(down_embedded[i][1] for i in poset.nodes))]
 
     for i in poset.nodes:
-        rows_x, rows_y = list(n.block_range(i)), list(r.block_range(i))
+        rows_x, rows_y = n.indices((i,)), r.indices((i,))
         acc_x = local[i].states
         acc_y = local[i].outputs
         for j in sorted(derived_set(poset, {i}, "strict_up")):
@@ -284,9 +274,8 @@ def verify_trajectory_decomposition(
         split_y.append(_deviation(gy[:, rows_y], acc_y))
 
         sub = derived(sys, "upstream", i)
-        cols = _restriction_indices(m, sub.input_nodes)
-        state_idx = _restriction_indices(n, sub.state_nodes)
-        traj = simulate(sub, x0vec[state_idx], u.restrict(cols))
+        state_idx = n.indices(sub.state_nodes)
+        traj = simulate(sub, x0vec[state_idx], u.restrict(m.indices(sub.input_nodes)))
         up.append(_deviation(traj.states, gx[:, state_idx]))
         up.append(_deviation(traj.outputs, gy[:, rows_y]))
 

@@ -92,7 +92,8 @@ class Subspace:
         self._require_same_ambient(other)
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.ambient)
-        stacked = np.hstack([self.basis, -other.basis])
+        # U a + W b = 0 puts U a in U cap W, so no sign flip of W is needed
+        stacked = np.hstack([self.basis, other.basis])
         null = la.kernel_basis(stacked)
         coords = null[: self.dim, :]
         return Subspace(self.ambient, la.mdot(self.basis, coords))
@@ -125,13 +126,9 @@ class Subspace:
             raise AmbientMismatch(
                 f"partition total {partition.total} != ambient {self.ambient}"
             )
-        keep = set()
-        for j in nodes:
-            keep.update(partition.block_range(j))
-        masked = self.basis.copy()
-        for row in range(self.ambient):
-            if row not in keep:
-                masked[row, :] = [Fraction(0)] * masked.shape[1]
+        keep = partition.indices(nodes)
+        masked = la.zeros(*self.basis.shape)
+        masked[keep, :] = self.basis[keep, :]
         return Subspace(self.ambient, masked)
 
     # serialization ------------------------------------------------------

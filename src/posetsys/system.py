@@ -185,69 +185,36 @@ class DerivedSystem:
 def derived(sys: PosetCausalSystem, kind: str, i: int | None = None) -> DerivedSystem:
     """The global, local(i), downstream(i) or upstream(i) model of the system."""
     if kind == "global":
-        nodes = tuple(sys.poset.nodes)
-        return DerivedSystem(
-            kind="global",
-            node=None,
-            A=sys.A.entries,
-            B=sys.B.entries,
-            C=sys.C.entries,
-            D=sys.D.entries,
-            state_nodes=nodes,
-            input_nodes=nodes,
-            output_nodes=nodes,
-            state_partition=sys.n,
-            output_partition=sys.r,
-        )
-    if i is None:
+        i = None
+        states = inputs = outputs = tuple(sys.poset.nodes)
+    elif i is None:
         raise IndexOutOfRange(f"derived kind {kind!r} needs a node index")
-    sys.poset.check_node(i)
-    if kind == "local":
-        sel = (i,)
-        return DerivedSystem(
-            kind="local",
-            node=i,
-            A=sys.A.block(i, i),
-            B=sys.B.block(i, i),
-            C=sys.C.block(i, i),
-            D=sys.D.block(i, i),
-            state_nodes=sel,
-            input_nodes=sel,
-            output_nodes=sel,
-            state_partition=sys.n,
-            output_partition=sys.r,
-        )
-    if kind == "downstream":
-        down = tuple(sorted(derived_set(sys.poset, {i}, "down")))
-        return DerivedSystem(
-            kind="downstream",
-            node=i,
-            A=compress(sys.A, down, down).entries,
-            B=compress(sys.B, down, (i,)).entries,
-            C=compress(sys.C, down, down).entries,
-            D=compress(sys.D, down, (i,)).entries,
-            state_nodes=down,
-            input_nodes=(i,),
-            output_nodes=down,
-            state_partition=sys.n,
-            output_partition=sys.r,
-        )
-    if kind == "upstream":
-        up = tuple(sorted(derived_set(sys.poset, {i}, "up")))
-        return DerivedSystem(
-            kind="upstream",
-            node=i,
-            A=compress(sys.A, up, up).entries,
-            B=compress(sys.B, up, up).entries,
-            C=compress(sys.C, (i,), up).entries,
-            D=compress(sys.D, (i,), up).entries,
-            state_nodes=up,
-            input_nodes=up,
-            output_nodes=(i,),
-            state_partition=sys.n,
-            output_partition=sys.r,
-        )
-    raise ValueError(f"unknown derived kind {kind!r}")
+    else:
+        sys.poset.check_node(i)
+        own = (i,)
+        if kind == "local":
+            states = inputs = outputs = own
+        elif kind == "downstream":
+            states = outputs = tuple(sorted(derived_set(sys.poset, {i}, "down")))
+            inputs = own
+        elif kind == "upstream":
+            states = inputs = tuple(sorted(derived_set(sys.poset, {i}, "up")))
+            outputs = own
+        else:
+            raise ValueError(f"unknown derived kind {kind!r}")
+    return DerivedSystem(
+        kind=kind,
+        node=i,
+        A=compress(sys.A, states, states).entries,
+        B=compress(sys.B, states, inputs).entries,
+        C=compress(sys.C, outputs, states).entries,
+        D=compress(sys.D, outputs, inputs).entries,
+        state_nodes=states,
+        input_nodes=inputs,
+        output_nodes=outputs,
+        state_partition=sys.n,
+        output_partition=sys.r,
+    )
 
 
 def transfer_eval(sys: PosetCausalSystem, s) -> BlockMatrix:

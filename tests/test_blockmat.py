@@ -36,6 +36,20 @@ def test_partition_basics():
         Partition((1, -1))
 
 
+def test_partition_indices():
+    part = Partition((2, 0, 3, 1))
+    assert part.indices((3, 1)) == [0, 1, 2, 3, 4]
+    assert part.indices([4, 4, 2]) == [5]
+    assert part.indices({2}) == []
+    assert part.indices(()) == []
+    assert part.indices(range(1, 5)) == list(range(part.total))
+    assert Partition((0, 0)).indices((1, 2)) == []
+    with pytest.raises(PartitionMismatch):
+        part.indices((1, 5))
+    with pytest.raises(PartitionMismatch):
+        part.indices((0,))
+
+
 def test_block_matrix_shape_check():
     with pytest.raises(ShapeMismatch):
         BlockMatrix(la.eye(3), Partition((2,)), Partition((2,)))

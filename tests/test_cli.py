@@ -31,6 +31,16 @@ def test_validate_reports_bad_block(tmp_path, capsys):
     assert "(1,2)" in out
 
 
+def test_validate_integer_over_the_digit_limit_exits_2(tmp_path, capsys):
+    doc = json.loads(system_path("two-node-local-gap").read_text())
+    doc["A"][0][0] = "HUGE"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc).replace('"HUGE"', "1" * 5000))
+    code, out, err = _run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 def test_validate_parse_error_exit_code(tmp_path, capsys):
     doc = json.loads(system_path("two-node-local-gap").read_text())
     doc["A"][0][0] = "1/0"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_poset, random_system
+from posetsys import fileio
 from posetsys.corpus import demo_names, load_corpus_system, system_path
 from posetsys.errors import ParseError
 from posetsys.fileio import (
@@ -38,6 +39,9 @@ def test_parse_rational_rejects_bad_values():
         parse_rational(0.25)
     with pytest.raises(ParseError):
         parse_rational(True)
+    for huge in ("1e1000000000", "-2.5E-1000000000"):
+        with pytest.raises(ParseError, match="exponent"):
+            parse_rational(huge)
 
 
 def test_format_rational_round_trip():
@@ -110,6 +114,18 @@ def test_malformed_documents_raise_parse_error():
         breakage(doc)
         with pytest.raises(ParseError):
             system_from_dict(doc)
+
+
+def test_partition_count_is_checked_before_the_poset_is_built(monkeypatch):
+    doc = json.loads(system_path("two-node-local-gap").read_text())
+    doc["poset"]["p"] = 1_000_000_000
+
+    def refuse(p, edges):
+        raise AssertionError("build_poset ran before the partition check")
+
+    monkeypatch.setattr(fileio, "build_poset", refuse)
+    with pytest.raises(ParseError, match="parts"):
+        system_from_dict(doc)
 
 
 def test_load_system_io_errors(tmp_path):
