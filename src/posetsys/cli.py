@@ -7,6 +7,7 @@ parse errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys as _sys
 
 from . import corpus, fileio, report
@@ -107,6 +108,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.steps is not None and args.steps < 0:
+        raise ParseError(f"--steps must be non-negative, got {args.steps}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ParseError(f"--tol must be finite and non-negative, got {args.tol}")
     system = fileio.load_system(args.path)
     signal = fileio.read_signal(args.signal_path, step=args.h)
     if args.steps is not None:

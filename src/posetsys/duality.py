@@ -2,18 +2,17 @@
 
 Both sides of every identity are computed independently: reachability and
 observability profiles of the system and of its dual, with no shared
-intermediate results. Failures are collected, never raised; a failing entry
-means an implementation bug somewhere in this package.
+intermediate results; which spaces pair up is read from
+``observability.DUAL_SPACES``. Failures are collected, never raised; a failing
+entry means an implementation bug somewhere in this package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .observability import ObservabilityProfile
+from .observability import DUAL_SPACES, dual_key, support
 from .observability import profile as obs_profile
-from .poset import derived_set
-from .reachability import ReachabilityProfile, coordinate_subspace
 from .reachability import profile as reach_profile
 from .subspace import Subspace
 from .system import PosetCausalSystem, dual_system, require_valid
@@ -69,83 +68,52 @@ def _flag(name: str, scope: str, lhs: bool, rhs: bool) -> IdentityCheck:
     return IdentityCheck(name=name, scope=scope, ok=lhs == rhs, lhs=lhs, rhs=rhs)
 
 
+# (reachability flag, observability flag, also checked with system and dual swapped)
+_FLAGS = (
+    ("controllable", "observable", True),
+    ("weakly_locally_controllable", "weakly_locally_observable", True),
+    ("independently_controllable", "independently_observable", False),
+    ("weakly_upstream_controllable", "weakly_downstream_observable", False),
+)
+
+
+def _scope(key) -> str:
+    return f"pair ({key[0]},{key[1]})" if isinstance(key, tuple) else f"node {key}"
+
+
 def verify_duality(sys: PosetCausalSystem) -> DualityReport:
     """Check every aggregate, per-node and per-pair duality identity exactly."""
     require_valid(sys)
     dual = dual_system(sys)
-    rp: ReachabilityProfile = reach_profile(sys)
-    op: ObservabilityProfile = obs_profile(sys)
-    rpd: ReachabilityProfile = reach_profile(dual)
-    opd: ObservabilityProfile = obs_profile(dual)
-    poset = sys.poset
-    n = sys.n
-    blocks = {j: coordinate_subspace(n, (j,)) for j in poset.nodes}
+    rp, op = reach_profile(sys), obs_profile(sys)
+    rpd, opd = reach_profile(dual), obs_profile(dual)
     checks: list[IdentityCheck] = []
 
-    # aggregate identities: dual reachability bounds are complements of
-    # primal observability bounds, and vice versa
-    checks.append(_check("dual independent = independent^perp", "aggregate",
-                         rpd.independent, op.independent.complement()))
-    checks.append(_check("dual floor = ceiling^perp", "aggregate",
-                         rpd.floor, op.ceiling.complement()))
-    checks.append(_check("dual ceiling = floor^perp", "aggregate",
-                         rpd.ceiling, op.floor.complement()))
-    checks.append(_check("dual unobs floor = ceiling^perp", "aggregate",
-                         opd.floor, rp.ceiling.complement()))
-    checks.append(_check("dual unobs ceiling = floor^perp", "aggregate",
-                         opd.ceiling, rp.floor.complement()))
-    checks.append(_check("dual unobs independent = independent^perp", "aggregate",
-                         opd.independent, rp.independent.complement()))
+    # aggregates sum the per-node bounds, so they pair as those do, by complement
+    for name, dual_name in DUAL_SPACES.items():
+        if not name.startswith("node_"):
+            continue
+        name, dual_name = name.removeprefix("node_"), dual_name.removeprefix("node_")
+        checks.append(_check(f"dual {dual_name} = {name}^perp", "aggregate",
+                             getattr(rpd, dual_name), getattr(op, name).complement()))
+        checks.append(_check(f"dual unobs {name} = {dual_name}^perp", "aggregate",
+                             getattr(opd, name), getattr(rp, dual_name).complement()))
 
-    # per-node: the downstream reachable and upstream indistinguishable sets
-    # of system and dual are block complements of one another
-    for i in poset.nodes:
-        ups = coordinate_subspace(n, derived_set(poset, {i}, "up"))
-        downs = coordinate_subspace(n, derived_set(poset, {i}, "down"))
-        checks.append(_check("upblock - dual downstream = upstream set", f"node {i}",
-                             ups.ominus(rpd.downstream[i]), op.upstream[i]))
-        checks.append(_check("downblock - dual upstream = downstream set", f"node {i}",
-                             downs.ominus(opd.upstream[i]), rp.downstream[i]))
+    # each space of one system is its support minus the paired space of the other
+    for name, dual_name in DUAL_SPACES.items():
+        for key, space in getattr(opd, name).items():
+            rhs = support(dual, name, key).ominus(getattr(rp, dual_name)[dual_key(key)])
+            checks.append(_check(f"dual unobs {name} = support - {dual_name}", _scope(key),
+                                 space, rhs))
+        for key, space in getattr(op, name).items():
+            lhs = getattr(rpd, dual_name)[dual_key(key)]
+            checks.append(_check(f"dual {dual_name} = support - unobs {name}", _scope(key),
+                                 lhs, support(sys, name, key).ominus(space)))
 
-    # per-pair identities
-    for j in poset.nodes:
-        for i in sorted(derived_set(poset, {j}, "down")):
-            checks.append(_check("dual proj unobs = block - exclusive", f"pair ({i},{j})",
-                                 opd.projected[(j, i)], blocks[i].ominus(rp.exclusive[(i, j)])))
-            checks.append(_check("dual confined unobs = block - projected", f"pair ({i},{j})",
-                                 opd.confined[(j, i)], blocks[i].ominus(rp.projected[(i, j)])))
-        for i in sorted(derived_set(poset, {j}, "up")):
-            checks.append(_check("dual proj reach = block - confined", f"pair ({i},{j})",
-                                 rpd.projected[(i, j)], blocks[i].ominus(op.confined[(j, i)])))
-            checks.append(_check("dual excl reach = block - projected unobs", f"pair ({i},{j})",
-                                 rpd.exclusive[(i, j)], blocks[i].ominus(op.projected[(j, i)])))
-
-    # per-node structured bounds
-    for j in poset.nodes:
-        checks.append(_check("dual node independent = block - independent", f"node {j}",
-                             rpd.node_independent[j], blocks[j].ominus(op.node_independent[j])))
-        checks.append(_check("dual node floor = block - ceiling", f"node {j}",
-                             rpd.node_floor[j], blocks[j].ominus(op.node_ceiling[j])))
-        checks.append(_check("dual node ceiling = block - floor", f"node {j}",
-                             rpd.node_ceiling[j], blocks[j].ominus(op.node_floor[j])))
-        checks.append(_check("dual unobs node floor = block - ceiling", f"node {j}",
-                             opd.node_floor[j], blocks[j].ominus(rp.node_ceiling[j])))
-        checks.append(_check("dual unobs node ceiling = block - floor", f"node {j}",
-                             opd.node_ceiling[j], blocks[j].ominus(rp.node_floor[j])))
-        checks.append(_check("dual unobs node independent = block - independent", f"node {j}",
-                             opd.node_independent[j], blocks[j].ominus(rp.node_independent[j])))
-
-    # classification equivalences
-    checks.append(_flag("controllable <-> dual observable", "flags",
-                        rp.controllable, opd.observable))
-    checks.append(_flag("observable <-> dual controllable", "flags",
-                        op.observable, rpd.controllable))
-    checks.append(_flag("weakly locally controllable <-> dual weakly locally observable",
-                        "flags", rp.weakly_locally_controllable, opd.weakly_locally_observable))
-    checks.append(_flag("weakly locally observable <-> dual weakly locally controllable",
-                        "flags", op.weakly_locally_observable, rpd.weakly_locally_controllable))
-    checks.append(_flag("independently controllable <-> dual independently observable",
-                        "flags", rp.independently_controllable, opd.independently_observable))
-    checks.append(_flag("weakly upstream controllable <-> dual weakly downstream observable",
-                        "flags", rp.weakly_upstream_controllable, opd.weakly_downstream_observable))
+    for reach_flag, obs_flag, both_ways in _FLAGS:
+        checks.append(_flag(f"{reach_flag} <-> dual {obs_flag}", "flags",
+                            getattr(rp, reach_flag), getattr(opd, obs_flag)))
+        if both_ways:
+            checks.append(_flag(f"{obs_flag} <-> dual {reach_flag}", "flags",
+                                getattr(op, obs_flag), getattr(rpd, reach_flag)))
     return DualityReport(checks=checks)

@@ -34,6 +34,9 @@ __all__ = [
     "obsv_matrix",
     "unobservable",
     "upstream_indistinguishable",
+    "DUAL_SPACES",
+    "support",
+    "dual_key",
     "profile",
     "profile_via_duality",
 ]
@@ -98,6 +101,19 @@ class ObservabilityProfile:
         )
 
 
+# The paper's duality map: each per-node and per-pair observability space of a
+# system is its ``support`` minus this reachability space of the dual system at
+# the swapped key (``dual_key``), and that space lies in the same support.
+DUAL_SPACES = {
+    "upstream": "downstream",
+    "confined": "projected",
+    "projected": "exclusive",
+    "node_floor": "node_ceiling",
+    "node_independent": "node_independent",
+    "node_ceiling": "node_floor",
+}
+
+
 def profile(sys: PosetCausalSystem) -> ObservabilityProfile:
     """Compute every observability subspace and flag by direct kernel computations."""
     require_valid(sys)
@@ -147,46 +163,40 @@ def profile(sys: PosetCausalSystem) -> ObservabilityProfile:
     )
 
 
+def support(sys: PosetCausalSystem, name: str, key) -> Subspace:
+    """The coordinate blocks that the profile space ``name[key]`` of ``sys`` lies in.
+
+    Block ``key[1]`` for a pair, block ``key`` for a node bound and the up-set
+    of ``key`` for ``upstream``.
+    """
+    if isinstance(key, tuple):
+        nodes = (key[1],)
+    elif name == "upstream":
+        nodes = derived_set(sys.poset, {key}, "up")
+    else:
+        nodes = (key,)
+    return coordinate_subspace(sys.n, nodes)
+
+
+def dual_key(key):
+    """The key of the paired space on the other side: pairs transpose, nodes stay."""
+    return key[::-1] if isinstance(key, tuple) else key
+
+
 def profile_via_duality(sys: PosetCausalSystem) -> ObservabilityProfile:
     """Recover the observability profile from the dual system's reachability.
 
-    Every space comes out as a block complement of the corresponding dual
-    reachability space; no kernel is ever computed.
+    Every space is the block complement, inside its ``support``, of the dual
+    reachability space that ``DUAL_SPACES`` pairs it with; no kernel is ever
+    computed.
     """
     require_valid(sys)
-    dual = dual_system(sys)
-    rp = reach_profile(dual)
-    poset = sys.poset
-    n = sys.n
-
-    unobs = rp.reachable.complement()
-    upstream = {}
-    for i in poset.nodes:
-        ups = sorted(derived_set(poset, {i}, "up"))
-        upstream[i] = coordinate_subspace(n, ups).ominus(rp.downstream[i])
-
-    blocks = {j: coordinate_subspace(n, (j,)) for j in poset.nodes}
-    confined = {}
-    projected = {}
-    for i in poset.nodes:
-        for j in sorted(derived_set(poset, {i}, "up")):
-            confined[(i, j)] = blocks[j].ominus(rp.projected[(j, i)])
-            projected[(i, j)] = blocks[j].ominus(rp.exclusive[(j, i)])
-
-    node_floor = {}
-    node_independent = {}
-    node_ceiling = {}
-    for j in poset.nodes:
-        node_floor[j] = blocks[j].ominus(rp.node_ceiling[j])
-        node_independent[j] = blocks[j].ominus(rp.node_independent[j])
-        node_ceiling[j] = blocks[j].ominus(rp.node_floor[j])
-
-    return ObservabilityProfile(
-        unobservable=unobs,
-        upstream=upstream,
-        confined=confined,
-        projected=projected,
-        node_independent=node_independent,
-        node_floor=node_floor,
-        node_ceiling=node_ceiling,
-    )
+    rp = reach_profile(dual_system(sys))
+    spaces = {
+        name: {
+            dual_key(key): support(sys, name, dual_key(key)).ominus(space)
+            for key, space in getattr(rp, dual_name).items()
+        }
+        for name, dual_name in DUAL_SPACES.items()
+    }
+    return ObservabilityProfile(unobservable=rp.reachable.complement(), **spaces)

@@ -228,18 +228,21 @@ def pole_place(sys: PosetCausalSystem, targets, seed: int = 0) -> BlockMatrix:
     """Block-diagonal feedback giving each local closed loop a prescribed polynomial.
 
     ``targets`` maps node -> monic coefficient list (low degree first, length
-    n_j + 1). Multi-input blocks are reduced to a single input through a
-    randomized preliminary feedback, then placed by the companion-matrix
-    formula; the per-block and global characteristic polynomials are verified
-    exactly before returning.
+    n_j + 1), or lists them in node order; it must cover exactly the nodes.
+    Multi-input blocks are reduced to a single input through a randomized
+    preliminary feedback, then placed by the companion-matrix formula; the
+    per-block and global characteristic polynomials are verified exactly
+    before returning.
     """
     require_valid(sys)
+    if not isinstance(targets, dict):
+        targets = dict(enumerate(targets, start=1))
+    if set(targets) != set(sys.poset.nodes):
+        raise ShapeMismatch(f"targets must cover exactly the nodes 1..{sys.poset.p}")
     ok, detail = weakly_locally_controllable(sys)
     if not ok:
         witness = min(j for j, good in detail.items() if not good)
         raise NotWeaklyLocallyControllable(witness)
-    if not isinstance(targets, dict):
-        targets = {j: t for j, t in zip(sys.poset.nodes, targets)}
     rng = random.Random(seed)
     f = la.zeros(sys.m.total, sys.n.total)
     wanted = [Fraction(1)]

@@ -16,11 +16,10 @@ from .blockmat import Partition
 from .errors import DimensionMismatch, InclusionViolation, StructureViolation
 from .observability import profile as obs_profile
 from .observability import unobservable
-from .reachability import coordinate_subspace
 from .reachability import profile as reach_profile
 from .reachability import reachable
 from .subspace import Subspace
-from .system import PosetCausalSystem, require_valid
+from .system import PosetCausalSystem, dual_system, require_valid
 
 __all__ = [
     "KalmanDecomposition",
@@ -172,46 +171,27 @@ class ReducedSystem:
 def poset_reduce(sys: PosetCausalSystem, variant: str = "primal") -> ReducedSystem:
     """Compress to a structured subspace while preserving pattern and moments.
 
-    Blockwise subspace per variant (reachability bounds R*, unobservability
-    bounds N* of the profiles):
-
-    * ``primal``:     ceiling_j of R minus (independent_j of R cap floor_j of N)
-    * ``dual_tilde``: block complement of N floor_j, minus the intersection of
-      the block complements of N independent_j and R ceiling_j
-    * ``dual_circ``:  same with the complement of N ceiling_j in the
-      intersection instead of the N independent complement
-
-    The dual variants are the primal construction applied to the dual system,
-    rewritten through the complement identities, so all three preserve moments;
-    this is verified exactly. The reduced system lives over the same poset.
+    Block j keeps ceiling_j of R minus (inner_j of R cap floor_j of N), with R*
+    and N* the reachability and unobservability bounds of a source system.
+    ``primal`` takes the system itself and the independent bound as inner; the
+    dual variants are the same construction on the dual system, ``dual_tilde``
+    with the independent bound and ``dual_circ`` cutting with the floor. The
+    dual shares the state coordinates, so every variant compresses the system
+    itself; its moments are verified exactly. The reduced system lives over
+    the same poset.
     """
     require_valid(sys)
     if variant not in REDUCTION_VARIANTS:
         raise ValueError(f"variant must be one of {REDUCTION_VARIANTS}")
-    rp = reach_profile(sys)
-    op = obs_profile(sys)
+    source = sys if variant == "primal" else dual_system(sys)
+    rp = reach_profile(source)
+    op = obs_profile(source)
+    inner = rp.node_floor if variant == "dual_circ" else rp.node_independent
     poset = sys.poset
     n = sys.n
-    blocks = {j: coordinate_subspace(n, (j,)) for j in poset.nodes}
-
-    per_block = {}
-    for j in poset.nodes:
-        if variant == "primal":
-            lead = rp.node_ceiling[j]
-            cut = rp.node_independent[j].intersect(op.node_floor[j])
-        elif variant == "dual_tilde":
-            lead = blocks[j].ominus(op.node_floor[j])
-            cut = blocks[j].ominus(op.node_independent[j]).intersect(
-                blocks[j].ominus(rp.node_ceiling[j])
-            )
-        else:  # dual_circ
-            lead = blocks[j].ominus(op.node_floor[j])
-            cut = blocks[j].ominus(op.node_ceiling[j]).intersect(
-                blocks[j].ominus(rp.node_ceiling[j])
-            )
-        per_block[j] = lead.ominus(cut)
-
-    parts = [per_block[j] for j in poset.nodes]
+    parts = [
+        rp.node_ceiling[j].ominus(inner[j].intersect(op.node_floor[j])) for j in poset.nodes
+    ]
     subspace = Subspace.zero(n.total).sum(*parts)
     dims = [part.dim for part in parts]
     basis = np.hstack([part.basis for part in parts]) if parts else la.zeros(n.total, 0)

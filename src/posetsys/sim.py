@@ -148,6 +148,16 @@ def _float_matrices(model):
     raise DimensionMismatch(f"cannot simulate object of type {type(model).__name__}")
 
 
+def _initial_state(x0, n: int) -> np.ndarray:
+    """``x0`` (None for zero, an array or a sequence) as a float vector of length n."""
+    if x0 is None:
+        return np.zeros(n)
+    state = np.asarray([float(x) for x in (x0.flat if isinstance(x0, np.ndarray) else x0)])
+    if state.shape != (n,):
+        raise DimensionMismatch(f"initial state has {state.size} entries, model expects {n}")
+    return state
+
+
 def simulate(model, x0, u: InputSignal) -> Trajectory:
     """Propagate the model exactly per step under the piecewise-constant input."""
     a, b, c, d = _float_matrices(model)
@@ -155,14 +165,7 @@ def simulate(model, x0, u: InputSignal) -> Trajectory:
     m = b.shape[1]
     if u.width != m:
         raise DimensionMismatch(f"input has width {u.width}, model expects {m}")
-    if x0 is None:
-        state = np.zeros(n)
-    else:
-        state = np.asarray(
-            [float(x) for x in (x0.flat if isinstance(x0, np.ndarray) else x0)], dtype=float
-        )
-    if state.shape != (n,):
-        raise DimensionMismatch(f"initial state has {state.size} entries, model expects {n}")
+    state = _initial_state(x0, n)
     steps = u.steps
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = a
@@ -227,13 +230,7 @@ def verify_trajectory_decomposition(
     require_valid(sys)
     poset = sys.poset
     n, m, r = sys.n, sys.m, sys.r
-    x0vec = (
-        np.zeros(n.total)
-        if x0 is None
-        else np.asarray([float(v) for v in (x0.flat if isinstance(x0, np.ndarray) else x0)])
-    )
-    if x0vec.shape != (n.total,):
-        raise DimensionMismatch("initial state has the wrong dimension")
+    x0vec = _initial_state(x0, n.total)
     if u.width != m.total:
         raise DimensionMismatch("input signal has the wrong width")
 

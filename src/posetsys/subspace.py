@@ -78,6 +78,8 @@ class Subspace:
 
     def contains_vector(self, vec) -> bool:
         v = la.fvec(vec) if not isinstance(vec, np.ndarray) else vec
+        if v.size != self.ambient:
+            raise AmbientMismatch(f"vector has {v.size} entries, ambient is {self.ambient}")
         return la.rank(np.hstack([self.basis, v.reshape(self.ambient, 1)])) == self.dim
 
     # lattice operations -----------------------------------------------

@@ -188,3 +188,22 @@ def test_analyze_bad_document_exits_2(tmp_path, capsys, breakage):
     code, out, err = _run(capsys, "analyze", str(bad))
     assert code == 2
     assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("flags", [
+    ("--steps", "-1"),
+    ("--steps", "-3"),
+    ("--tol", "nan"),
+    ("--tol", "inf"),
+    ("--tol", "-1"),
+])
+def test_simulate_rejects_bad_steps_and_tolerance(tmp_path, capsys, flags):
+    src = str(system_path("two-node-local-gap"))
+    sig = tmp_path / "sig.txt"
+    sig.write_text("0 1 2\n0.1 1 2\n0.2 1 2\n0.3 1 2\n")
+    code, out, err = _run(capsys, "simulate", src, str(sig), "--check-lemma", *flags)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+    code0, out0, _ = _run(capsys, "simulate", src, str(sig), "--steps", "0", "--tol", "0")
+    assert code0 == 0
+    assert len(out0.strip().splitlines()) == 1

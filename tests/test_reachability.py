@@ -253,3 +253,12 @@ def test_char_poly_factored_against_determinant_oracle():
     sys = load_corpus_system("exLargeEx")
     fact = char_poly_factored(sys.A, sys.poset)
     assert fact.product == char_poly_by_interpolation(sys.A.entries)
+
+
+def test_pole_place_targets_must_cover_exactly_the_nodes():
+    sys = load_corpus_system("feedback-obstruction")
+    targets = [[0, 0, 1], [0, 0, 1], [0, 1]]
+    for bad in (targets[:2], targets + [[0, 1]], {1: targets[0], 2: targets[1]},
+                {1: targets[0], 2: targets[1], 3: targets[2], 4: [0, 1]}):
+        with pytest.raises(ShapeMismatch, match="cover exactly the nodes"):
+            pole_place(sys, bad)

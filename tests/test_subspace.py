@@ -136,3 +136,13 @@ def test_zero_ambient_space():
     z = Subspace.full(0)
     assert z.dim == 0
     assert z.equals(Subspace.zero(0))
+
+
+def test_contains_vector_checks_the_length():
+    line = Subspace.from_columns(3, [[1, 2, 0]])
+    assert line.contains_vector([2, 4, 0])
+    assert line.contains_vector(la.fvec([2, 4, 0]))
+    assert not line.contains_vector([0, 0, 1])
+    for bad in ([1, 2], [1, 2, 0, 0], la.fvec([1, 2])):
+        with pytest.raises(AmbientMismatch):
+            line.contains_vector(bad)
