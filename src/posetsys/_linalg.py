@@ -52,13 +52,14 @@ def _coerce(x) -> Fraction:
         return x
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
-    if isinstance(x, str):
-        return Fraction(x)
     raise TypeError(f"cannot use {x!r} as an exact rational entry")
 
 
 def fmat(rows) -> np.ndarray:
-    """Build an exact matrix from an iterable of rows of ints/Fractions/strings."""
+    """Build an exact matrix from an iterable of rows of ints and Fractions.
+
+    Text entries are parsed by ``fileio.parse_rational`` before they get here.
+    """
     rows = [list(r) for r in rows]
     if not rows:
         return np.empty((0, 0), dtype=object)

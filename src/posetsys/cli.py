@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--h", type=float, default=None,
                        help="grid step (default: inferred from the signal's time column)")
     p_sim.add_argument("--steps", type=int, default=None,
-                       help="simulate only the first N input steps")
+                       help="simulate only the first N input steps (at most the signal's)")
     p_sim.add_argument("--out", default=None, help="trajectory output file (default: stdout)")
     p_sim.add_argument("--check-lemma", action="store_true",
                        help="also verify the trajectory decomposition identities")
@@ -108,13 +108,13 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.steps is not None and args.steps < 0:
-        raise ParseError(f"--steps must be non-negative, got {args.steps}")
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ParseError(f"--tol must be finite and non-negative, got {args.tol}")
     system = fileio.load_system(args.path)
     signal = fileio.read_signal(args.signal_path, step=args.h)
     if args.steps is not None:
+        if not 0 <= args.steps <= signal.steps:
+            raise ParseError(f"--steps must be in 0..{signal.steps}, got {args.steps}")
         signal = InputSignal(step=signal.step, values=signal.values[: args.steps])
     x0 = system.x0
     traj = simulate(system, x0, signal)

@@ -55,8 +55,7 @@ def unobservable(sys: PosetCausalSystem) -> Subspace:
 def upstream_indistinguishable(sys: PosetCausalSystem, i: int) -> Subspace:
     """States of the upstream model at i invisible in output i, globally embedded."""
     sub = derived(sys, "upstream", i)
-    local = kernel(obsv_matrix(sub.C, sub.A))
-    return local.apply(sub.state_embedding())
+    return kernel(obsv_matrix(sub.C, sub.A)).embed(sys.n, sub.state_nodes)
 
 
 @dataclass(frozen=True)
@@ -88,10 +87,9 @@ class ObservabilityProfile:
         def put(name, value):
             object.__setattr__(self, name, value)
 
-        zero = Subspace.zero(self.unobservable.ambient)
-        put("independent", zero.sum(*self.node_independent.values()))
-        put("floor", zero.sum(*self.node_floor.values()))
-        put("ceiling", zero.sum(*self.node_ceiling.values()))
+        put("independent", Subspace.sum(*self.node_independent.values()))
+        put("floor", Subspace.sum(*self.node_floor.values()))
+        put("ceiling", Subspace.sum(*self.node_ceiling.values()))
         put("observable", self.unobservable.is_zero())
         put("independently_observable", self.independent.is_zero())
         put("weakly_downstream_observable", self.floor.is_zero())

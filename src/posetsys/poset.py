@@ -45,12 +45,6 @@ class Poset:
         if not 1 <= i <= self.p:
             raise IndexOutOfRange(f"node {i} outside 1..{self.p}")
 
-    def down_set(self, nodes) -> frozenset:
-        return derived_set(self, nodes, "down")
-
-    def up_set(self, nodes) -> frozenset:
-        return derived_set(self, nodes, "up")
-
     def __repr__(self) -> str:  # hasse edges are the readable summary
         return f"Poset(p={self.p}, hasse={sorted(hasse_edges(self))})"
 

@@ -13,7 +13,7 @@ approximations of the global reachable space:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -68,8 +68,7 @@ def reachable(sys: PosetCausalSystem) -> Subspace:
 def downstream_reachable(sys: PosetCausalSystem, i: int) -> Subspace:
     """Reachable set of the downstream model at node i, in global coordinates."""
     sub = derived(sys, "downstream", i)
-    local = image(ctrb_matrix(sub.A, sub.B))
-    return local.apply(sub.state_embedding())
+    return image(ctrb_matrix(sub.A, sub.B)).embed(sys.n, sub.state_nodes)
 
 
 def coordinate_subspace(partition: Partition, nodes) -> Subspace:
@@ -86,7 +85,9 @@ class ReachabilityProfile:
     against the coordinate block i (for i in the down-set of j); the per-node
     and aggregate spaces are assembled from them as described in the module
     docstring. ``local_hull`` collects the per-node projections
-    ``projected[(i, i)]`` and is not comparable with the reachable set.
+    ``projected[(i, i)]`` and is not comparable with the reachable set. The
+    aggregates, ``local_hull`` and the flags are derived here, so they always
+    match the per-node parts.
     """
 
     reachable: Subspace
@@ -96,14 +97,29 @@ class ReachabilityProfile:
     node_independent: dict
     node_floor: dict
     node_ceiling: dict
-    independent: Subspace
-    floor: Subspace
-    ceiling: Subspace
-    local_hull: Subspace
-    controllable: bool
-    independently_controllable: bool
-    weakly_upstream_controllable: bool
-    weakly_locally_controllable: bool
+    independent: Subspace = field(init=False)
+    floor: Subspace = field(init=False)
+    ceiling: Subspace = field(init=False)
+    local_hull: Subspace = field(init=False)
+    controllable: bool = field(init=False)
+    independently_controllable: bool = field(init=False)
+    weakly_upstream_controllable: bool = field(init=False)
+    weakly_locally_controllable: bool = field(init=False)
+
+    def __post_init__(self):
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        total = self.reachable.ambient
+        put("independent", Subspace.sum(*self.node_independent.values()))
+        put("floor", Subspace.sum(*self.node_floor.values()))
+        put("ceiling", Subspace.sum(*self.node_ceiling.values()))
+        put("local_hull", Subspace.sum(*(self.projected[(j, j)] for j in self.node_floor)))
+        put("controllable", self.reachable.dim == total)
+        put("independently_controllable", self.independent.dim == total)
+        put("weakly_upstream_controllable", self.ceiling.dim == total)
+        # each projected[(j, j)] lies in block j, so the hull is full iff every one is
+        put("weakly_locally_controllable", self.local_hull.dim == total)
 
 
 def profile(sys: PosetCausalSystem) -> ReachabilityProfile:
@@ -111,7 +127,6 @@ def profile(sys: PosetCausalSystem) -> ReachabilityProfile:
     require_valid(sys)
     poset = sys.poset
     n = sys.n
-    total = n.total
     reach = reachable(sys)
     down = {j: downstream_reachable(sys, j) for j in poset.nodes}
 
@@ -123,29 +138,24 @@ def profile(sys: PosetCausalSystem) -> ReachabilityProfile:
             exclusive[(i, j)] = blocks[i].intersect(down[j])
             projected[(i, j)] = down[j].coordinate_project(n, (i,))
 
-    zero = Subspace.zero(total)
     node_independent = {}
     node_ceiling = {}
     node_floor = {}
     for j in poset.nodes:
         ups = sorted(derived_set(poset, {j}, "up"))
-        node_independent[j] = zero.sum(*(exclusive[(j, i)] for i in ups))
-        node_ceiling[j] = zero.sum(*(projected[(j, i)] for i in ups))
+        node_independent[j] = Subspace.sum(*(exclusive[(j, i)] for i in ups))
+        node_ceiling[j] = Subspace.sum(*(projected[(j, i)] for i in ups))
         node_floor[j] = blocks[j].intersect(reach)
         if not node_ceiling[j].equals(reach.coordinate_project(n, (j,))):
             raise StructureViolation(
                 f"ceiling at node {j} disagrees with the projected reachable set (internal bug)"
             )
 
-    if not zero.sum(*down.values()).equals(reach):
+    if not Subspace.sum(*down.values()).equals(reach):
         raise StructureViolation(
             "reachable set is not the sum of the downstream reachable sets (internal bug)"
         )
 
-    independent = zero.sum(*node_independent.values())
-    floor = zero.sum(*node_floor.values())
-    ceiling = zero.sum(*node_ceiling.values())
-    wlc = all(projected[(j, j)].dim == n.size(j) for j in poset.nodes)
     return ReachabilityProfile(
         reachable=reach,
         downstream=down,
@@ -154,14 +164,6 @@ def profile(sys: PosetCausalSystem) -> ReachabilityProfile:
         node_independent=node_independent,
         node_floor=node_floor,
         node_ceiling=node_ceiling,
-        independent=independent,
-        floor=floor,
-        ceiling=ceiling,
-        local_hull=zero.sum(*(projected[(j, j)] for j in poset.nodes)),
-        controllable=reach.dim == total,
-        independently_controllable=independent.dim == total,
-        weakly_upstream_controllable=ceiling.dim == total,
-        weakly_locally_controllable=wlc,
     )
 
 

@@ -194,13 +194,8 @@ def poset_reduce(sys: PosetCausalSystem, variant: str = "primal") -> ReducedSyst
     ]
     subspace = Subspace.zero(n.total).sum(*parts)
     dims = [part.dim for part in parts]
-    basis = np.hstack([part.basis for part in parts]) if parts else la.zeros(n.total, 0)
-
-    a, b, c = _compress_to(sys, basis) if basis.shape[1] else (
-        la.zeros(0, 0),
-        la.zeros(0, sys.input_dim),
-        la.zeros(sys.output_dim, 0),
-    )
+    basis = np.hstack([part.basis for part in parts])
+    a, b, c = _compress_to(sys, basis)
     reduced = PosetCausalSystem(
         poset=poset,
         n=tuple(dims),

@@ -4,7 +4,9 @@ Inputs are piecewise constant on a uniform grid, so each step is propagated
 exactly (up to rounding) through one matrix exponential of the augmented
 matrix [[A, B], [0, 0]]; no ODE-solver truncation error enters the identity
 checks. Exact rational system matrices are converted to double precision at
-this boundary only.
+this boundary only. The trajectory-decomposition check scatters every derived
+model's states and outputs into global coordinates by index
+(``Partition.indices``) and compares them there.
 """
 
 from __future__ import annotations
@@ -116,11 +118,7 @@ class InputSignal:
         return self.values.shape[1]
 
     def restrict(self, columns) -> "InputSignal":
-        cols = list(columns)
-        picked = (
-            self.values[:, cols] if cols else np.zeros((self.values.shape[0], 0))
-        )
-        return InputSignal(step=self.step, values=picked)
+        return InputSignal(step=self.step, values=self.values[:, list(columns)])
 
 
 @dataclass(frozen=True)
@@ -137,12 +135,7 @@ class Trajectory:
 
 def _float_matrices(model):
     if isinstance(model, PosetCausalSystem):
-        return (
-            la.mat_to_float(model.A.entries),
-            la.mat_to_float(model.B.entries),
-            la.mat_to_float(model.C.entries),
-            la.mat_to_float(model.D.entries),
-        )
+        return tuple(la.mat_to_float(getattr(model, k).entries) for k in "ABCD")
     if isinstance(model, DerivedSystem):
         return tuple(la.mat_to_float(getattr(model, k)) for k in "ABCD")
     raise DimensionMismatch(f"cannot simulate object of type {type(model).__name__}")
@@ -231,54 +224,45 @@ def verify_trajectory_decomposition(
     poset = sys.poset
     n, m, r = sys.n, sys.m, sys.r
     x0vec = _initial_state(x0, n.total)
-    if u.width != m.total:
-        raise DimensionMismatch("input signal has the wrong width")
-
     global_traj = simulate(sys, x0vec, u)
     gx, gy = global_traj.states, global_traj.outputs
+
+    def run(kind, i, seeded_nodes):
+        # one derived model started from x0 on seeded_nodes (zero elsewhere), scattered
+        # into global-width states and outputs that are zero outside the model
+        sub = derived(sys, kind, i)
+        states, outputs = n.indices(sub.state_nodes), r.indices(sub.output_nodes)
+        seed = np.zeros(n.total)
+        seeded = n.indices(seeded_nodes)
+        seed[seeded] = x0vec[seeded]
+        traj = simulate(sub, seed[states], u.restrict(m.indices(sub.input_nodes)))
+        x = np.zeros((len(traj.times), n.total))
+        y = np.zeros((len(traj.times), r.total))
+        x[:, states] = traj.states
+        y[:, outputs] = traj.outputs
+        return x, y
+
+    down = {i: run("downstream", i, (i,)) for i in poset.nodes}
     local_x, local_y, split_x, split_y, up = [], [], [], [], []
-    down_embedded = {}
-    local = {}
     for i in poset.nodes:
-        sub = derived(sys, "downstream", i)
-        ui = u.restrict(m.indices(sub.input_nodes))
-        own_x = n.restrict(sub.state_nodes).block_range(i)
-        own_y = r.restrict(sub.output_nodes).block_range(i)
-        full_seed = x0vec[n.indices(sub.state_nodes)]
-        seed = np.zeros_like(full_seed)
-        seed[own_x] = full_seed[own_x]
-        traj = simulate(sub, seed, ui)
-        emb_x = la.mat_to_float(sub.state_embedding())
-        emb_y = la.mat_to_float(sub.output_embedding())
-        down_embedded[i] = (traj.states @ emb_x.T, traj.outputs @ emb_y.T)
-        traj_full = simulate(sub, full_seed, ui)
-        local[i] = simulate(derived(sys, "local", i), x0vec[n.indices((i,))], ui)
-        local_x.append(_deviation(traj_full.states[:, own_x], local[i].states))
-        local_y.append(_deviation(traj_full.outputs[:, own_y], local[i].outputs))
+        own_x, own_y = n.indices((i,)), r.indices((i,))
+        full_x, full_y = run("downstream", i, poset.nodes)
+        loc_x, loc_y = run("local", i, (i,))
+        local_x.append(_deviation(full_x[:, own_x], loc_x[:, own_x]))
+        local_y.append(_deviation(full_y[:, own_y], loc_y[:, own_y]))
 
-    sum_x = [_deviation(gx, sum(down_embedded[i][0] for i in poset.nodes))]
-    sum_y = [_deviation(gy, sum(down_embedded[i][1] for i in poset.nodes))]
+        above = sorted(derived_set(poset, {i}, "strict_up"))
+        split_x.append(_deviation(gx[:, own_x], sum((down[j][0] for j in above), loc_x)[:, own_x]))
+        split_y.append(_deviation(gy[:, own_y], sum((down[j][1] for j in above), loc_y)[:, own_y]))
 
-    for i in poset.nodes:
-        rows_x, rows_y = n.indices((i,)), r.indices((i,))
-        acc_x = local[i].states
-        acc_y = local[i].outputs
-        for j in sorted(derived_set(poset, {i}, "strict_up")):
-            contrib_x, contrib_y = down_embedded[j]
-            acc_x = acc_x + contrib_x[:, rows_x]
-            acc_y = acc_y + contrib_y[:, rows_y]
-        split_x.append(_deviation(gx[:, rows_x], acc_x))
-        split_y.append(_deviation(gy[:, rows_y], acc_y))
-
-        sub = derived(sys, "upstream", i)
-        state_idx = n.indices(sub.state_nodes)
-        traj = simulate(sub, x0vec[state_idx], u.restrict(m.indices(sub.input_nodes)))
-        up.append(_deviation(traj.states, gx[:, state_idx]))
-        up.append(_deviation(traj.outputs, gy[:, rows_y]))
+        up_x, up_y = run("upstream", i, poset.nodes)
+        ups = n.indices(derived_set(poset, {i}, "up"))
+        up.append(_deviation(up_x[:, ups], gx[:, ups]))
+        up.append(_deviation(up_y[:, own_y], gy[:, own_y]))
 
     families = {
-        "downstream_sum_states": sum_x,
-        "downstream_sum_outputs": sum_y,
+        "downstream_sum_states": [_deviation(gx, sum(down[i][0] for i in poset.nodes))],
+        "downstream_sum_outputs": [_deviation(gy, sum(down[i][1] for i in poset.nodes))],
         "downstream_local_component_states": local_x,
         "downstream_local_component_outputs": local_y,
         "per_node_split_states": split_x,

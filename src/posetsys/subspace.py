@@ -133,6 +133,19 @@ class Subspace:
         masked[keep, :] = self.basis[keep, :]
         return Subspace(self.ambient, masked)
 
+    def embed(self, partition: Partition, nodes) -> "Subspace":
+        """This subspace of the coordinates of ``nodes``, placed in the full ambient.
+
+        The basis rows go to the coordinates ``partition.indices(nodes)``; every
+        other row is zero.
+        """
+        rows = partition.indices(nodes)
+        if len(rows) != self.ambient:
+            raise AmbientMismatch(f"nodes have {len(rows)} coordinates, ambient is {self.ambient}")
+        placed = la.zeros(partition.total, self.dim)
+        placed[rows, :] = self.basis
+        return Subspace(partition.total, placed)
+
     # serialization ------------------------------------------------------
 
     def vectors(self) -> list[list[Fraction]]:

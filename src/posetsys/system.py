@@ -143,7 +143,7 @@ class DerivedSystem:
 
     Matrices are plain dense rational arrays; the ``*_nodes`` tuples record
     which global blocks each compressed axis ranges over, so results can be
-    embedded back into global coordinates.
+    scattered back into global coordinates through ``Partition.indices``.
     """
 
     kind: str
@@ -155,8 +155,6 @@ class DerivedSystem:
     state_nodes: tuple
     input_nodes: tuple
     output_nodes: tuple
-    state_partition: Partition
-    output_partition: Partition
 
     @property
     def state_dim(self) -> int:
@@ -169,17 +167,6 @@ class DerivedSystem:
     @property
     def output_dim(self) -> int:
         return self.C.shape[0]
-
-    def state_embedding(self) -> np.ndarray:
-        """Global-state matrix of the inclusion of the compressed state space."""
-        from .blockmat import embed
-
-        return embed(self.state_partition, self.state_nodes).entries
-
-    def output_embedding(self) -> np.ndarray:
-        from .blockmat import embed
-
-        return embed(self.output_partition, self.output_nodes).entries
 
 
 def derived(sys: PosetCausalSystem, kind: str, i: int | None = None) -> DerivedSystem:
@@ -212,8 +199,6 @@ def derived(sys: PosetCausalSystem, kind: str, i: int | None = None) -> DerivedS
         state_nodes=states,
         input_nodes=inputs,
         output_nodes=outputs,
-        state_partition=sys.n,
-        output_partition=sys.r,
     )
 
 

@@ -196,6 +196,7 @@ def test_analyze_bad_document_exits_2(tmp_path, capsys, breakage):
     ("--tol", "nan"),
     ("--tol", "inf"),
     ("--tol", "-1"),
+    ("--steps", "5"),
 ])
 def test_simulate_rejects_bad_steps_and_tolerance(tmp_path, capsys, flags):
     src = str(system_path("two-node-local-gap"))

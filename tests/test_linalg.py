@@ -78,3 +78,10 @@ def test_mdot_empty_operands():
     out = la.mdot(la.zeros(2, 0), la.zeros(0, 3))
     assert out.shape == (2, 3)
     assert la.is_zero_matrix(out)
+
+
+def test_fmat_refuses_text_entries():
+    # text goes through fileio.parse_rational, which bounds decimal exponents
+    for text in ("1/2", "1e1000000000"):
+        with pytest.raises(TypeError):
+            la.fmat([[text]])

@@ -207,3 +207,18 @@ def test_reduced_block_bases_reassemble_the_subspace():
         rows = sys.n.block_range(j)
         lifted[rows.start : rows.stop, :] = local
         assert red.subspace.contains(Subspace(sys.state_dim, lifted))
+
+
+@pytest.mark.parametrize("variant", ["primal", "dual_tilde", "dual_circ"])
+def test_poset_reduce_of_a_system_without_inputs_is_empty(variant):
+    sys = load_corpus_system("exLargeEx")
+    silent = PosetCausalSystem(
+        poset=sys.poset, n=sys.n, m=sys.m, r=sys.r,
+        A=sys.A, B=la.zeros(sys.state_dim, sys.input_dim), C=sys.C, D=sys.D,
+    )
+    red = poset_reduce(silent, variant)
+    assert red.block_dims == (0,) * sys.poset.p
+    assert red.system.A.shape == (0, 0)
+    assert red.system.B.shape == (0, sys.input_dim)
+    assert red.system.C.shape == (sys.output_dim, 0)
+    assert moments_equal(silent, red.system)
