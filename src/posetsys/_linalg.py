@@ -292,4 +292,4 @@ def poly_eval_matrix(p: list[Fraction], m: np.ndarray) -> np.ndarray:
 
 
 def mat_to_float(m: np.ndarray) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in m], dtype=float).reshape(m.shape)
+    return m.astype(float)

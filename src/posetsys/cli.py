@@ -118,11 +118,7 @@ def _cmd_simulate(args) -> int:
         signal = InputSignal(step=signal.step, values=signal.values[: args.steps])
     x0 = system.x0
     traj = simulate(system, x0, signal)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fileio.write_trajectory(traj, fh)
-    else:
-        fileio.write_trajectory(traj, _sys.stdout)
+    fileio.write_trajectory(traj, args.out or _sys.stdout)
     if args.check_lemma:
         rep = verify_trajectory_decomposition(system, x0, signal, tolerance=args.tol)
         print(rep.describe(), file=_sys.stderr)

@@ -23,7 +23,7 @@ from sys import get_int_max_str_digits
 import numpy as np
 
 from . import _linalg as la
-from .errors import IncompatibleShapes, ParseError, PosetSysError
+from .errors import CycleError, IncompatibleShapes, IndexOutOfRange, ParseError, PosetSysError
 from .poset import build_poset
 from .sim import InputSignal, Trajectory
 from .system import PosetCausalSystem
@@ -105,9 +105,15 @@ def system_from_dict(doc: dict) -> PosetCausalSystem:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed system document: {exc}") from exc
+    for key, sizes in zip("nmr", (n, m, r)):
+        if min(sizes, default=0) < 0:
+            raise ParseError(f"partition {key} has a negative size {min(sizes)}")
     if not len(n) == len(m) == len(r) == p:
         raise ParseError(f"partitions have {len(n)}/{len(m)}/{len(r)} parts, poset has {p}")
-    poset = build_poset(p, edges)
+    try:
+        poset = build_poset(p, edges)
+    except (IndexOutOfRange, CycleError) as exc:
+        raise ParseError(f"poset: {exc}") from exc
     mats = {}
     for name, shape in (("A", (sum(n), sum(n))), ("B", (sum(n), sum(m))),
                         ("C", (sum(r), sum(n))), ("D", (sum(r), sum(m)))):
@@ -205,9 +211,5 @@ def read_signal(path, step: float | None = None) -> InputSignal:
 
 
 def write_trajectory(traj: Trajectory, fh) -> None:
-    """Columns: time, state components, output components."""
-    for k, t in enumerate(traj.times):
-        cells = [f"{t:.12g}"]
-        cells += [f"{v:.12g}" for v in traj.states[k]]
-        cells += [f"{v:.12g}" for v in traj.outputs[k]]
-        fh.write(" ".join(cells) + "\n")
+    """Columns: time, state components, output components; ``fh`` is a text file or a path."""
+    np.savetxt(fh, np.column_stack([traj.times, traj.states, traj.outputs]), fmt="%.12g")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import StructureViolation
 from .poset import derived_set
-from .reachability import coordinate_subspace, ctrb_matrix
+from .reachability import DerivedAggregates, coordinate_subspace, ctrb_matrix
 from .reachability import profile as reach_profile
 from .subspace import Subspace, kernel
 from .system import PosetCausalSystem, derived, dual_system, require_valid
@@ -59,7 +59,7 @@ def upstream_indistinguishable(sys: PosetCausalSystem, i: int) -> Subspace:
 
 
 @dataclass(frozen=True)
-class ObservabilityProfile:
+class ObservabilityProfile(DerivedAggregates):
     """All observability subspaces of one system, in global coordinates.
 
     ``confined[(i, j)]`` intersects ``upstream[i]`` with coordinate block j and
@@ -83,20 +83,12 @@ class ObservabilityProfile:
     weakly_downstream_observable: bool = field(init=False)
     weakly_locally_observable: bool = field(init=False)
 
-    def __post_init__(self):
-        def put(name, value):
-            object.__setattr__(self, name, value)
-
-        put("independent", Subspace.sum(*self.node_independent.values()))
-        put("floor", Subspace.sum(*self.node_floor.values()))
-        put("ceiling", Subspace.sum(*self.node_ceiling.values()))
-        put("observable", self.unobservable.is_zero())
-        put("independently_observable", self.independent.is_zero())
-        put("weakly_downstream_observable", self.floor.is_zero())
-        put(
-            "weakly_locally_observable",
-            all(self.confined[(i, i)].is_zero() for i in self.node_floor),
-        )
+    def _derived(self):
+        yield "observable", self.unobservable.is_zero()
+        yield "independently_observable", self.independent.is_zero()
+        yield "weakly_downstream_observable", self.floor.is_zero()
+        confined = (self.confined[(i, i)] for i in self.node_floor)
+        yield "weakly_locally_observable", all(space.is_zero() for space in confined)
 
 
 # The paper's duality map: each per-node and per-pair observability space of a

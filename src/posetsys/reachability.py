@@ -77,8 +77,18 @@ def coordinate_subspace(partition: Partition, nodes) -> Subspace:
     return Subspace(total, la.eye(total)[:, partition.indices(nodes)])
 
 
+class DerivedAggregates:
+    """Sets a profile's aggregates to the sums of its ``node_*`` spaces, then ``_derived()``."""
+
+    def __post_init__(self):
+        for name in ("independent", "floor", "ceiling"):
+            object.__setattr__(self, name, Subspace.sum(*getattr(self, f"node_{name}").values()))
+        for name, value in self._derived():
+            object.__setattr__(self, name, value)
+
+
 @dataclass(frozen=True)
-class ReachabilityProfile:
+class ReachabilityProfile(DerivedAggregates):
     """All reachability subspaces of one system, in global coordinates.
 
     ``exclusive[(i, j)]`` and ``projected[(i, j)]`` refine ``downstream[j]``
@@ -106,20 +116,14 @@ class ReachabilityProfile:
     weakly_upstream_controllable: bool = field(init=False)
     weakly_locally_controllable: bool = field(init=False)
 
-    def __post_init__(self):
-        def put(name, value):
-            object.__setattr__(self, name, value)
-
+    def _derived(self):
         total = self.reachable.ambient
-        put("independent", Subspace.sum(*self.node_independent.values()))
-        put("floor", Subspace.sum(*self.node_floor.values()))
-        put("ceiling", Subspace.sum(*self.node_ceiling.values()))
-        put("local_hull", Subspace.sum(*(self.projected[(j, j)] for j in self.node_floor)))
-        put("controllable", self.reachable.dim == total)
-        put("independently_controllable", self.independent.dim == total)
-        put("weakly_upstream_controllable", self.ceiling.dim == total)
+        yield "local_hull", Subspace.sum(*(self.projected[(j, j)] for j in self.node_floor))
+        yield "controllable", self.reachable.dim == total
+        yield "independently_controllable", self.independent.dim == total
+        yield "weakly_upstream_controllable", self.ceiling.dim == total
         # each projected[(j, j)] lies in block j, so the hull is full iff every one is
-        put("weakly_locally_controllable", self.local_hull.dim == total)
+        yield "weakly_locally_controllable", self.local_hull.dim == total
 
 
 def profile(sys: PosetCausalSystem) -> ReachabilityProfile:

@@ -1,12 +1,12 @@
 """Floating-point trajectory simulation and trajectory-decomposition checks.
 
-Inputs are piecewise constant on a uniform grid, so each step is propagated
-exactly (up to rounding) through one matrix exponential of the augmented
-matrix [[A, B], [0, 0]]; no ODE-solver truncation error enters the identity
-checks. Exact rational system matrices are converted to double precision at
-this boundary only. The trajectory-decomposition check scatters every derived
-model's states and outputs into global coordinates by index
-(``Partition.indices``) and compares them there.
+Inputs are piecewise constant on a uniform grid, so one matrix exponential of
+the augmented matrix [[A, B], [0, 0]] times the step gives the zero-order-hold
+recurrence x[k+1] = Phi x[k] + Gamma u[k], exact up to rounding (Van Loan, IEEE
+TAC 23, 1978); no ODE-solver truncation error enters the identity checks. Exact
+rational matrices become doubles at this boundary only; what does not fit a
+double raises ``NonFinite``. The decomposition check derives each model once and
+compares its states and outputs in global coordinates (``Partition.indices``).
 """
 
 from __future__ import annotations
@@ -84,9 +84,12 @@ def expm(m) -> np.ndarray:
         + b[2] * a2
         + b[0] * ident
     )
-    result = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        result = result @ result
+    with np.errstate(all="ignore"):
+        result = np.linalg.solve(v - u, v + u)
+        for _ in range(squarings):
+            result = result @ result
+    if not np.isfinite(result).all():
+        raise NonFinite("matrix exponential overflows double precision")
     return result
 
 
@@ -133,11 +136,18 @@ class Trajectory:
     outputs: np.ndarray
 
 
+def _to_float(entries, what: str) -> np.ndarray:
+    try:
+        return la.mat_to_float(entries)
+    except OverflowError as exc:
+        raise NonFinite(f"{what} has an entry too large for double precision") from exc
+
+
 def _float_matrices(model):
     if isinstance(model, PosetCausalSystem):
-        return tuple(la.mat_to_float(getattr(model, k).entries) for k in "ABCD")
+        return tuple(_to_float(getattr(model, k).entries, k) for k in "ABCD")
     if isinstance(model, DerivedSystem):
-        return tuple(la.mat_to_float(getattr(model, k)) for k in "ABCD")
+        return tuple(_to_float(getattr(model, k), k) for k in "ABCD")
     raise DimensionMismatch(f"cannot simulate object of type {type(model).__name__}")
 
 
@@ -145,38 +155,33 @@ def _initial_state(x0, n: int) -> np.ndarray:
     """``x0`` (None for zero, an array or a sequence) as a float vector of length n."""
     if x0 is None:
         return np.zeros(n)
-    state = np.asarray([float(x) for x in (x0.flat if isinstance(x0, np.ndarray) else x0)])
+    state = _to_float(np.asarray(x0, dtype=object).ravel(), "x0")
     if state.shape != (n,):
         raise DimensionMismatch(f"initial state has {state.size} entries, model expects {n}")
     return state
 
 
 def simulate(model, x0, u: InputSignal) -> Trajectory:
-    """Propagate the model exactly per step under the piecewise-constant input."""
+    """Grid samples of the model's zero-order-hold response to ``u``.
+
+    The drive ``u Gamma^T`` and the outputs ``x C^T + u_held D^T`` are whole-array
+    products (``u_held`` holds the last input at the final grid point); the loop
+    carries the state alone.
+    """
     a, b, c, d = _float_matrices(model)
-    n = a.shape[0]
-    m = b.shape[1]
+    n, m = b.shape
     if u.width != m:
         raise DimensionMismatch(f"input has width {u.width}, model expects {m}")
-    state = _initial_state(x0, n)
-    steps = u.steps
-    aug = np.zeros((n + m, n + m))
-    aug[:n, :n] = a
-    aug[:n, n:] = b
-    big = expm(aug * u.step)
+    states = np.empty((u.steps + 1, n))
+    states[0] = _initial_state(x0, n)
+    big = expm(np.block([[a, b], [np.zeros((m, n + m))]]) * u.step)
     stepper = big[:n, :n]
-    in_gain = big[:n, n:]
-    states = np.zeros((steps + 1, n))
-    outputs = np.zeros((steps + 1, c.shape[0]))
-    states[0] = state
-    for k in range(steps):
-        uk = u.values[k]
-        outputs[k] = c @ states[k] + d @ uk
-        states[k + 1] = stepper @ states[k] + in_gain @ uk
-    last = u.values[steps - 1] if steps else np.zeros(m)
-    outputs[steps] = c @ states[steps] + d @ last
-    times = np.arange(steps + 1) * u.step
-    return Trajectory(times=times, states=states, outputs=outputs)
+    drive = u.values @ big[:n, n:].T
+    for k in range(u.steps):
+        states[k + 1] = stepper @ states[k] + drive[k]
+    held = np.vstack([u.values, u.values[-1:] if u.steps else np.zeros((1, m))])
+    outputs = states @ c.T + held @ d.T
+    return Trajectory(times=np.arange(u.steps + 1) * u.step, states=states, outputs=outputs)
 
 
 @dataclass(frozen=True)
@@ -227,10 +232,9 @@ def verify_trajectory_decomposition(
     global_traj = simulate(sys, x0vec, u)
     gx, gy = global_traj.states, global_traj.outputs
 
-    def run(kind, i, seeded_nodes):
-        # one derived model started from x0 on seeded_nodes (zero elsewhere), scattered
+    def run(sub, seeded_nodes):
+        # the derived model started from x0 on seeded_nodes (zero elsewhere), scattered
         # into global-width states and outputs that are zero outside the model
-        sub = derived(sys, kind, i)
         states, outputs = n.indices(sub.state_nodes), r.indices(sub.output_nodes)
         seed = np.zeros(n.total)
         seeded = n.indices(seeded_nodes)
@@ -242,12 +246,13 @@ def verify_trajectory_decomposition(
         y[:, outputs] = traj.outputs
         return x, y
 
-    down = {i: run("downstream", i, (i,)) for i in poset.nodes}
+    down_models = {i: derived(sys, "downstream", i) for i in poset.nodes}
+    down = {i: run(down_models[i], (i,)) for i in poset.nodes}
     local_x, local_y, split_x, split_y, up = [], [], [], [], []
     for i in poset.nodes:
         own_x, own_y = n.indices((i,)), r.indices((i,))
-        full_x, full_y = run("downstream", i, poset.nodes)
-        loc_x, loc_y = run("local", i, (i,))
+        full_x, full_y = run(down_models[i], poset.nodes)
+        loc_x, loc_y = run(derived(sys, "local", i), (i,))
         local_x.append(_deviation(full_x[:, own_x], loc_x[:, own_x]))
         local_y.append(_deviation(full_y[:, own_y], loc_y[:, own_y]))
 
@@ -255,7 +260,7 @@ def verify_trajectory_decomposition(
         split_x.append(_deviation(gx[:, own_x], sum((down[j][0] for j in above), loc_x)[:, own_x]))
         split_y.append(_deviation(gy[:, own_y], sum((down[j][1] for j in above), loc_y)[:, own_y]))
 
-        up_x, up_y = run("upstream", i, poset.nodes)
+        up_x, up_y = run(derived(sys, "upstream", i), poset.nodes)
         ups = n.indices(derived_set(poset, {i}, "up"))
         up.append(_deviation(up_x[:, ups], gx[:, ups]))
         up.append(_deviation(up_y[:, own_y], gy[:, own_y]))

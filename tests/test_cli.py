@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,12 @@ def test_simulate_with_nan_signal_exits_2(tmp_path, capsys):
     lambda d: d["partitions"].__setitem__("n", [1.7, 1.7]),
     lambda d: d["partitions"].__setitem__("m", [True, 1]),
     lambda d: d["poset"].__setitem__("p", 2.0),
+    lambda d: d["poset"].__setitem__("edges", [[1, 3]]),
+    lambda d: d.update(poset={"p": 0, "edges": []}, partitions={"n": [], "m": [], "r": []}),
+    lambda d: d["poset"].__setitem__("edges", [[1, 2], [2, 1]]),
+    lambda d: d.update(partitions={"n": [2, -1], "m": [1, 1], "r": [1, 1]},
+                       A=[[0]], B=[[1, 0]], C=[[0], [0]]),
+    lambda d: d.update(poset={"p": 1, "edges": []}, partitions={"n": [-1], "m": [1], "r": [1]}),
 ])
 def test_analyze_bad_document_exits_2(tmp_path, capsys, breakage):
     doc = json.loads(system_path("two-node-local-gap").read_text())
@@ -188,6 +195,25 @@ def test_analyze_bad_document_exits_2(tmp_path, capsys, breakage):
     code, out, err = _run(capsys, "analyze", str(bad))
     assert code == 2
     assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("breakage, named", [
+    (lambda d: d["A"][0].__setitem__(0, "-1e400"), "A has an entry too large"),
+    (lambda d: d.__setitem__("x0", ["1e400", 0]), "x0 has an entry too large"),
+    (lambda d: d["A"][0].__setitem__(0, "1e300"), "exponential overflows"),
+])
+def test_simulate_beyond_double_precision_exits_1(tmp_path, capsys, breakage, named):
+    doc = json.loads(system_path("two-node-local-gap").read_text())
+    breakage(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    sig = tmp_path / "sig.txt"
+    sig.write_text("0 1 2\n0.1 1 2\n0.2 1 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "simulate", str(bad), str(sig), "--check-lemma")
+    assert code == 1
+    assert out == "" and err.startswith("error:") and named in err
 
 
 @pytest.mark.parametrize("flags", [

@@ -109,11 +109,38 @@ def test_malformed_documents_raise_parse_error():
         lambda d: d["poset"].__setitem__("edges", "12"),
         lambda d: d["poset"].__setitem__("edges", [[1, 2, 3]]),
         lambda d: d["poset"].__setitem__("edges", [[1, 2.0]]),
+        lambda d: d["poset"].__setitem__("edges", [[1, 3]]),
+        lambda d: d.update(poset={"p": 0, "edges": []}, partitions={"n": [], "m": [], "r": []}),
+        lambda d: d["poset"].__setitem__("edges", [[1, 2], [2, 1]]),
+        lambda d: d.update(partitions={"n": [2, -1], "m": [1, 1], "r": [1, 1]},
+                           A=[[0]], B=[[1, 0]], C=[[0], [0]]),
+        lambda d: d.update(poset={"p": 1, "edges": []}, partitions={"n": [-1], "m": [1], "r": [1]}),
     ):
         doc = json.loads(json.dumps(good))
         breakage(doc)
         with pytest.raises(ParseError):
             system_from_dict(doc)
+
+
+def test_negative_partition_size_is_named_before_any_shape():
+    doc = json.loads(system_path("two-node-local-gap").read_text())
+    doc["poset"] = {"p": 1, "edges": []}
+    doc["partitions"] = {"n": [-1], "m": [1], "r": [1]}
+    with pytest.raises(ParseError, match="partition n has a negative size -1"):
+        system_from_dict(doc)
+    doc["partitions"] = {"n": [1], "m": [1], "r": [-2]}
+    with pytest.raises(ParseError, match="partition r has a negative size -2"):
+        system_from_dict(doc)
+
+
+def test_poset_errors_keep_their_message():
+    doc = json.loads(system_path("two-node-local-gap").read_text())
+    doc["poset"]["edges"] = [[1, 2], [2, 1]]
+    with pytest.raises(ParseError, match=r"witness cycle: \[1, 2, 1\]"):
+        system_from_dict(doc)
+    doc["poset"]["edges"] = [[1, 3]]
+    with pytest.raises(ParseError, match=r"edge \(1,3\) outside 1..2"):
+        system_from_dict(doc)
 
 
 def test_partition_count_is_checked_before_the_poset_is_built(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from posetsys.sim import (
     simulate,
     verify_trajectory_decomposition,
 )
-from posetsys.system import derived
+from posetsys.system import PosetCausalSystem, derived
 
 
 def test_expm_zero_and_diagonal():
@@ -59,6 +60,30 @@ def test_expm_semigroup(rng):
 def test_expm_rejects_nonfinite():
     with pytest.raises(NonFinite):
         expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+
+def test_expm_overflow_raises_nonfinite_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="overflows"):
+            expm(np.array([[1e299]]))
+
+
+def test_entries_beyond_double_precision_raise_nonfinite():
+    sys = load_corpus_system("two-node-local-gap")
+    huge = la.F(10) ** 400
+    u = InputSignal(step=0.1, values=np.zeros((2, sys.input_dim)))
+    with pytest.raises(NonFinite, match="x0"):
+        simulate(sys, [huge, 0], u)
+    a = sys.A.entries.copy()
+    a[0, 0] = -huge
+    big = PosetCausalSystem(poset=sys.poset, n=sys.n, m=sys.m, r=sys.r, A=a,
+                            B=sys.B.entries, C=sys.C.entries, D=sys.D.entries)
+    with pytest.raises(NonFinite, match="A has an entry"):
+        simulate(big, None, u)
+    down = derived(big, "downstream", 1)
+    with pytest.raises(NonFinite, match="A has an entry"):
+        simulate(down, None, InputSignal(step=0.1, values=np.zeros((2, down.input_dim))))
 
 
 def test_expm_of_structured_matrix_keeps_pattern(rng):
