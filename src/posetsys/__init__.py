@@ -81,7 +81,6 @@ from .report import analyze
 from .sim import InputSignal, Trajectory, expm, simulate, verify_trajectory_decomposition
 from .subspace import Subspace, image, kernel
 from .system import (
-    DerivedSystem,
     PosetCausalSystem,
     derived,
     dual_system,

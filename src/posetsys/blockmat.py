@@ -68,6 +68,11 @@ class Partition:
         start = self.offset(j)
         return range(start, start + self.size(j))
 
+    @property
+    def nonempty(self) -> tuple:
+        """The nodes whose blocks have nonzero size, in increasing order."""
+        return tuple(j + 1 for j, s in enumerate(self.sizes) if s)
+
     def indices(self, nodes) -> list:
         """Global coordinates of the blocks in ``nodes``, in increasing node order."""
         return [k for j in sorted(set(nodes)) for k in self.block_range(j)]

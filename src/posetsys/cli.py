@@ -112,6 +112,9 @@ def _cmd_simulate(args) -> int:
         raise ParseError(f"--tol must be finite and non-negative, got {args.tol}")
     system = fileio.load_system(args.path)
     signal = fileio.read_signal(args.signal_path, step=args.h)
+    if signal.width != system.input_dim:
+        raise ParseError(f"{args.signal_path}: signal has {signal.width} input columns, "
+                         f"system has {system.input_dim} inputs")
     if args.steps is not None:
         if not 0 <= args.steps <= signal.steps:
             raise ParseError(f"--steps must be in 0..{signal.steps}, got {args.steps}")

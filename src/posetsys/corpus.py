@@ -373,7 +373,7 @@ def _demo_kalman_gap(name: str) -> DemoResult:
     checks.append(_space_check("primal reduction subspace", red.subspace,
                                [{1: 1}, {2: 1}, {4: 1}]))
     checks.append(_flag_check("moments preserved",
-                              moments_equal(sys, red.system, red.moment_horizon), True))
+                              moments_equal(sys, red.system), True))
     proj1 = kal.reach_obs.coordinate_project(sys.n, (1,))
     proj2 = kal.reach_obs.coordinate_project(sys.n, (2,))
     checks.append(_flag_check("block projections of the minimal part differ from the reduction",
@@ -408,7 +408,7 @@ def _demo_dual_reduction(name: str) -> DemoResult:
     checks.append(_flag_check("dual reduction total dimension", red.total_dim, 1))
     checks.append(_space_check("dual reduction subspace", red.subspace, [{1: 1}]))
     checks.append(_flag_check("moments preserved",
-                              moments_equal(sys, red.system, red.moment_horizon), True))
+                              moments_equal(sys, red.system), True))
     return DemoResult(name=name, checks=checks)
 
 
@@ -422,7 +422,7 @@ def _demo_combined(name: str) -> DemoResult:
     for variant in ("primal", "dual_tilde", "dual_circ"):
         red = poset_reduce(sys, variant)
         checks.append(_flag_check(f"{variant} reduction preserves moments",
-                                  moments_equal(sys, red.system, red.moment_horizon), True))
+                                  moments_equal(sys, red.system), True))
     return DemoResult(name=name, checks=checks)
 
 

@@ -55,7 +55,7 @@ def unobservable(sys: PosetCausalSystem) -> Subspace:
 def upstream_indistinguishable(sys: PosetCausalSystem, i: int) -> Subspace:
     """States of the upstream model at i invisible in output i, globally embedded."""
     sub = derived(sys, "upstream", i)
-    return kernel(obsv_matrix(sub.C, sub.A)).embed(sys.n, sub.state_nodes)
+    return kernel(obsv_matrix(sub.C.entries, sub.A.entries)).embed(sys.n, sub.n.nonempty)
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ def reachable(sys: PosetCausalSystem) -> Subspace:
 def downstream_reachable(sys: PosetCausalSystem, i: int) -> Subspace:
     """Reachable set of the downstream model at node i, in global coordinates."""
     sub = derived(sys, "downstream", i)
-    return image(ctrb_matrix(sub.A, sub.B)).embed(sys.n, sub.state_nodes)
+    return image(ctrb_matrix(sub.A.entries, sub.B.entries)).embed(sys.n, sub.n.nonempty)
 
 
 def coordinate_subspace(partition: Partition, nodes) -> Subspace:
@@ -177,7 +177,7 @@ def weakly_locally_controllable(sys: PosetCausalSystem):
     detail = {}
     for i in sys.poset.nodes:
         loc = derived(sys, "local", i)
-        detail[i] = la.rank(ctrb_matrix(loc.A, loc.B)) == sys.n.size(i)
+        detail[i] = la.rank(ctrb_matrix(loc.A.entries, loc.B.entries)) == sys.n.size(i)
     return all(detail.values()), detail
 
 

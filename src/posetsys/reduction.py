@@ -90,10 +90,15 @@ def _compress_to(sys: PosetCausalSystem, basis: np.ndarray) -> tuple:
     return a, b, c
 
 
-def _moments_agree(first: tuple, second: tuple, k_max: int) -> bool:
-    """Exact equality of C A^k B for k = 0..k_max between two (A, B, C) triples."""
+def _horizon(n1: int, n2: int) -> int:
+    """Moments that agree for k <= n1 + n2 - 1 agree for all k (Cayley-Hamilton on diag(A1, A2))."""
+    return max(n1 + n2 - 1, 0)
+
+
+def _moments_agree(first: tuple, second: tuple) -> bool:
+    """Exact equality of C A^k B up to the ``_horizon`` of two (A, B, C) triples."""
     (a1, b1, c1), (a2, b2, c2) = first, second
-    for _ in range(k_max + 1):
+    for _ in range(_horizon(a1.shape[0], a2.shape[0]) + 1):
         lhs = la.mdot(c1, b1)
         rhs = la.mdot(c2, b2)
         if not (lhs.shape == rhs.shape and all(x == y for x, y in zip(lhs.flat, rhs.flat))):
@@ -134,8 +139,7 @@ def generalized_reduce(
         raise StructureViolation("reduction subspace misses the reachable-observable part")
     basis = target.basis
     a, b, c = _compress_to(sys, basis)
-    horizon = max(sys.state_dim + target.dim - 1, 0)
-    if not _moments_agree(_triple(sys), (a, b, c), horizon):
+    if not _moments_agree(_triple(sys), (a, b, c)):
         raise StructureViolation("compression failed to preserve the moments (internal bug)")
     return CompressedTriple(subspace=target, basis=basis, A=a, B=b, C=c)
 
@@ -194,7 +198,8 @@ def poset_reduce(sys: PosetCausalSystem, variant: str = "primal") -> ReducedSyst
     ]
     subspace = Subspace.zero(n.total).sum(*parts)
     dims = [part.dim for part in parts]
-    basis = np.hstack([part.basis for part in parts])
+    # the canonical basis of a sum of subspaces of distinct blocks is the per-block stack
+    basis = subspace.basis
     a, b, c = _compress_to(sys, basis)
     reduced = PosetCausalSystem(
         poset=poset,
@@ -207,8 +212,7 @@ def poset_reduce(sys: PosetCausalSystem, variant: str = "primal") -> ReducedSyst
         D=sys.D.entries,
     )
     require_valid(reduced)
-    horizon = max(sys.state_dim + reduced.state_dim - 1, 0)
-    if not moments_equal(sys, reduced, horizon):
+    if not moments_equal(sys, reduced):
         raise StructureViolation("structured reduction failed to preserve the moments")
 
     kal = kalman(sys)
@@ -223,15 +227,13 @@ def poset_reduce(sys: PosetCausalSystem, variant: str = "primal") -> ReducedSyst
         basis=basis,
         source_partition=n,
         system=reduced,
-        moment_horizon=horizon,
+        moment_horizon=_horizon(sys.state_dim, reduced.state_dim),
         optimal_hypothesis=hypothesis,
     )
 
 
-def moments_equal(sys1: PosetCausalSystem, sys2: PosetCausalSystem, k_max: int | None = None) -> bool:
-    """Exact equality of C A^k B for k = 0..k_max (default n1 + n2 - 1)."""
+def moments_equal(sys1: PosetCausalSystem, sys2: PosetCausalSystem) -> bool:
+    """Exact equality of C A^k B for every k, checked for k = 0..n1 + n2 - 1."""
     if sys1.input_dim != sys2.input_dim or sys1.output_dim != sys2.output_dim:
         raise DimensionMismatch("systems must share input and output dimensions")
-    if k_max is None:
-        k_max = max(sys1.state_dim + sys2.state_dim - 1, 0)
-    return _moments_agree(_triple(sys1), _triple(sys2), k_max)
+    return _moments_agree(_triple(sys1), _triple(sys2))

@@ -5,8 +5,10 @@ the augmented matrix [[A, B], [0, 0]] times the step gives the zero-order-hold
 recurrence x[k+1] = Phi x[k] + Gamma u[k], exact up to rounding (Van Loan, IEEE
 TAC 23, 1978); no ODE-solver truncation error enters the identity checks. Exact
 rational matrices become doubles at this boundary only; what does not fit a
-double raises ``NonFinite``. The decomposition check derives each model once and
-compares its states and outputs in global coordinates (``Partition.indices``).
+double raises ``NonFinite``. Derived models are poset-causal systems too, so one
+``simulate`` serves them all. The decomposition check derives each model once and
+compares its states and outputs in global coordinates: ``Partition.indices`` of
+the model's non-empty blocks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from . import _linalg as la
 from .errors import DimensionMismatch, NonFinite
 from .poset import derived_set
-from .system import DerivedSystem, PosetCausalSystem, derived, require_valid
+from .system import PosetCausalSystem, derived, require_valid
 
 __all__ = [
     "expm",
@@ -143,14 +145,6 @@ def _to_float(entries, what: str) -> np.ndarray:
         raise NonFinite(f"{what} has an entry too large for double precision") from exc
 
 
-def _float_matrices(model):
-    if isinstance(model, PosetCausalSystem):
-        return tuple(_to_float(getattr(model, k).entries, k) for k in "ABCD")
-    if isinstance(model, DerivedSystem):
-        return tuple(_to_float(getattr(model, k), k) for k in "ABCD")
-    raise DimensionMismatch(f"cannot simulate object of type {type(model).__name__}")
-
-
 def _initial_state(x0, n: int) -> np.ndarray:
     """``x0`` (None for zero, an array or a sequence) as a float vector of length n."""
     if x0 is None:
@@ -161,14 +155,16 @@ def _initial_state(x0, n: int) -> np.ndarray:
     return state
 
 
-def simulate(model, x0, u: InputSignal) -> Trajectory:
+def simulate(model: PosetCausalSystem, x0, u: InputSignal) -> Trajectory:
     """Grid samples of the model's zero-order-hold response to ``u``.
 
-    The drive ``u Gamma^T`` and the outputs ``x C^T + u_held D^T`` are whole-array
+    ``model`` is a poset-causal system, a derived model included. The drive
+    ``u Gamma^T`` and the outputs ``x C^T + u_held D^T`` are whole-array
     products (``u_held`` holds the last input at the final grid point); the loop
-    carries the state alone.
+    carries the state alone. A finite ``x0`` whose trajectory leaves double
+    precision raises ``NonFinite``; a NaN in ``x0`` propagates.
     """
-    a, b, c, d = _float_matrices(model)
+    a, b, c, d = (_to_float(getattr(model, k).entries, k) for k in "ABCD")
     n, m = b.shape
     if u.width != m:
         raise DimensionMismatch(f"input has width {u.width}, model expects {m}")
@@ -176,11 +172,15 @@ def simulate(model, x0, u: InputSignal) -> Trajectory:
     states[0] = _initial_state(x0, n)
     big = expm(np.block([[a, b], [np.zeros((m, n + m))]]) * u.step)
     stepper = big[:n, :n]
-    drive = u.values @ big[:n, n:].T
-    for k in range(u.steps):
-        states[k + 1] = stepper @ states[k] + drive[k]
     held = np.vstack([u.values, u.values[-1:] if u.steps else np.zeros((1, m))])
-    outputs = states @ c.T + held @ d.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        drive = u.values @ big[:n, n:].T
+        for k in range(u.steps):
+            states[k + 1] = stepper @ states[k] + drive[k]
+        outputs = states @ c.T + held @ d.T
+    finite = np.isfinite(states).all() and np.isfinite(outputs).all()
+    if not finite and np.isfinite(states[0]).all():
+        raise NonFinite("trajectory overflows double precision")
     return Trajectory(times=np.arange(u.steps + 1) * u.step, states=states, outputs=outputs)
 
 
@@ -235,11 +235,11 @@ def verify_trajectory_decomposition(
     def run(sub, seeded_nodes):
         # the derived model started from x0 on seeded_nodes (zero elsewhere), scattered
         # into global-width states and outputs that are zero outside the model
-        states, outputs = n.indices(sub.state_nodes), r.indices(sub.output_nodes)
+        states, outputs = n.indices(sub.n.nonempty), r.indices(sub.r.nonempty)
         seed = np.zeros(n.total)
         seeded = n.indices(seeded_nodes)
         seed[seeded] = x0vec[seeded]
-        traj = simulate(sub, seed[states], u.restrict(m.indices(sub.input_nodes)))
+        traj = simulate(sub, seed[states], u.restrict(m.indices(sub.m.nonempty)))
         x = np.zeros((len(traj.times), n.total))
         y = np.zeros((len(traj.times), r.total))
         x[:, states] = traj.states

@@ -21,7 +21,6 @@ from .poset import Poset, derived_set
 
 __all__ = [
     "PosetCausalSystem",
-    "DerivedSystem",
     "ValidationReport",
     "validate",
     "require_valid",
@@ -137,43 +136,16 @@ def dual_system(sys: PosetCausalSystem) -> PosetCausalSystem:
     )
 
 
-@dataclass(frozen=True)
-class DerivedSystem:
-    """A compressed model attached to one node (or the whole system).
+def derived(sys: PosetCausalSystem, kind: str, i: int | None = None) -> PosetCausalSystem:
+    """The global, local(i), downstream(i) or upstream(i) model of the system.
 
-    Matrices are plain dense rational arrays; the ``*_nodes`` tuples record
-    which global blocks each compressed axis ranges over, so results can be
-    scattered back into global coordinates through ``Partition.indices``.
+    The model is again a poset-causal system over ``sys.poset``. Its partitions
+    are the system's, restricted to the model's state, input and output nodes
+    (the other blocks have size 0), so block j of the model is block j of the
+    system, and ``sys.n.indices(model.n.nonempty)`` are its global coordinates.
     """
-
-    kind: str
-    node: int | None
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    state_nodes: tuple
-    input_nodes: tuple
-    output_nodes: tuple
-
-    @property
-    def state_dim(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.C.shape[0]
-
-
-def derived(sys: PosetCausalSystem, kind: str, i: int | None = None) -> DerivedSystem:
-    """The global, local(i), downstream(i) or upstream(i) model of the system."""
     if kind == "global":
-        i = None
-        states = inputs = outputs = tuple(sys.poset.nodes)
+        states = inputs = outputs = sys.poset.nodes
     elif i is None:
         raise IndexOutOfRange(f"derived kind {kind!r} needs a node index")
     else:
@@ -182,23 +154,22 @@ def derived(sys: PosetCausalSystem, kind: str, i: int | None = None) -> DerivedS
         if kind == "local":
             states = inputs = outputs = own
         elif kind == "downstream":
-            states = outputs = tuple(sorted(derived_set(sys.poset, {i}, "down")))
+            states = outputs = derived_set(sys.poset, {i}, "down")
             inputs = own
         elif kind == "upstream":
-            states = inputs = tuple(sorted(derived_set(sys.poset, {i}, "up")))
+            states = inputs = derived_set(sys.poset, {i}, "up")
             outputs = own
         else:
             raise ValueError(f"unknown derived kind {kind!r}")
-    return DerivedSystem(
-        kind=kind,
-        node=i,
-        A=compress(sys.A, states, states).entries,
-        B=compress(sys.B, states, inputs).entries,
-        C=compress(sys.C, outputs, states).entries,
-        D=compress(sys.D, outputs, inputs).entries,
-        state_nodes=states,
-        input_nodes=inputs,
-        output_nodes=outputs,
+    return PosetCausalSystem(
+        poset=sys.poset,
+        n=sys.n.restrict(states),
+        m=sys.m.restrict(inputs),
+        r=sys.r.restrict(outputs),
+        A=compress(sys.A, states, states),
+        B=compress(sys.B, states, inputs),
+        C=compress(sys.C, outputs, states),
+        D=compress(sys.D, outputs, inputs),
     )
 
 

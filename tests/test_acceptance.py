@@ -185,12 +185,14 @@ def test_criterion_05_structured_reductions_of_the_gap_system():
     blocks = primal.subspace
     assert blocks.coordinate_project(sys.n, (1,)).equals(_span(4, [{1: 1}, {2: 1}]))
     assert blocks.coordinate_project(sys.n, (2,)).equals(_span(4, [{4: 1}]))
-    assert moments_equal(sys, primal.system, sys.state_dim + primal.total_dim - 1)
+    assert primal.moment_horizon == sys.state_dim + primal.total_dim - 1
+    assert moments_equal(sys, primal.system)
 
     dual_tilde = poset_reduce(sys, "dual_tilde")
     assert dual_tilde.total_dim == 1
     assert dual_tilde.subspace.equals(_span(4, [{1: 1}]))
-    assert moments_equal(sys, dual_tilde.system, sys.state_dim + dual_tilde.total_dim - 1)
+    assert dual_tilde.moment_horizon == sys.state_dim + dual_tilde.total_dim - 1
+    assert moments_equal(sys, dual_tilde.system)
     _passed("criterion 5 (structured reductions: dims 3 and 1, moments exact)")
 
 

@@ -44,6 +44,8 @@ def test_partition_indices():
     assert part.indices(()) == []
     assert part.indices(range(1, 5)) == list(range(part.total))
     assert Partition((0, 0)).indices((1, 2)) == []
+    assert part.nonempty == (1, 3, 4) and Partition((0, 0)).nonempty == ()
+    assert part.indices(part.restrict((2, 3)).nonempty) == part.indices((2, 3))
     with pytest.raises(PartitionMismatch):
         part.indices((1, 5))
     with pytest.raises(PartitionMismatch):

@@ -201,6 +201,7 @@ def test_analyze_bad_document_exits_2(tmp_path, capsys, breakage):
     (lambda d: d["A"][0].__setitem__(0, "-1e400"), "A has an entry too large"),
     (lambda d: d.__setitem__("x0", ["1e400", 0]), "x0 has an entry too large"),
     (lambda d: d["A"][0].__setitem__(0, "1e300"), "exponential overflows"),
+    (lambda d: d["A"][0].__setitem__(0, "5000"), "trajectory overflows"),
 ])
 def test_simulate_beyond_double_precision_exits_1(tmp_path, capsys, breakage, named):
     doc = json.loads(system_path("two-node-local-gap").read_text())
@@ -214,6 +215,16 @@ def test_simulate_beyond_double_precision_exits_1(tmp_path, capsys, breakage, na
         code, out, err = _run(capsys, "simulate", str(bad), str(sig), "--check-lemma")
     assert code == 1
     assert out == "" and err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_simulate_signal_of_the_wrong_width_exits_2(tmp_path, capsys, width):
+    sig = tmp_path / "sig.txt"
+    sig.write_text("".join(f"{t}" + " 1" * width + "\n" for t in (0, 0.1)))
+    code, out, err = _run(capsys, "simulate", str(system_path("two-node-local-gap")), str(sig))
+    assert code == 2
+    assert out == "" and err.startswith(f"error: {sig}:")
+    assert f"{width} input columns" in err and "2 inputs" in err
 
 
 @pytest.mark.parametrize("flags", [

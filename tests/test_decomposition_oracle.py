@@ -54,15 +54,15 @@ def embedded_verify_trajectory_decomposition(sys, x0, u, tolerance=1e-8):
     local = {}
     for i in poset.nodes:
         sub = derived(sys, "downstream", i)
-        ui = u.restrict(m.indices(sub.input_nodes))
-        own_x = n.restrict(sub.state_nodes).block_range(i)
-        own_y = r.restrict(sub.output_nodes).block_range(i)
-        full_seed = x0vec[n.indices(sub.state_nodes)]
+        ui = u.restrict(m.indices(sub.m.nonempty))
+        own_x = sub.n.block_range(i)
+        own_y = sub.r.block_range(i)
+        full_seed = x0vec[n.indices(sub.n.nonempty)]
         seed = np.zeros_like(full_seed)
         seed[own_x] = full_seed[own_x]
         traj = simulate(sub, seed, ui)
-        emb_x = la.mat_to_float(embed(n, sub.state_nodes).entries)
-        emb_y = la.mat_to_float(embed(r, sub.output_nodes).entries)
+        emb_x = la.mat_to_float(embed(n, sub.n.nonempty).entries)
+        emb_y = la.mat_to_float(embed(r, sub.r.nonempty).entries)
         down_embedded[i] = (traj.states @ emb_x.T, traj.outputs @ emb_y.T)
         traj_full = simulate(sub, full_seed, ui)
         local[i] = simulate(derived(sys, "local", i), x0vec[n.indices((i,))], ui)
@@ -84,8 +84,8 @@ def embedded_verify_trajectory_decomposition(sys, x0, u, tolerance=1e-8):
         split_y.append(_deviation(gy[:, rows_y], acc_y))
 
         sub = derived(sys, "upstream", i)
-        state_idx = n.indices(sub.state_nodes)
-        traj = simulate(sub, x0vec[state_idx], u.restrict(m.indices(sub.input_nodes)))
+        state_idx = n.indices(sub.n.nonempty)
+        traj = simulate(sub, x0vec[state_idx], u.restrict(m.indices(sub.m.nonempty)))
         up.append(_deviation(traj.states, gx[:, state_idx]))
         up.append(_deviation(traj.outputs, gy[:, rows_y]))
 
@@ -148,14 +148,14 @@ def test_nan_initial_state_gives_nan_in_the_oracle_families(name):
 def _assert_embeddings_equal_the_identity_product(sys):
     for i in sys.poset.nodes:
         down = derived(sys, "downstream", i)
-        space = image(ctrb_matrix(down.A, down.B))
-        want = space.apply(embed(sys.n, down.state_nodes).entries)
-        assert space.embed(sys.n, down.state_nodes) == want
+        space = image(ctrb_matrix(down.A.entries, down.B.entries))
+        want = space.apply(embed(sys.n, down.n.nonempty).entries)
+        assert space.embed(sys.n, down.n.nonempty) == want
         assert downstream_reachable(sys, i) == want
         up = derived(sys, "upstream", i)
-        space = kernel(obsv_matrix(up.C, up.A))
-        want = space.apply(embed(sys.n, up.state_nodes).entries)
-        assert space.embed(sys.n, up.state_nodes) == want
+        space = kernel(obsv_matrix(up.C.entries, up.A.entries))
+        want = space.apply(embed(sys.n, up.n.nonempty).entries)
+        assert space.embed(sys.n, up.n.nonempty) == want
         assert upstream_indistinguishable(sys, i) == want
 
 

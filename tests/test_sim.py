@@ -86,6 +86,22 @@ def test_entries_beyond_double_precision_raise_nonfinite():
         simulate(down, None, InputSignal(step=0.1, values=np.zeros((2, down.input_dim))))
 
 
+def test_state_overflow_raises_nonfinite_and_a_nan_x0_propagates():
+    sys = load_corpus_system("two-node-local-gap")
+    a = sys.A.entries.copy()
+    a[0, 0] = la.F(5000)
+    fast = PosetCausalSystem(poset=sys.poset, n=sys.n, m=sys.m, r=sys.r, A=a,
+                             B=sys.B.entries, C=sys.C.entries, D=sys.D.entries)
+    u = InputSignal(step=0.1, values=np.ones((3, sys.input_dim)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(simulate(fast, None, InputSignal(step=0.1, values=u.values[:1])).states).all()
+        with pytest.raises(NonFinite, match="trajectory overflows"):
+            simulate(fast, None, u)
+        traj = simulate(fast, [math.nan] + [0.0] * (sys.state_dim - 1), u)
+    assert np.isnan(traj.states[1:, 0]).all()
+
+
 def test_expm_of_structured_matrix_keeps_pattern(rng):
     for _ in range(8):
         poset = random_poset(rng, rng.randint(1, 5))

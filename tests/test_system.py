@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_poset, random_system, structured_random_matrix
 from posetsys import _linalg as la
+from posetsys import corpus
 from posetsys.blockmat import compress, is_incident
 from posetsys.corpus import load_corpus_system
 from posetsys.errors import (
@@ -87,15 +92,15 @@ def test_derived_local_and_downstream_shapes():
     sys = load_corpus_system("exLargeEx")
     down4 = derived(sys, "downstream", 4)
     assert down4.state_dim == 4
-    assert np.array_equal(down4.A, sys.A.block(4, 4))
-    assert down4.state_nodes == (4,)
+    assert np.array_equal(down4.A.entries, sys.A.block(4, 4))
+    assert down4.n.nonempty == (4,)
     loc2 = derived(sys, "local", 2)
     assert loc2.A.shape == (2, 2) and loc2.B.shape == (2, 1)
     down1 = derived(sys, "downstream", 1)
-    assert down1.state_nodes == (1, 2, 4)
+    assert down1.n.nonempty == (1, 2, 4)
     assert down1.state_dim == 8 and down1.input_dim == 2
     up2 = derived(sys, "upstream", 2)
-    assert up2.state_nodes == (1, 2)
+    assert up2.n.nonempty == (1, 2)
     assert up2.C.shape == (1, 4)
     glob = derived(sys, "global")
     assert glob.state_dim == sys.state_dim
@@ -108,7 +113,7 @@ def test_upstream_of_maximal_node_is_local(rng):
         up = derived(sys, "upstream", i)
         loc = derived(sys, "local", i)
         for name in "ABCD":
-            assert np.array_equal(getattr(up, name), getattr(loc, name))
+            assert np.array_equal(getattr(up, name).entries, getattr(loc, name).entries)
 
 
 def test_antichain_downstream_is_local(rng):
@@ -118,7 +123,7 @@ def test_antichain_downstream_is_local(rng):
         down = derived(sys, "downstream", i)
         loc = derived(sys, "local", i)
         for name in "ABCD":
-            assert np.array_equal(getattr(down, name), getattr(loc, name))
+            assert np.array_equal(getattr(down, name).entries, getattr(loc, name).entries)
 
 
 def test_derived_index_errors():
@@ -221,3 +226,45 @@ def test_dual_keeps_symmetric_block_diagonal_feedthrough():
         A=la.zeros(2, 2), B=la.zeros(2, 2), C=la.zeros(2, 2), D=d,
     )
     assert np.array_equal(dual_system(sys).D.entries, d)
+
+
+# the dual of each derived model is the mirrored derived model of the dual system
+DUAL_KINDS = {"global": "global", "local": "local", "downstream": "upstream", "upstream": "downstream"}
+
+
+def _model_nodes(poset, kind, i):
+    """(state, input, output) nodes of the derived model ``kind`` at ``i``."""
+    own = {i}
+    down, up = derived_set(poset, own, "down"), derived_set(poset, own, "up")
+    return {"global": (poset.nodes,) * 3, "local": (own,) * 3,
+            "downstream": (down, own, down), "upstream": (up, up, own)}[kind]
+
+
+def _assert_derived_models_are_dual(sys):
+    dual = dual_system(sys)
+    for kind, dual_kind in DUAL_KINDS.items():
+        for i in sys.poset.nodes:
+            model = derived(sys, kind, i)
+            states, inputs, outputs = _model_nodes(sys.poset, kind, i)
+            assert isinstance(model, PosetCausalSystem) and model.poset == sys.poset
+            assert (model.n, model.m, model.r) == (
+                sys.n.restrict(states), sys.m.restrict(inputs), sys.r.restrict(outputs))
+            assert validate(model).ok
+            lhs, rhs = dual_system(model), derived(dual, dual_kind, i)
+            assert validate(rhs).ok
+            assert lhs.poset == rhs.poset, (kind, i)
+            assert (lhs.n, lhs.m, lhs.r) == (rhs.n, rhs.m, rhs.r), (kind, i)
+            for name in "ABCD":
+                assert getattr(lhs, name).equals(getattr(rhs, name)), (kind, i, name)
+
+
+@pytest.mark.parametrize("name", sorted({Path(f).stem for f in corpus._SYSTEM_FILES.values()}))
+def test_dual_of_a_derived_model_is_the_mirrored_model_of_the_dual(name):
+    _assert_derived_models_are_dual(load_corpus_system(name))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False), st.integers(1, 5))
+def test_dual_of_a_derived_model_is_the_mirrored_model_of_the_dual_random(rng, p):
+    _assert_derived_models_are_dual(random_system(rng, random_poset(rng, p)))
+
