@@ -70,6 +70,7 @@ from .reachability import (
 )
 from .reachability import profile as reachability_profile
 from .reduction import (
+    Compression,
     KalmanDecomposition,
     ReducedSystem,
     generalized_reduce,

@@ -59,7 +59,10 @@ def fmat(rows) -> np.ndarray:
     """Build an exact matrix from an iterable of rows of ints and Fractions.
 
     Text entries are parsed by ``fileio.parse_rational`` before they get here.
+    A numpy array keeps its shape; a float entry is refused like any other.
     """
+    if isinstance(rows, np.ndarray):
+        return np.vectorize(_coerce, otypes=[object])(rows)
     rows = [list(r) for r in rows]
     if not rows:
         return np.empty((0, 0), dtype=object)
@@ -75,7 +78,7 @@ def fmat(rows) -> np.ndarray:
 
 def fvec(entries) -> np.ndarray:
     """Build an exact column vector."""
-    return fmat([[x] for x in entries])
+    return fmat(entries.reshape(-1, 1) if isinstance(entries, np.ndarray) else [[x] for x in entries])
 
 
 def zeros(nrows: int, ncols: int) -> np.ndarray:

@@ -91,7 +91,7 @@ class BlockMatrix:
     """Dense rational matrix with row and column partitions."""
 
     def __init__(self, entries, row_partition: Partition, col_partition: Partition):
-        if not isinstance(entries, np.ndarray):
+        if not isinstance(entries, np.ndarray) or entries.dtype != object:
             entries = la.fmat(entries)
         if entries.shape != (row_partition.total, col_partition.total):
             raise ShapeMismatch(

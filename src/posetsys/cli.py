@@ -14,7 +14,7 @@ from . import corpus, fileio, report
 from .errors import ParseError, PosetSysError
 from .reduction import poset_reduce
 from .sim import InputSignal, simulate, verify_trajectory_decomposition
-from .system import dual_system, validate
+from .system import dual_system, require_valid, validate
 
 _VARIANT_NAMES = {"primal": "primal", "dual-tilde": "dual_tilde", "dual-circ": "dual_circ"}
 
@@ -90,6 +90,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_dual(args) -> int:
     system = fileio.load_system(args.path)
+    require_valid(system)
     fileio.save_system(dual_system(system), args.out_path)
     print(f"wrote dual system to {args.out_path}")
     return 0

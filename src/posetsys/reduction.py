@@ -1,8 +1,10 @@
 """Kalman-style exact reductions, classical and structure-preserving.
 
-Compressions use the Gram-matrix formula A' = (V^T V)^-1 V^T A V for a
-rational basis V, which keeps every compressed system exactly rational (an
-orthonormal basis would generally need irrational entries).
+Every reduction is again a poset-causal system, over the source's poset or,
+for a sandwich compression, over the one-element order. One step compresses
+with the Gram formula A' = (V^T V)^-1 V^T A V for a rational basis V (an
+orthonormal basis would generally need irrational entries), validates the
+result and verifies its moments.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .blockmat import Partition
 from .errors import DimensionMismatch, InclusionViolation, StructureViolation
 from .observability import profile as obs_profile
 from .observability import unobservable
+from .poset import build_poset
 from .reachability import profile as reach_profile
 from .reachability import reachable
 from .subspace import Subspace
@@ -24,7 +27,7 @@ from .system import PosetCausalSystem, dual_system, require_valid
 __all__ = [
     "KalmanDecomposition",
     "kalman",
-    "CompressedTriple",
+    "Compression",
     "generalized_reduce",
     "ReducedSystem",
     "poset_reduce",
@@ -70,46 +73,35 @@ def kalman(sys: PosetCausalSystem) -> KalmanDecomposition:
     )
 
 
-@dataclass(frozen=True)
-class CompressedTriple:
-    """Compression of (A, B, C) to a subspace, with its rational basis."""
-
-    subspace: Subspace
-    basis: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-
-
-def _compress_to(sys: PosetCausalSystem, basis: np.ndarray) -> tuple:
-    gram_inv = la.inverse(la.mdot(basis.T, basis))
-    lift = la.mdot(gram_inv, basis.T)
-    a = la.mdot(lift, la.mdot(sys.A.entries, basis))
-    b = la.mdot(lift, sys.B.entries)
-    c = la.mdot(sys.C.entries, basis)
-    return a, b, c
-
-
 def _horizon(n1: int, n2: int) -> int:
     """Moments that agree for k <= n1 + n2 - 1 agree for all k (Cayley-Hamilton on diag(A1, A2))."""
     return max(n1 + n2 - 1, 0)
 
 
-def _moments_agree(first: tuple, second: tuple) -> bool:
-    """Exact equality of C A^k B up to the ``_horizon`` of two (A, B, C) triples."""
-    (a1, b1, c1), (a2, b2, c2) = first, second
-    for _ in range(_horizon(a1.shape[0], a2.shape[0]) + 1):
-        lhs = la.mdot(c1, b1)
-        rhs = la.mdot(c2, b2)
-        if not (lhs.shape == rhs.shape and all(x == y for x, y in zip(lhs.flat, rhs.flat))):
-            return False
-        b1 = la.mdot(a1, b1)
-        b2 = la.mdot(a2, b2)
-    return True
+def _compress(sys: PosetCausalSystem, subspace: Subspace, poset, n, m, r) -> PosetCausalSystem:
+    """``sys`` compressed to ``subspace`` over ``poset``, validated, with its moments checked."""
+    basis = subspace.basis
+    lift = la.mdot(la.inverse(la.mdot(basis.T, basis)), basis.T)
+    a = la.mdot(lift, la.mdot(sys.A.entries, basis))
+    b = la.mdot(lift, sys.B.entries)
+    c = la.mdot(sys.C.entries, basis)
+    reduced = PosetCausalSystem(poset, n, m, r, a, b, c, sys.D.entries)
+    require_valid(reduced)
+    if not moments_equal(sys, reduced):
+        raise StructureViolation("compression failed to preserve the moments (internal bug)")
+    return reduced
 
 
-def _triple(sys: PosetCausalSystem) -> tuple:
-    return sys.A.entries, sys.B.entries, sys.C.entries
+@dataclass(frozen=True)
+class Compression:
+    """A system compressed to ``subspace``, keeping its inputs, outputs, D and moments."""
+
+    subspace: Subspace
+    system: PosetCausalSystem
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.subspace.basis
 
 
 def generalized_reduce(
@@ -117,12 +109,13 @@ def generalized_reduce(
     inner_reach: Subspace,
     outer_reach: Subspace,
     inner_unobs: Subspace,
-) -> CompressedTriple:
+) -> Compression:
     """Compress to outer_reach minus (inner_reach intersect inner_unobs).
 
     Requires inner_reach <= reachable <= outer_reach and
-    inner_unobs <= unobservable; the compressed triple reproduces every moment
-    C A^k B, which is verified exactly before returning.
+    inner_unobs <= unobservable. The subspace need not be block-decomposed, so
+    the compressed system lives over the one-element order, with partitions
+    [k], [m], [r]; its moments C A^k B are verified exactly before returning.
     """
     require_valid(sys)
     reach = reachable(sys)
@@ -137,38 +130,42 @@ def generalized_reduce(
     kal = kalman(sys)
     if not target.contains(kal.reach_obs):
         raise StructureViolation("reduction subspace misses the reachable-observable part")
-    basis = target.basis
-    a, b, c = _compress_to(sys, basis)
-    if not _moments_agree(_triple(sys), (a, b, c)):
-        raise StructureViolation("compression failed to preserve the moments (internal bug)")
-    return CompressedTriple(subspace=target, basis=basis, A=a, B=b, C=c)
+    system = _compress(
+        sys, target, build_poset(1, []), (target.dim,), (sys.input_dim,), (sys.output_dim,)
+    )
+    return Compression(subspace=target, system=system)
 
 
 @dataclass(frozen=True)
-class ReducedSystem:
+class ReducedSystem(Compression):
     """A structure-preserving reduction onto a block-decomposed subspace.
 
-    ``basis`` stacks the per-block bases in node order, so it is block
-    diagonal as a map from the reduced to the original state space.
+    ``system`` lives over the source's poset; its state block j is what
+    ``subspace`` keeps of block j, so ``basis`` (the per-block bases stacked in
+    node order) is block diagonal. Block dims, total dim and moment horizon are
+    read off ``system``.
     """
 
     variant: str
-    subspace: Subspace
-    block_dims: tuple
-    basis: np.ndarray
     source_partition: Partition
-    system: PosetCausalSystem
-    moment_horizon: int
     optimal_hypothesis: bool
 
     @property
+    def block_dims(self) -> tuple:
+        return self.system.n.sizes
+
+    @property
     def total_dim(self) -> int:
-        return sum(self.block_dims)
+        return self.system.state_dim
+
+    @property
+    def moment_horizon(self) -> int:
+        return _horizon(self.source_partition.total, self.total_dim)
 
     def block_basis(self, j: int) -> np.ndarray:
         """Basis of block j's retained subspace in that block's local coordinates."""
         rows = self.source_partition.indices((j,))
-        cols = Partition(self.block_dims).indices((j,))
+        cols = self.system.n.indices((j,))
         return self.basis[np.ix_(rows, cols)]
 
 
@@ -197,37 +194,18 @@ def poset_reduce(sys: PosetCausalSystem, variant: str = "primal") -> ReducedSyst
         rp.node_ceiling[j].ominus(inner[j].intersect(op.node_floor[j])) for j in poset.nodes
     ]
     subspace = Subspace.zero(n.total).sum(*parts)
-    dims = [part.dim for part in parts]
     # the canonical basis of a sum of subspaces of distinct blocks is the per-block stack
-    basis = subspace.basis
-    a, b, c = _compress_to(sys, basis)
-    reduced = PosetCausalSystem(
-        poset=poset,
-        n=tuple(dims),
-        m=sys.m,
-        r=sys.r,
-        A=a,
-        B=b,
-        C=c,
-        D=sys.D.entries,
-    )
-    require_valid(reduced)
-    if not moments_equal(sys, reduced):
-        raise StructureViolation("structured reduction failed to preserve the moments")
-
+    reduced = _compress(sys, subspace, poset, [part.dim for part in parts], sys.m, sys.r)
     kal = kalman(sys)
     hypothesis = all(
         subspace.coordinate_project(n, (j,)).equals(kal.reach_obs.coordinate_project(n, (j,)))
         for j in poset.nodes
     )
     return ReducedSystem(
-        variant=variant,
         subspace=subspace,
-        block_dims=tuple(dims),
-        basis=basis,
-        source_partition=n,
         system=reduced,
-        moment_horizon=_horizon(sys.state_dim, reduced.state_dim),
+        variant=variant,
+        source_partition=n,
         optimal_hypothesis=hypothesis,
     )
 
@@ -236,4 +214,12 @@ def moments_equal(sys1: PosetCausalSystem, sys2: PosetCausalSystem) -> bool:
     """Exact equality of C A^k B for every k, checked for k = 0..n1 + n2 - 1."""
     if sys1.input_dim != sys2.input_dim or sys1.output_dim != sys2.output_dim:
         raise DimensionMismatch("systems must share input and output dimensions")
-    return _moments_agree(_triple(sys1), _triple(sys2))
+    b1, b2 = sys1.B.entries, sys2.B.entries
+    for _ in range(_horizon(sys1.state_dim, sys2.state_dim) + 1):
+        lhs = la.mdot(sys1.C.entries, b1)
+        rhs = la.mdot(sys2.C.entries, b2)
+        if not all(x == y for x, y in zip(lhs.flat, rhs.flat)):
+            return False
+        b1 = la.mdot(sys1.A.entries, b1)
+        b2 = la.mdot(sys2.A.entries, b2)
+    return True

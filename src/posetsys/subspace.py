@@ -22,6 +22,8 @@ class Subspace:
 
     def __init__(self, ambient: int, basis: np.ndarray):
         self.ambient = int(ambient)
+        if basis.dtype != object:
+            basis = la.fmat(basis)
         if basis.shape[0] != self.ambient:
             raise AmbientMismatch(f"basis rows {basis.shape[0]} != ambient {self.ambient}")
         basis = la.column_echelon(basis)
@@ -37,6 +39,8 @@ class Subspace:
         cols = [la.fvec(c) for c in columns]
         if not cols:
             return cls.zero(ambient)
+        if any(c.shape[0] != ambient for c in cols):
+            raise AmbientMismatch(f"column lengths {[c.shape[0] for c in cols]} != ambient {ambient}")
         return cls(ambient, np.hstack(cols))
 
     @classmethod
@@ -77,7 +81,7 @@ class Subspace:
         return self.sum(other).dim == self.dim
 
     def contains_vector(self, vec) -> bool:
-        v = la.fvec(vec) if not isinstance(vec, np.ndarray) else vec
+        v = vec if isinstance(vec, np.ndarray) and vec.dtype == object else la.fvec(vec)
         if v.size != self.ambient:
             raise AmbientMismatch(f"vector has {v.size} entries, ambient is {self.ambient}")
         return la.rank(np.hstack([self.basis, v.reshape(self.ambient, 1)])) == self.dim

@@ -48,7 +48,8 @@ class PosetCausalSystem:
         if x0 is None:
             self.x0 = None
         else:
-            vec = la.fvec(x0) if not isinstance(x0, np.ndarray) else x0.reshape(-1, 1)
+            exact = isinstance(x0, np.ndarray) and x0.dtype == object
+            vec = x0.reshape(-1, 1) if exact else la.fvec(x0)
             if vec.shape[0] != self.n.total:
                 raise ShapeMismatch(f"x0 has {vec.shape[0]} entries, expected {self.n.total}")
             vec = vec.copy()

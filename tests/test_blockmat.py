@@ -57,6 +57,18 @@ def test_block_matrix_shape_check():
         BlockMatrix(la.eye(3), Partition((2,)), Partition((2,)))
 
 
+def test_block_matrix_refuses_floats_and_makes_integer_arrays_exact():
+    one = Partition((1,))
+    with pytest.raises(TypeError, match="exact rational"):
+        BlockMatrix(np.array([[0.1]]), one, one)
+    with pytest.raises(TypeError, match="exact rational"):
+        BlockMatrix([[0.1]], one, one)
+    m = BlockMatrix(np.array([[3]]), one, one)
+    assert m.entries.dtype == object and type(m.entries[0, 0]) is la.F
+    empty = BlockMatrix(np.zeros((0, 2)), Partition((0,)), Partition((2,)))
+    assert empty.shape == (0, 2) and empty.entries.dtype == object
+
+
 def test_is_incident_tree_patterns():
     # mirrored-tree pattern: nonzero first row of blocks plus the diagonal
     p3 = named_poset("p3")

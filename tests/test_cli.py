@@ -90,6 +90,22 @@ def test_dual_round_trip(tmp_path, capsys):
     assert json.loads(d2.read_text()) == normalized
 
 
+def test_dual_of_a_pattern_violating_file_exits_1_and_writes_nothing(tmp_path, capsys):
+    doc = json.loads(system_path("two-node-local-gap").read_text())
+    doc["A"] = [[0, 1], [0, 0]]  # block (1,2) is forbidden here
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "dual.json"
+    code, stdout, err = _run(capsys, "dual", str(bad), str(out))
+    assert code == 1
+    assert stdout == "" and "(1,2)" in err
+    assert not out.exists()
+    # analyze and reduce refuse the same file
+    assert _run(capsys, "analyze", str(bad))[0] == 1
+    assert _run(capsys, "reduce", str(bad), str(out))[0] == 1
+    assert not out.exists()
+
+
 def test_reduce_round_trips_through_validate(tmp_path, capsys):
     src = str(system_path("kalman-structured-gap"))
     out = tmp_path / "red.json"

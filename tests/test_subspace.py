@@ -146,3 +146,21 @@ def test_contains_vector_checks_the_length():
     for bad in ([1, 2], [1, 2, 0, 0], la.fvec([1, 2])):
         with pytest.raises(AmbientMismatch):
             line.contains_vector(bad)
+
+
+def test_float_arrays_are_refused_and_integer_arrays_made_exact():
+    with pytest.raises(TypeError, match="exact rational"):
+        Subspace(2, np.array([[1.0], [0.0]]))
+    with pytest.raises(TypeError, match="exact rational"):
+        Subspace.full(2).contains_vector(np.array([1.0, 0.0]))
+    line = Subspace(2, np.array([[2], [0]]))
+    assert line == Subspace.from_columns(2, [[1, 0]])
+    assert all(type(x) is F for x in line.basis.flat)
+    assert line.contains_vector(np.array([3, 0]))
+    assert not line.contains_vector(np.array([[0], [1]]))
+
+
+def test_columns_of_the_wrong_length_are_an_ambient_mismatch():
+    for columns in ([[1, 0, 0], [1, 0]], [[1, 0], [1, 0]], [[1, 0, 0], [1, 0, 0, 0]]):
+        with pytest.raises(AmbientMismatch):
+            Subspace.from_columns(3, columns)

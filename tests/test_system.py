@@ -17,6 +17,7 @@ from posetsys.errors import (
     ValidationError,
 )
 from posetsys.poset import build_poset, derived_set, dual_poset
+from posetsys.reachability import profile as reachability_profile
 from posetsys.system import (
     PosetCausalSystem,
     derived,
@@ -208,6 +209,19 @@ def test_x0_round_trip_and_default():
             A=sys.A.entries, B=sys.B.entries, C=sys.C.entries, D=sys.D.entries,
             x0=[1],
         )
+
+
+def test_float_arrays_are_refused_and_integer_arrays_made_exact():
+    poset = build_poset(1, [])
+    with pytest.raises(TypeError, match="exact rational"):
+        PosetCausalSystem(poset, [1], [1], [1], np.array([[0.1]]), [[1]], [[1]], [[0]])
+    with pytest.raises(TypeError, match="exact rational"):
+        PosetCausalSystem(poset, [1], [1], [1], [[1]], [[1]], [[1]], [[0]], x0=np.array([0.1]))
+    sys = PosetCausalSystem(
+        poset, [1], [1], [1], np.array([[2]]), [[1]], [[1]], [[0]], x0=np.array([[3]]))
+    assert type(sys.A.entries[0, 0]) is la.F and type(sys.x0[0, 0]) is la.F
+    assert sys.x0.shape == (1, 1) and sys.x0[0, 0] == 3
+    assert reachability_profile(sys).controllable
 
 
 def test_dual_involution_on_corpus_system():
