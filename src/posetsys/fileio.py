@@ -41,28 +41,25 @@ __all__ = [
 
 
 def parse_rational(value) -> Fraction:
-    """Exact parse of an int, decimal string, or 'a/b' string."""
+    """Exact parse of a decimal or 'a/b' string; other values go to ``_linalg.exact_entry``."""
     try:
-        if isinstance(value, bool):
-            raise TypeError("booleans are not numbers")
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            text = value.strip()
-            # Fraction expands the power, so "1e1000000000" would never finish
-            _, marker, exponent = text.lower().partition("e")
-            if marker and abs(int(exponent)) > (get_int_max_str_digits() or math.inf):
-                raise ValueError(f"exponent exceeds {get_int_max_str_digits()}")
-            return Fraction(text)
-        if isinstance(value, float):
-            raise TypeError("floats are not exact; write a decimal string instead")
-        raise TypeError(f"unsupported entry type {type(value).__name__}")
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        if not isinstance(value, str):
+            return la.exact_entry(value)
+        text = value.strip()
+        # Fraction expands the power, so "1e1000000000" would never finish
+        _, marker, exponent = text.lower().partition("e")
+        if marker and abs(int(exponent)) > (get_int_max_str_digits() or math.inf):
+            raise ValueError(f"exponent exceeds {get_int_max_str_digits()}")
+        return Fraction(text)
+    except TypeError as exc:
+        raise ParseError(f"bad rational entry {value!r}: {exc}; write a non-integer "
+                         "as a decimal or 'a/b' string") from exc
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational entry {value!r}: {exc}") from exc
 
 
 def format_rational(value: Fraction):
-    value = Fraction(value)
+    value = la.exact_entry(value)
     if value.denominator == 1:
         return int(value)
     return f"{value.numerator}/{value.denominator}"

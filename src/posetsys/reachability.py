@@ -189,7 +189,7 @@ class CharPolyFactorization:
     product: list
 
     def eval_at(self, x) -> Fraction:
-        return la.poly_eval(self.product, Fraction(x))
+        return la.poly_eval(self.product, la.exact_entry(x))
 
 
 def char_poly_factored(a: BlockMatrix, poset: Poset) -> CharPolyFactorization:
@@ -224,7 +224,7 @@ def _ackermann(a: np.ndarray, b: np.ndarray, target: list) -> np.ndarray:
 
 
 def _check_target(target, size: int):
-    target = [Fraction(c) for c in target]
+    target = [la.exact_entry(c) for c in target]
     if len(target) != size + 1 or target[-1] != 1:
         raise ShapeMismatch(f"target must be a monic polynomial of degree {size}")
     return target

@@ -118,8 +118,10 @@ def generalized_reduce(
     [k], [m], [r]; its moments C A^k B are verified exactly before returning.
     """
     require_valid(sys)
-    reach = reachable(sys)
-    unobs = unobservable(sys)
+    kal = kalman(sys)
+    # both splits are orthogonal: reach_unobs lies in the reachable and the unobservable set
+    reach = kal.reach_obs.sum(kal.reach_unobs)
+    unobs = kal.reach_unobs.sum(kal.unreach_unobs)
     if not reach.contains(inner_reach):
         raise InclusionViolation("inner_reach is not contained in the reachable set")
     if not outer_reach.contains(reach):
@@ -127,7 +129,6 @@ def generalized_reduce(
     if not unobs.contains(inner_unobs):
         raise InclusionViolation("inner_unobs is not contained in the unobservable set")
     target = outer_reach.ominus(inner_reach.intersect(inner_unobs))
-    kal = kalman(sys)
     if not target.contains(kal.reach_obs):
         raise StructureViolation("reduction subspace misses the reachable-observable part")
     system = _compress(

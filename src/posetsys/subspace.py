@@ -22,8 +22,7 @@ class Subspace:
 
     def __init__(self, ambient: int, basis: np.ndarray):
         self.ambient = int(ambient)
-        if basis.dtype != object:
-            basis = la.fmat(basis)
+        basis = la.exact_matrix(basis)
         if basis.shape[0] != self.ambient:
             raise AmbientMismatch(f"basis rows {basis.shape[0]} != ambient {self.ambient}")
         basis = la.column_echelon(basis)
@@ -81,10 +80,10 @@ class Subspace:
         return self.sum(other).dim == self.dim
 
     def contains_vector(self, vec) -> bool:
-        v = vec if isinstance(vec, np.ndarray) and vec.dtype == object else la.fvec(vec)
+        v = la.fvec(vec)
         if v.size != self.ambient:
             raise AmbientMismatch(f"vector has {v.size} entries, ambient is {self.ambient}")
-        return la.rank(np.hstack([self.basis, v.reshape(self.ambient, 1)])) == self.dim
+        return la.rank(np.hstack([self.basis, v])) == self.dim
 
     # lattice operations -----------------------------------------------
 

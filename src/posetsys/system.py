@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -48,8 +47,7 @@ class PosetCausalSystem:
         if x0 is None:
             self.x0 = None
         else:
-            exact = isinstance(x0, np.ndarray) and x0.dtype == object
-            vec = x0.reshape(-1, 1) if exact else la.fvec(x0)
+            vec = la.fvec(x0)
             if vec.shape[0] != self.n.total:
                 raise ShapeMismatch(f"x0 has {vec.shape[0]} entries, expected {self.n.total}")
             vec = vec.copy()
@@ -176,14 +174,9 @@ def derived(sys: PosetCausalSystem, kind: str, i: int | None = None) -> PosetCau
 
 def transfer_eval(sys: PosetCausalSystem, s) -> BlockMatrix:
     """Exact D + C (sI - A)^-1 B; the result respects the poset pattern."""
-    s = Fraction(s)
-    n = sys.state_dim
-    resolvent_arg = la.eye(n)
-    for idx in range(n):
-        resolvent_arg[idx, idx] = s
-    resolvent_arg = resolvent_arg - sys.A.entries
+    s = la.exact_entry(s)
     try:
-        res = la.inverse(resolvent_arg)
+        res = la.inverse(s * la.eye(sys.state_dim) - sys.A.entries)
     except SingularMatrix as exc:
         raise SingularResolvent(f"{s} is an eigenvalue of A") from exc
     f = sys.D.entries + la.mdot(sys.C.entries, la.mdot(res, sys.B.entries))

@@ -36,6 +36,14 @@ def test_partition_basics():
         Partition((1, -1))
 
 
+def test_partition_sizes_must_be_integers():
+    for bad in ([1.7, True], ["2"], [True], [1.0], [None]):
+        with pytest.raises(PartitionMismatch):
+            Partition(bad)
+    sizes = Partition((np.int64(2), 0)).sizes
+    assert sizes == (2, 0) and all(type(s) is int for s in sizes)
+
+
 def test_partition_indices():
     part = Partition((2, 0, 3, 1))
     assert part.indices((3, 1)) == [0, 1, 2, 3, 4]
@@ -67,6 +75,13 @@ def test_block_matrix_refuses_floats_and_makes_integer_arrays_exact():
     assert m.entries.dtype == object and type(m.entries[0, 0]) is la.F
     empty = BlockMatrix(np.zeros((0, 2)), Partition((0,)), Partition((2,)))
     assert empty.shape == (0, 2) and empty.entries.dtype == object
+
+
+def test_block_matrix_refuses_boolean_entries():
+    one = Partition((1,))
+    for bad in ([[True]], np.array([[True]])):
+        with pytest.raises(TypeError, match="exact rational"):
+            BlockMatrix(bad, one, one)
 
 
 def test_is_incident_tree_patterns():

@@ -106,6 +106,38 @@ def test_dual_of_a_pattern_violating_file_exits_1_and_writes_nothing(tmp_path, c
     assert not out.exists()
 
 
+def _pattern_violating_file(tmp_path):
+    doc = json.loads(system_path("two-node-local-gap").read_text())
+    doc["A"] = [[0, 1], [0, 0]]  # block (1,2) is forbidden here
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return str(bad)
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze"], ["analyze", "--text"], ["dual", "OUT"], ["reduce", "OUT"],
+    ["simulate", "SIGNAL", "--out", "OUT"], ["simulate", "SIGNAL", "--out", "OUT", "--check-lemma"],
+    ["simulate", "SIGNAL", "--check-lemma"],
+])
+def test_a_pattern_violating_file_is_refused_before_any_output(tmp_path, capsys, command):
+    bad = _pattern_violating_file(tmp_path)
+    sig = tmp_path / "sig.txt"
+    sig.write_text("0 1 0\n1 0 1\n")
+    out = tmp_path / "out.txt"
+    argv = [command[0], bad] + [
+        {"OUT": str(out), "SIGNAL": str(sig)}.get(arg, arg) for arg in command[1:]]
+    code, stdout, err = _run(capsys, *argv)
+    assert code == 1
+    assert stdout == "" and err.startswith("error: A: block (1,2) must vanish")
+    assert not out.exists()
+
+
+def test_validate_reports_a_pattern_violation_on_stdout(tmp_path, capsys):
+    code, stdout, err = _run(capsys, "validate", _pattern_violating_file(tmp_path))
+    assert code == 1 and err == ""
+    assert stdout.startswith("A: block (1,2) must vanish")
+
+
 def test_reduce_round_trips_through_validate(tmp_path, capsys):
     src = str(system_path("kalman-structured-gap"))
     out = tmp_path / "red.json"

@@ -47,6 +47,16 @@ def test_parse_rational_rejects_bad_values():
 def test_format_rational_round_trip():
     for v in (F(0), F(5), F(-3, 7), F(22, 11)):
         assert parse_rational(format_rational(v)) == v
+    assert format_rational(np.int64(4)) == 4
+    for bad in (0.5, True):
+        with pytest.raises(TypeError, match="exact rational"):
+            format_rational(bad)
+
+
+def test_parse_rational_tells_how_to_write_a_non_integer():
+    for bad in (0.25, True, None, [1]):
+        with pytest.raises(ParseError, match="decimal or 'a/b' string"):
+            parse_rational(bad)
 
 
 def test_corpus_files_parse_and_validate():

@@ -80,6 +80,26 @@ def test_mdot_empty_operands():
     assert la.is_zero_matrix(out)
 
 
+def test_exact_entries_are_fractions_ints_and_numpy_integers():
+    assert "exact_entry" not in la.__all__ and "exact_matrix" not in la.__all__
+    for good, value in ((F(1, 2), F(1, 2)), (3, 3), (np.int64(-4), -4), (np.uint8(5), 5)):
+        entry = la.exact_entry(good)
+        assert type(entry) is F and entry == value
+    for bad in (True, np.bool_(False), 0.5, np.float64(1.0), 1j, "1", None):
+        with pytest.raises(TypeError, match="exact rational"):
+            la.exact_entry(bad)
+    with pytest.raises(TypeError, match="exact rational"):
+        la.fmat([[1, False]])
+
+
+def test_object_arrays_pass_through_untouched():
+    m = la.fmat([[1, 2]])
+    assert la.fmat(m) is m and la.exact_matrix(m) is m
+    assert la.fvec(la.fvec([1, 2])).shape == (2, 1)
+    ints = la.fmat(np.array([[1, 2]]))
+    assert ints.dtype == object and all(type(x) is F for x in ints.flat)
+
+
 def test_fmat_refuses_text_entries():
     # text goes through fileio.parse_rational, which bounds decimal exponents
     for text in ("1/2", "1e1000000000"):

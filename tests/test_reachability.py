@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     named_poset,
@@ -8,6 +12,7 @@ from conftest import (
     random_system,
 )
 from posetsys import _linalg as la
+from posetsys import corpus
 from posetsys.blockmat import BlockMatrix, Partition
 from posetsys.corpus import load_corpus_system
 from posetsys.errors import NotWeaklyLocallyControllable, ShapeMismatch
@@ -262,3 +267,46 @@ def test_pole_place_targets_must_cover_exactly_the_nodes():
                 {1: targets[0], 2: targets[1], 3: targets[2], 4: [0, 1]}):
         with pytest.raises(ShapeMismatch, match="cover exactly the nodes"):
             pole_place(sys, bad)
+
+
+def _double_integrator():
+    return PosetCausalSystem(
+        poset=build_poset(1, []), n=(2,), m=(1,), r=(0,),
+        A=la.fmat([[0, 1], [0, 0]]), B=la.fmat([[0], [1]]),
+        C=la.zeros(0, 2), D=la.zeros(0, 1),
+    )
+
+
+def test_inexact_targets_and_evaluation_points_are_refused():
+    sys = _double_integrator()
+    for bad in (0.1, True):
+        with pytest.raises(TypeError, match="exact rational"):
+            pole_place(sys, {1: [bad, 3, 1]})
+    fact = char_poly_factored(sys.A, sys.poset)
+    for bad in (0.1, True, "1/2"):
+        with pytest.raises(TypeError, match="exact rational"):
+            fact.eval_at(bad)
+    assert fact.eval_at(np.int64(3)) == 9
+    f = pole_place(sys, {1: [np.int64(2), la.F(3), 1]})
+    assert np.array_equal(f.entries, la.fmat([[-2, -3]]))
+
+
+def _assert_local_routes_agree(sys):
+    """The profile's flag reads projected[(j, j)]; the detail ranks each local pair."""
+    flag, detail = weakly_locally_controllable(sys)
+    rp = profile(sys)
+    assert rp.weakly_locally_controllable == flag
+    assert detail == {j: rp.projected[(j, j)].dim == sys.n.size(j) for j in sys.poset.nodes}
+
+
+@pytest.mark.parametrize("name", sorted({Path(f).stem for f in corpus._SYSTEM_FILES.values()}))
+def test_local_controllability_routes_agree_on_shipped_systems(name):
+    _assert_local_routes_agree(load_corpus_system(name))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False), st.integers(1, 4), st.booleans())
+def test_local_controllability_routes_agree_on_random_systems(rng, p, controllable):
+    poset = random_poset(rng, p)
+    make = random_locally_controllable_system if controllable else random_system
+    _assert_local_routes_agree(make(rng, poset))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_locally_controllable_system, random_poset, random_system
 from posetsys import _linalg as la
-from posetsys import corpus
+from posetsys import corpus, observability, reachability
 from posetsys.corpus import load_corpus_system
 from posetsys.errors import DimensionMismatch, InclusionViolation
 from posetsys.fileio import load_system, save_system
@@ -113,6 +113,31 @@ def test_generalized_reduce_structured_bounds():
         assert np.array_equal(la.mdot(lhs, sys.B.entries), la.mdot(rhs, out.system.B.entries))
         lhs = la.mdot(lhs, sys.A.entries)
         rhs = la.mdot(rhs, out.system.A.entries)
+
+
+def test_generalized_reduce_builds_each_krylov_matrix_once(monkeypatch):
+    sys = load_corpus_system("strict-chain-combined")
+    rp = reach_profile(sys)
+    op = obs_profile(sys)
+    calls = []
+    original = reachability.ctrb_matrix
+
+    def counted(a, b):
+        calls.append(a.shape)
+        return original(a, b)
+
+    monkeypatch.setattr(reachability, "ctrb_matrix", counted)
+    monkeypatch.setattr(observability, "ctrb_matrix", counted)
+    generalized_reduce(sys, rp.independent, rp.ceiling, op.floor)
+    assert len(calls) == 2  # one reachable, one unobservable set
+
+
+@pytest.mark.parametrize("name", sorted({Path(f).stem for f in corpus._SYSTEM_FILES.values()}))
+def test_kalman_splits_rebuild_the_reachable_and_unobservable_sets(name):
+    sys = load_corpus_system(name)
+    kal = kalman(sys)
+    assert kal.reach_obs.sum(kal.reach_unobs) == reachable(sys)
+    assert kal.reach_unobs.sum(kal.unreach_unobs) == unobservable(sys)
 
 
 def test_generalized_reduce_rejects_bad_hypotheses():

@@ -164,3 +164,16 @@ def test_columns_of_the_wrong_length_are_an_ambient_mismatch():
     for columns in ([[1, 0, 0], [1, 0]], [[1, 0], [1, 0]], [[1, 0, 0], [1, 0, 0, 0]]):
         with pytest.raises(AmbientMismatch):
             Subspace.from_columns(3, columns)
+
+
+def test_boolean_entries_are_refused():
+    with pytest.raises(TypeError, match="exact rational"):
+        Subspace.from_columns(2, [[True, 0]])
+    with pytest.raises(TypeError, match="exact rational"):
+        Subspace.full(2).contains_vector([True, 0])
+
+
+def test_a_list_basis_is_made_exact():
+    line = Subspace(2, [[1], [0]])
+    assert line == Subspace.from_columns(2, [[1, 0]])
+    assert Subspace(2, [[2, 0], [0, 0]]) == line

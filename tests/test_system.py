@@ -12,6 +12,7 @@ from posetsys.blockmat import compress, is_incident
 from posetsys.corpus import load_corpus_system
 from posetsys.errors import (
     IndexOutOfRange,
+    PartitionMismatch,
     ShapeMismatch,
     SingularResolvent,
     ValidationError,
@@ -282,3 +283,21 @@ def test_dual_of_a_derived_model_is_the_mirrored_model_of_the_dual(name):
 def test_dual_of_a_derived_model_is_the_mirrored_model_of_the_dual_random(rng, p):
     _assert_derived_models_are_dual(random_system(rng, random_poset(rng, p)))
 
+
+def test_inexact_x0_entries_and_evaluation_points_are_refused():
+    sys = load_corpus_system("two-node-local-gap")
+    mats = dict(A=sys.A.entries, B=sys.B.entries, C=sys.C.entries, D=sys.D.entries)
+    for bad in ([True, 0], [0.5, 0], np.array([True, False])):
+        with pytest.raises(TypeError, match="exact rational"):
+            PosetCausalSystem(sys.poset, sys.n, sys.m, sys.r, x0=bad, **mats)
+    for bad in (0.1, True):
+        with pytest.raises(TypeError, match="exact rational"):
+            transfer_eval(sys, bad)
+    assert transfer_eval(sys, np.int64(7)).equals(transfer_eval(sys, 7))
+
+
+def test_partition_sizes_are_never_truncated():
+    poset = build_poset(1, [])
+    for bad in ([1.9], [True], ["1"]):
+        with pytest.raises(PartitionMismatch):
+            PosetCausalSystem(poset, bad, [1], [1], [[1]], [[1]], [[1]], [[0]])
