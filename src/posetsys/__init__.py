@@ -61,7 +61,6 @@ from .reachability import (
     CharPolyFactorization,
     ReachabilityProfile,
     char_poly_factored,
-    coordinate_subspace,
     ctrb_matrix,
     downstream_reachable,
     pole_place,
@@ -80,7 +79,7 @@ from .reduction import (
 )
 from .report import analyze
 from .sim import InputSignal, Trajectory, expm, simulate, verify_trajectory_decomposition
-from .subspace import Subspace, image, kernel
+from .subspace import Subspace, direct_sum, image, kernel
 from .system import (
     PosetCausalSystem,
     derived,

@@ -36,7 +36,6 @@ __all__ = [
     "column_echelon",
     "kernel_basis",
     "rank",
-    "det",
     "inverse",
     "solve_gram",
     "char_poly",
@@ -60,12 +59,14 @@ def exact_entry(x) -> Fraction:
 
 
 def exact_matrix(rows) -> np.ndarray:
-    """An object array, the package's own form, untouched; else each entry through ``exact_entry``.
+    """An exact matrix: each entry through ``exact_entry``, an object array of Fractions untouched.
 
     A numpy array keeps its shape. Text is parsed by ``fileio.parse_rational``.
     """
     if isinstance(rows, np.ndarray):
-        return rows if rows.dtype == object else np.vectorize(exact_entry, otypes=[object])(rows)
+        if rows.dtype == object and all(type(x) is Fraction for x in rows.flat):
+            return rows
+        return np.vectorize(exact_entry, otypes=[object])(rows)
     rows = [list(r) for r in rows]
     if not rows:
         return np.empty((0, 0), dtype=object)
@@ -85,7 +86,7 @@ def fmat(rows) -> np.ndarray:
 
 
 def fvec(entries) -> np.ndarray:
-    """Build an exact column vector; an object array is only reshaped."""
+    """Build an exact column vector; a numpy array is reshaped, then made exact as in ``fmat``."""
     return fmat(entries.reshape(-1, 1) if isinstance(entries, np.ndarray) else [[x] for x in entries])
 
 
@@ -205,35 +206,6 @@ def kernel_basis(m: np.ndarray) -> np.ndarray:
 
 def rank(m: np.ndarray) -> int:
     return len(rref(m)[1])
-
-
-def det(m: np.ndarray) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n, nc = m.shape
-    if n != nc:
-        raise IncompatibleShapes("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    a = m.copy()
-    result = Fraction(1)
-    for col in range(n):
-        sel = None
-        for i in range(col, n):
-            if a[i, col] != 0:
-                sel = i
-                break
-        if sel is None:
-            return Fraction(0)
-        if sel != col:
-            a[[col, sel], :] = a[[sel, col], :]
-            result = -result
-        piv = a[col, col]
-        result *= piv
-        for i in range(col + 1, n):
-            if a[i, col] != 0:
-                factor = a[i, col] / piv
-                a[i, col:] = [x - factor * y for x, y in zip(a[i, col:], a[col, col:])]
-    return result
 
 
 def inverse(m: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .observability import DUAL_SPACES, dual_key, support
+from .observability import DUAL_SPACES, dual_key
 from .observability import profile as obs_profile
 from .reachability import profile as reach_profile
 from .subspace import Subspace
@@ -53,7 +53,7 @@ class DualityReport:
 
 
 def _check(name: str, scope: str, lhs: Subspace, rhs: Subspace) -> IdentityCheck:
-    if lhs.equals(rhs):
+    if lhs == rhs:
         return IdentityCheck(name=name, scope=scope, ok=True)
     return IdentityCheck(
         name=name,
@@ -99,16 +99,15 @@ def verify_duality(sys: PosetCausalSystem) -> DualityReport:
         checks.append(_check(f"dual unobs {name} = {dual_name}^perp", "aggregate",
                              getattr(opd, name), getattr(rp, dual_name).complement()))
 
-    # each space of one system is its support minus the paired space of the other
+    # each space of one system is the complement, in its blocks, of the paired space of the other
     for name, dual_name in DUAL_SPACES.items():
         for key, space in getattr(opd, name).items():
-            rhs = support(dual, name, key).ominus(getattr(rp, dual_name)[dual_key(key)])
-            checks.append(_check(f"dual unobs {name} = support - {dual_name}", _scope(key),
-                                 space, rhs))
+            rhs = getattr(rp, dual_name)[dual_key(key)].complement()
+            checks.append(_check(f"dual unobs {name} = {dual_name}^perp", _scope(key), space, rhs))
         for key, space in getattr(op, name).items():
             lhs = getattr(rpd, dual_name)[dual_key(key)]
-            checks.append(_check(f"dual {dual_name} = support - unobs {name}", _scope(key),
-                                 lhs, support(sys, name, key).ominus(space)))
+            checks.append(_check(f"dual {dual_name} = unobs {name}^perp", _scope(key),
+                                 lhs, space.complement()))
 
     for reach_flag, obs_flag, both_ways in _FLAGS:
         checks.append(_flag(f"{reach_flag} <-> dual {obs_flag}", "flags",

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import StructureViolation
 from .poset import derived_set
-from .reachability import DerivedAggregates, coordinate_subspace, ctrb_matrix
+from .reachability import BlockProfile, ctrb_matrix
 from .reachability import profile as reach_profile
 from .subspace import Subspace, kernel
 from .system import PosetCausalSystem, derived, dual_system, require_valid
@@ -35,7 +35,6 @@ __all__ = [
     "unobservable",
     "upstream_indistinguishable",
     "DUAL_SPACES",
-    "support",
     "dual_key",
     "profile",
     "profile_via_duality",
@@ -53,20 +52,22 @@ def unobservable(sys: PosetCausalSystem) -> Subspace:
 
 
 def upstream_indistinguishable(sys: PosetCausalSystem, i: int) -> Subspace:
-    """States of the upstream model at i invisible in output i, globally embedded."""
+    """States of the upstream model at i invisible in output i, in the coordinates of its up-set."""
     sub = derived(sys, "upstream", i)
-    return kernel(obsv_matrix(sub.C.entries, sub.A.entries)).embed(sys.n, sub.n.nonempty)
+    return kernel(obsv_matrix(sub.C.entries, sub.A.entries))
 
 
 @dataclass(frozen=True)
-class ObservabilityProfile(DerivedAggregates):
-    """All observability subspaces of one system, in global coordinates.
+class ObservabilityProfile(BlockProfile):
+    """All observability subspaces of one system, each in the coordinates of its blocks.
 
-    ``confined[(i, j)]`` intersects ``upstream[i]`` with coordinate block j and
-    ``projected[(i, j)]`` projects it there (for j in the up-set of i). The
-    aggregates are the sums of the per-node spaces and the flags are read off
-    them; both are derived here, so they always match the per-node parts.
+    ``upstream[i]`` lives in the up-set of i; ``confined[(i, j)]`` intersects
+    it with block j and ``projected[(i, j)]`` projects it there, where both
+    live (``embedded`` places them globally). The aggregates and the flags
+    are derived here, so they always match the per-node parts.
     """
+
+    _PAIR_BLOCK = 1
 
     unobservable: Subspace
     upstream: dict
@@ -92,8 +93,8 @@ class ObservabilityProfile(DerivedAggregates):
 
 
 # The paper's duality map: each per-node and per-pair observability space of a
-# system is its ``support`` minus this reachability space of the dual system at
-# the swapped key (``dual_key``), and that space lies in the same support.
+# system is the orthogonal complement, in its blocks, of this reachability
+# space of the dual system at the swapped key (``dual_key``).
 DUAL_SPACES = {
     "upstream": "downstream",
     "confined": "projected",
@@ -112,13 +113,15 @@ def profile(sys: PosetCausalSystem) -> ObservabilityProfile:
     unobs = unobservable(sys)
     upstream = {i: upstream_indistinguishable(sys, i) for i in poset.nodes}
 
-    blocks = {j: coordinate_subspace(n, (j,)) for j in poset.nodes}
     confined = {}
     projected = {}
+    seen = []
     for i in poset.nodes:
-        for j in sorted(derived_set(poset, {i}, "up")):
-            confined[(i, j)] = upstream[i].intersect(blocks[j])
-            projected[(i, j)] = upstream[i].coordinate_project(n, (j,))
+        above = derived_set(poset, {i}, "up")
+        for j in sorted(above):
+            confined[(i, j)] = upstream[i].section(n.restrict(above), (j,))
+            projected[(i, j)] = upstream[i].project(n.restrict(above), (j,))
+        seen.append(upstream[i].complement().embed(n, above))
 
     node_floor = {}
     node_independent = {}
@@ -127,17 +130,14 @@ def profile(sys: PosetCausalSystem) -> ObservabilityProfile:
         downs = sorted(derived_set(poset, {j}, "down"))
         node_floor[j] = reduce(Subspace.intersect, (confined[(i, j)] for i in downs))
         node_independent[j] = reduce(Subspace.intersect, (projected[(i, j)] for i in downs))
-        node_ceiling[j] = unobs.coordinate_project(n, (j,))
-        if not node_floor[j].equals(blocks[j].intersect(unobs)):
+        node_ceiling[j] = unobs.project(n, (j,))
+        if not node_floor[j].equals(unobs.section(n, (j,))):
             raise StructureViolation(
                 f"floor at node {j} disagrees with the confined unobservable set (internal bug)"
             )
 
-    pieces = []
-    for i in poset.nodes:
-        rest = [j for j in poset.nodes if j not in derived_set(poset, {i}, "up")]
-        pieces.append(upstream[i].sum(coordinate_subspace(n, rest)))
-    if not reduce(Subspace.intersect, pieces).equals(unobs):
+    # the complement of an intersection of embedded upstream sets sums their complements
+    if not Subspace.sum(*seen).equals(unobs.complement()):
         raise StructureViolation(
             "unobservable set is not the intersection of the embedded upstream sets (internal bug)"
         )
@@ -153,21 +153,6 @@ def profile(sys: PosetCausalSystem) -> ObservabilityProfile:
     )
 
 
-def support(sys: PosetCausalSystem, name: str, key) -> Subspace:
-    """The coordinate blocks that the profile space ``name[key]`` of ``sys`` lies in.
-
-    Block ``key[1]`` for a pair, block ``key`` for a node bound and the up-set
-    of ``key`` for ``upstream``.
-    """
-    if isinstance(key, tuple):
-        nodes = (key[1],)
-    elif name == "upstream":
-        nodes = derived_set(sys.poset, {key}, "up")
-    else:
-        nodes = (key,)
-    return coordinate_subspace(sys.n, nodes)
-
-
 def dual_key(key):
     """The key of the paired space on the other side: pairs transpose, nodes stay."""
     return key[::-1] if isinstance(key, tuple) else key
@@ -176,17 +161,14 @@ def dual_key(key):
 def profile_via_duality(sys: PosetCausalSystem) -> ObservabilityProfile:
     """Recover the observability profile from the dual system's reachability.
 
-    Every space is the block complement, inside its ``support``, of the dual
+    Every space is the orthogonal complement, in its blocks, of the dual
     reachability space that ``DUAL_SPACES`` pairs it with; no kernel is ever
     computed.
     """
     require_valid(sys)
     rp = reach_profile(dual_system(sys))
     spaces = {
-        name: {
-            dual_key(key): support(sys, name, dual_key(key)).ominus(space)
-            for key, space in getattr(rp, dual_name).items()
-        }
+        name: {dual_key(key): space.complement() for key, space in getattr(rp, dual_name).items()}
         for name, dual_name in DUAL_SPACES.items()
     }
     return ObservabilityProfile(unobservable=rp.reachable.complement(), **spaces)

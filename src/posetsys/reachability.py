@@ -19,14 +19,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import _linalg as la
-from .blockmat import BlockMatrix, Partition
+from .blockmat import BlockMatrix
 from .errors import (
     NotWeaklyLocallyControllable,
     ShapeMismatch,
     StructureViolation,
 )
 from .poset import Poset, derived_set
-from .subspace import Subspace, image
+from .subspace import Subspace, direct_sum, image
 from .system import PosetCausalSystem, derived, require_valid
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "ctrb_matrix",
     "reachable",
     "downstream_reachable",
-    "coordinate_subspace",
     "profile",
     "weakly_locally_controllable",
     "CharPolyFactorization",
@@ -66,39 +65,46 @@ def reachable(sys: PosetCausalSystem) -> Subspace:
 
 
 def downstream_reachable(sys: PosetCausalSystem, i: int) -> Subspace:
-    """Reachable set of the downstream model at node i, in global coordinates."""
+    """Reachable set of the downstream model at node i, in the coordinates of its down-set."""
     sub = derived(sys, "downstream", i)
-    return image(ctrb_matrix(sub.A.entries, sub.B.entries)).embed(sys.n, sub.n.nonempty)
+    return image(ctrb_matrix(sub.A.entries, sub.B.entries))
 
 
-def coordinate_subspace(partition: Partition, nodes) -> Subspace:
-    """The coordinate block subspace spanned by the blocks in ``nodes``."""
-    total = partition.total
-    return Subspace(total, la.eye(total)[:, partition.indices(nodes)])
-
-
-class DerivedAggregates:
-    """Sets a profile's aggregates to the sums of its ``node_*`` spaces, then ``_derived()``."""
+class BlockProfile:
+    """Both profiles' aggregates (direct sums of the ``node_*`` spaces) and global placement."""
 
     def __post_init__(self):
         for name in ("independent", "floor", "ceiling"):
-            object.__setattr__(self, name, Subspace.sum(*getattr(self, f"node_{name}").values()))
+            spaces = getattr(self, f"node_{name}")
+            object.__setattr__(self, name, direct_sum(*(spaces[j] for j in sorted(spaces))))
         for name, value in self._derived():
             object.__setattr__(self, name, value)
 
+    def embedded(self, sys: PosetCausalSystem, name: str) -> dict:
+        """Field ``name`` (per node, pair or model) of this profile of ``sys``, placed globally."""
+
+        def nodes(key):  # a pair's block, the down- or up-set of a model, a node's own block
+            if isinstance(key, tuple):
+                return (key[self._PAIR_BLOCK],)
+            if name in ("downstream", "upstream"):
+                return derived_set(sys.poset, {key}, name.removesuffix("stream"))
+            return (key,)
+
+        return {key: space.embed(sys.n, nodes(key)) for key, space in getattr(self, name).items()}
+
 
 @dataclass(frozen=True)
-class ReachabilityProfile(DerivedAggregates):
-    """All reachability subspaces of one system, in global coordinates.
+class ReachabilityProfile(BlockProfile):
+    """All reachability subspaces of one system, each in the coordinates of its blocks.
 
-    ``exclusive[(i, j)]`` and ``projected[(i, j)]`` refine ``downstream[j]``
-    against the coordinate block i (for i in the down-set of j); the per-node
-    and aggregate spaces are assembled from them as described in the module
-    docstring. ``local_hull`` collects the per-node projections
-    ``projected[(i, i)]`` and is not comparable with the reachable set. The
-    aggregates, ``local_hull`` and the flags are derived here, so they always
-    match the per-node parts.
+    ``downstream[j]`` lives in the down-set of j; ``exclusive[(i, j)]`` and
+    ``projected[(i, j)]`` refine it against block i and live there
+    (``embedded`` places them globally). ``local_hull``, not comparable with
+    the reachable set, and the aggregates are global and derived here with
+    the flags, so they always match the per-node parts.
     """
+
+    _PAIR_BLOCK = 0
 
     reachable: Subspace
     downstream: dict
@@ -118,11 +124,11 @@ class ReachabilityProfile(DerivedAggregates):
 
     def _derived(self):
         total = self.reachable.ambient
-        yield "local_hull", Subspace.sum(*(self.projected[(j, j)] for j in self.node_floor))
+        yield "local_hull", direct_sum(*(self.projected[(j, j)] for j in sorted(self.node_floor)))
         yield "controllable", self.reachable.dim == total
         yield "independently_controllable", self.independent.dim == total
         yield "weakly_upstream_controllable", self.ceiling.dim == total
-        # each projected[(j, j)] lies in block j, so the hull is full iff every one is
+        # each projected[(j, j)] is block j of the hull, so the hull is full iff every one is
         yield "weakly_locally_controllable", self.local_hull.dim == total
 
 
@@ -134,13 +140,13 @@ def profile(sys: PosetCausalSystem) -> ReachabilityProfile:
     reach = reachable(sys)
     down = {j: downstream_reachable(sys, j) for j in poset.nodes}
 
-    blocks = {j: coordinate_subspace(n, (j,)) for j in poset.nodes}
     exclusive = {}
     projected = {}
     for j in poset.nodes:
-        for i in sorted(derived_set(poset, {j}, "down")):
-            exclusive[(i, j)] = blocks[i].intersect(down[j])
-            projected[(i, j)] = down[j].coordinate_project(n, (i,))
+        below = derived_set(poset, {j}, "down")
+        for i in sorted(below):
+            exclusive[(i, j)] = down[j].section(n.restrict(below), (i,))
+            projected[(i, j)] = down[j].project(n.restrict(below), (i,))
 
     node_independent = {}
     node_ceiling = {}
@@ -149,18 +155,13 @@ def profile(sys: PosetCausalSystem) -> ReachabilityProfile:
         ups = sorted(derived_set(poset, {j}, "up"))
         node_independent[j] = Subspace.sum(*(exclusive[(j, i)] for i in ups))
         node_ceiling[j] = Subspace.sum(*(projected[(j, i)] for i in ups))
-        node_floor[j] = blocks[j].intersect(reach)
-        if not node_ceiling[j].equals(reach.coordinate_project(n, (j,))):
+        node_floor[j] = reach.section(n, (j,))
+        if not node_ceiling[j].equals(reach.project(n, (j,))):
             raise StructureViolation(
                 f"ceiling at node {j} disagrees with the projected reachable set (internal bug)"
             )
 
-    if not Subspace.sum(*down.values()).equals(reach):
-        raise StructureViolation(
-            "reachable set is not the sum of the downstream reachable sets (internal bug)"
-        )
-
-    return ReachabilityProfile(
+    prof = ReachabilityProfile(
         reachable=reach,
         downstream=down,
         exclusive=exclusive,
@@ -169,6 +170,11 @@ def profile(sys: PosetCausalSystem) -> ReachabilityProfile:
         node_floor=node_floor,
         node_ceiling=node_ceiling,
     )
+    if not Subspace.sum(*prof.embedded(sys, "downstream").values()).equals(reach):
+        raise StructureViolation(
+            "reachable set is not the sum of the downstream reachable sets (internal bug)"
+        )
+    return prof
 
 
 def weakly_locally_controllable(sys: PosetCausalSystem):

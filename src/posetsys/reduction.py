@@ -21,7 +21,7 @@ from .observability import unobservable
 from .poset import build_poset
 from .reachability import profile as reach_profile
 from .reachability import reachable
-from .subspace import Subspace
+from .subspace import Subspace, direct_sum
 from .system import PosetCausalSystem, dual_system, require_valid
 
 __all__ = [
@@ -190,23 +190,18 @@ def poset_reduce(sys: PosetCausalSystem, variant: str = "primal") -> ReducedSyst
     op = obs_profile(source)
     inner = rp.node_floor if variant == "dual_circ" else rp.node_independent
     poset = sys.poset
-    n = sys.n
     parts = [
         rp.node_ceiling[j].ominus(inner[j].intersect(op.node_floor[j])) for j in poset.nodes
     ]
-    subspace = Subspace.zero(n.total).sum(*parts)
-    # the canonical basis of a sum of subspaces of distinct blocks is the per-block stack
+    subspace = direct_sum(*parts)
     reduced = _compress(sys, subspace, poset, [part.dim for part in parts], sys.m, sys.r)
     kal = kalman(sys)
-    hypothesis = all(
-        subspace.coordinate_project(n, (j,)).equals(kal.reach_obs.coordinate_project(n, (j,)))
-        for j in poset.nodes
-    )
+    hypothesis = all(kal.reach_obs.project(sys.n, (j,)) == parts[j - 1] for j in poset.nodes)
     return ReducedSystem(
         subspace=subspace,
         system=reduced,
         variant=variant,
-        source_partition=n,
+        source_partition=sys.n,
         optimal_hypothesis=hypothesis,
     )
 

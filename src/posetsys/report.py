@@ -38,8 +38,8 @@ def _space_map(d: dict) -> dict:
     return {str(k) if isinstance(k, int) else _pair_key(k): _space(v) for k, v in sorted(d.items())}
 
 
-def _profile(prof, **extra) -> dict:
-    """Every field of a profile dataclass in field order, its flags last."""
+def _profile(prof, sys: PosetCausalSystem, **extra) -> dict:
+    """Every field of a profile of ``sys`` in field order, in global coordinates, its flags last."""
     out: dict = {}
     flags: dict = {}
     for f in fields(prof):
@@ -47,7 +47,7 @@ def _profile(prof, **extra) -> dict:
         if isinstance(value, bool):
             flags[f.name] = value
         elif isinstance(value, dict):
-            out[f.name] = _space_map(value)
+            out[f.name] = _space_map(prof.embedded(sys, f.name))
         else:
             out[f.name] = _space(value)
     return {**out, **extra, "flags": flags}
@@ -63,11 +63,11 @@ def analyze(sys: PosetCausalSystem, skip_duality: bool = False) -> dict:
         "state_dim": sys.state_dim,
         "valid": vrep.ok,
     }
-    report["reachability"] = _profile(reach_profile(sys))
+    report["reachability"] = _profile(reach_profile(sys), sys)
     op = obs_profile(sys)
     if op != profile_via_duality(sys):
         raise StructureViolation("direct and duality observability routes disagree (internal bug)")
-    report["observability"] = _profile(op, duality_route_agrees=True)
+    report["observability"] = _profile(op, sys, duality_route_agrees=True)
     if not skip_duality:
         drep: DualityReport = verify_duality(sys)
         report["duality"] = {

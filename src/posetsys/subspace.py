@@ -14,7 +14,7 @@ from . import _linalg as la
 from .blockmat import Partition
 from .errors import AmbientMismatch
 
-__all__ = ["Subspace", "image", "kernel"]
+__all__ = ["Subspace", "image", "kernel", "direct_sum"]
 
 
 class Subspace:
@@ -125,16 +125,21 @@ class Subspace:
         coords = la.solve_gram(target.basis, self.basis)
         return Subspace(self.ambient, la.mdot(target.basis, coords))
 
-    def coordinate_project(self, partition: Partition, nodes) -> "Subspace":
-        """Projection onto the coordinate blocks in ``nodes``, in full ambient coordinates."""
+    def _rows(self, partition: Partition, nodes) -> list:
         if partition.total != self.ambient:
-            raise AmbientMismatch(
-                f"partition total {partition.total} != ambient {self.ambient}"
-            )
-        keep = partition.indices(nodes)
-        masked = la.zeros(*self.basis.shape)
-        masked[keep, :] = self.basis[keep, :]
-        return Subspace(self.ambient, masked)
+            raise AmbientMismatch(f"partition total {partition.total} != ambient {self.ambient}")
+        return partition.indices(nodes)
+
+    def project(self, partition: Partition, nodes) -> "Subspace":
+        """Projection onto the coordinate blocks in ``nodes``, in their coordinates."""
+        rows = self._rows(partition, nodes)
+        return Subspace(len(rows), self.basis[rows, :])
+
+    def section(self, partition: Partition, nodes) -> "Subspace":
+        """Intersection with the coordinate blocks in ``nodes``, in their coordinates."""
+        rows = self._rows(partition, nodes)
+        coords = la.kernel_basis(np.delete(self.basis, rows, axis=0))  # vanishing off ``nodes``
+        return Subspace(len(rows), la.mdot(self.basis[rows, :], coords))
 
     def embed(self, partition: Partition, nodes) -> "Subspace":
         """This subspace of the coordinates of ``nodes``, placed in the full ambient.
@@ -167,3 +172,13 @@ def image(matrix: np.ndarray) -> Subspace:
 def kernel(matrix: np.ndarray) -> Subspace:
     """Exact null space."""
     return Subspace(matrix.shape[1], la.kernel_basis(matrix))
+
+
+def direct_sum(*spaces: Subspace) -> Subspace:
+    """The spaces placed block-diagonally, the k-th in the k-th block of coordinates."""
+    placed = la.zeros(sum(s.ambient for s in spaces), sum(s.dim for s in spaces))
+    row = col = 0
+    for space in spaces:
+        placed[row : row + space.ambient, col : col + space.dim] = space.basis
+        row, col = row + space.ambient, col + space.dim
+    return Subspace(placed.shape[0], placed)

@@ -6,13 +6,16 @@ All randomness is seeded; rerunning the suite is deterministic.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from posetsys import _linalg as la
 from posetsys import corpus
+from posetsys.errors import IncompatibleShapes
 from posetsys.poset import Poset, build_poset
 from posetsys.reachability import ctrb_matrix
+from posetsys.subspace import Subspace
 from posetsys.system import PosetCausalSystem
 
 NAMED_POSETS = {name: corpus._POSETS[name] for name in ("p1", "p2", "p3", "p4", "p5", "p6")}
@@ -101,6 +104,41 @@ def random_locally_controllable_system(rng, poset, max_block=3):
     )
 
 
+def coordinate_subspace(partition, nodes) -> Subspace:
+    """The blocks in ``nodes`` as a subspace of the full ambient, spanned by unit vectors."""
+    total = partition.total
+    return Subspace(total, la.eye(total)[:, partition.indices(nodes)])
+
+
+def det(m) -> Fraction:
+    """Exact determinant by fraction Gaussian elimination."""
+    n, nc = m.shape
+    if n != nc:
+        raise IncompatibleShapes("determinant of a non-square matrix")
+    if n == 0:
+        return Fraction(1)
+    a = m.copy()
+    result = Fraction(1)
+    for col in range(n):
+        sel = None
+        for i in range(col, n):
+            if a[i, col] != 0:
+                sel = i
+                break
+        if sel is None:
+            return Fraction(0)
+        if sel != col:
+            a[[col, sel], :] = a[[sel, col], :]
+            result = -result
+        piv = a[col, col]
+        result *= piv
+        for i in range(col + 1, n):
+            if a[i, col] != 0:
+                factor = a[i, col] / piv
+                a[i, col:] = [x - factor * y for x, y in zip(a[i, col:], a[col, col:])]
+    return result
+
+
 def char_poly_by_interpolation(m):
     """Independent oracle: evaluate det(xI - m) at n+1 points, then interpolate."""
     n = m.shape[0]
@@ -110,7 +148,7 @@ def char_poly_by_interpolation(m):
         shifted = -m.copy()
         for i in range(n):
             shifted[i, i] += x
-        values.append(la.det(shifted))
+        values.append(det(shifted))
     coeffs = [la.F(0)] * (n + 1)
     for i, xi in enumerate(points):
         basis = [la.F(1)]

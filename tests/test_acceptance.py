@@ -50,8 +50,9 @@ def test_criterion_01_reachability_golden_values():
         3: [{5: 1, 10: 1}, {6: 1, 11: 1}],
         4: [{9: 1}, {11: 1}],
     }
+    placed = rp.embedded(sys, "downstream")
     for j, combo in downstream.items():
-        assert rp.downstream[j].equals(_span(X, combo))
+        assert placed[j].equals(_span(X, combo))
 
     exclusive = {
         (1, 1): [{1: 1}], (2, 1): [{3: 1}], (4, 1): [{9: 1}],
@@ -60,8 +61,9 @@ def test_criterion_01_reachability_golden_values():
         (4, 4): [{9: 1}, {11: 1}],
     }
     assert set(rp.exclusive) == set(exclusive)
+    placed = rp.embedded(sys, "exclusive")
     for key, combo in exclusive.items():
-        assert rp.exclusive[key].equals(_span(X, combo))
+        assert placed[key].equals(_span(X, combo))
 
     per_node = {
         1: ([{1: 1}], [{1: 1}], [{1: 1}]),
@@ -70,10 +72,12 @@ def test_criterion_01_reachability_golden_values():
         4: ([{9: 1}, {11: 1}], [{8: 1}, {9: 1}, {11: 1}],
             [{8: 1}, {9: 1}, {10: 1}, {11: 1}]),
     }
+    node = {name: rp.embedded(sys, name)
+            for name in ("node_independent", "node_floor", "node_ceiling")}
     for j, (indep, floor, ceil) in per_node.items():
-        assert rp.node_independent[j].equals(_span(X, indep))
-        assert rp.node_floor[j].equals(_span(X, floor))
-        assert rp.node_ceiling[j].equals(_span(X, ceil))
+        assert node["node_independent"][j].equals(_span(X, indep))
+        assert node["node_floor"][j].equals(_span(X, floor))
+        assert node["node_ceiling"][j].equals(_span(X, ceil))
 
     assert rp.independent.equals(_span(X, [{1: 1}, {3: 1}, {4: 1}, {9: 1}, {11: 1}]))
     assert rp.floor.equals(_span(X, [{1: 1}, {3: 1}, {4: 1}, {6: 1}, {8: 1}, {9: 1}, {11: 1}]))
@@ -113,16 +117,19 @@ def test_criterion_02_observability_golden_values():
         3: [{5: 1}, {7: 1}],
         4: [{2: 1}, {4: 1}, {5: -1, 10: 1}, {6: 1}, {8: 1}, {9: 1}, {11: 1}],
     }
+    placed = op.embedded(sys, "upstream")
     for i, combo in upstream.items():
-        assert op.upstream[i].equals(_span(X, combo))
+        assert placed[i].equals(_span(X, combo))
 
     floors = {1: [], 2: [], 3: [], 4: [{8: 1}, {9: 1}, {11: 1}]}
     outers = {1: [{2: 1}], 2: [{4: 1}], 3: [{5: 1}],
               4: [{8: 1}, {9: 1}, {10: 1}, {11: 1}]}
+    node = {name: op.embedded(sys, name)
+            for name in ("node_independent", "node_floor", "node_ceiling")}
     for j in (1, 2, 3, 4):
-        assert op.node_floor[j].equals(_span(X, floors[j]))
-        assert op.node_independent[j].equals(_span(X, outers[j]))
-        assert op.node_ceiling[j].equals(_span(X, outers[j]))
+        assert node["node_floor"][j].equals(_span(X, floors[j]))
+        assert node["node_independent"][j].equals(_span(X, outers[j]))
+        assert node["node_ceiling"][j].equals(_span(X, outers[j]))
 
     assert op.floor.equals(_span(X, [{8: 1}, {9: 1}, {11: 1}]))
     full = [{2: 1}, {4: 1}, {5: 1}, {8: 1}, {9: 1}, {10: 1}, {11: 1}]
@@ -180,11 +187,12 @@ def test_criterion_05_structured_reductions_of_the_gap_system():
     assert primal.block_dims == (2, 1)
     assert primal.total_dim == 3
     rp = reach_profile(sys)
-    assert rp.node_independent[1].equals(rp.node_floor[1])
-    assert rp.node_independent[2].equals(rp.node_floor[2])
+    independent, floor = rp.embedded(sys, "node_independent"), rp.embedded(sys, "node_floor")
+    assert independent[1].equals(floor[1])
+    assert independent[2].equals(floor[2])
     blocks = primal.subspace
-    assert blocks.coordinate_project(sys.n, (1,)).equals(_span(4, [{1: 1}, {2: 1}]))
-    assert blocks.coordinate_project(sys.n, (2,)).equals(_span(4, [{4: 1}]))
+    assert blocks.project(sys.n, (1,)).embed(sys.n, (1,)).equals(_span(4, [{1: 1}, {2: 1}]))
+    assert blocks.project(sys.n, (2,)).embed(sys.n, (2,)).equals(_span(4, [{4: 1}]))
     assert primal.moment_horizon == sys.state_dim + primal.total_dim - 1
     assert moments_equal(sys, primal.system)
 

@@ -84,6 +84,13 @@ def test_block_matrix_refuses_boolean_entries():
             BlockMatrix(bad, one, one)
 
 
+def test_block_matrix_refuses_floats_and_bools_inside_object_arrays():
+    one = Partition((1,))
+    for bad in (0.5, True, np.float64(1.0)):
+        with pytest.raises(TypeError, match="exact rational"):
+            BlockMatrix(np.array([[bad]], dtype=object), one, one)
+
+
 def test_is_incident_tree_patterns():
     # mirrored-tree pattern: nonzero first row of blocks plus the diagonal
     p3 = named_poset("p3")

@@ -177,6 +177,14 @@ def test_demo_list_and_single(capsys):
     assert "all corpus checks passed" in out_one
 
 
+def test_demo_prints_a_set_as_a_sorted_list(capsys):
+    # a set's repr follows its iteration order, which can differ between runs
+    code, out, _ = _run(capsys, "demo", "order-basics")
+    assert code == 0
+    line = next(line for line in out.splitlines() if "covering edges" in line)
+    assert line.endswith("computed [(1, 2), (2, 4), (3, 2)] | published [(1, 2), (2, 4), (3, 2)]")
+
+
 def test_demo_unknown_name(capsys):
     code, _, err = _run(capsys, "demo", "nope")
     assert code == 2

@@ -22,8 +22,10 @@ from posetsys.blockmat import Partition, embed
 from posetsys.corpus import load_corpus_system
 from posetsys.errors import AmbientMismatch
 from posetsys.observability import obsv_matrix, upstream_indistinguishable
+from posetsys.observability import profile as observability_profile
 from posetsys.poset import derived_set
 from posetsys.reachability import ctrb_matrix, downstream_reachable
+from posetsys.reachability import profile as reachability_profile
 from posetsys.sim import (
     DecompositionReport,
     InputSignal,
@@ -146,17 +148,21 @@ def test_nan_initial_state_gives_nan_in_the_oracle_families(name):
 
 
 def _assert_embeddings_equal_the_identity_product(sys):
+    downstream = reachability_profile(sys).embedded(sys, "downstream")
+    upstream = observability_profile(sys).embedded(sys, "upstream")
     for i in sys.poset.nodes:
         down = derived(sys, "downstream", i)
         space = image(ctrb_matrix(down.A.entries, down.B.entries))
         want = space.apply(embed(sys.n, down.n.nonempty).entries)
         assert space.embed(sys.n, down.n.nonempty) == want
-        assert downstream_reachable(sys, i) == want
+        assert downstream_reachable(sys, i) == space
+        assert downstream[i] == want
         up = derived(sys, "upstream", i)
         space = kernel(obsv_matrix(up.C.entries, up.A.entries))
         want = space.apply(embed(sys.n, up.n.nonempty).entries)
         assert space.embed(sys.n, up.n.nonempty) == want
-        assert upstream_indistinguishable(sys, i) == want
+        assert upstream_indistinguishable(sys, i) == space
+        assert upstream[i] == want
 
 
 @pytest.mark.parametrize("name", SHIPPED)

@@ -2,27 +2,27 @@
 
 ``hand_verify_duality`` is the identity list of ``verify_duality`` and
 ``hand_reduction_blocks`` the per-block formulas of ``poset_reduce`` as they
-read when every pairing was spelled out field by field; both stay here as
-oracles for the table-driven code. Random systems come from the ``conftest``
+read when every pairing was spelled out field by field, every space in global
+coordinates; both stay here as oracles for the table-driven code, reading the
+profiles through ``embedded``. Random systems come from the ``conftest``
 generators, driven by a shrinkable ``hypothesis`` random source.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_poset, random_system
+from conftest import coordinate_subspace, random_poset, random_system
 from posetsys import _linalg as la
 from posetsys import duality
 from posetsys.corpus import load_corpus_system
 from posetsys.duality import verify_duality
-from posetsys.observability import DUAL_SPACES, dual_key, profile_via_duality, support
+from posetsys.observability import DUAL_SPACES, dual_key, profile_via_duality
 from posetsys.observability import profile as obs_profile
 from posetsys.poset import build_poset, derived_set
-from posetsys.reachability import coordinate_subspace
 from posetsys.reachability import profile as reach_profile
 from posetsys.reduction import REDUCTION_VARIANTS, moments_equal, poset_reduce
 from posetsys.subspace import Subspace
@@ -37,6 +37,20 @@ def systems(draw):
     return random_system(rng, random_poset(rng, draw(st.integers(1, 4))))
 
 
+class Global:
+    """A profile of ``system`` whose per-node, per-pair and model spaces read globally."""
+
+    def __init__(self, prof, system):
+        self._prof = prof
+        self._spaces = {
+            f.name: prof.embedded(system, f.name)
+            for f in fields(prof) if isinstance(getattr(prof, f.name), dict)
+        }
+
+    def __getattr__(self, name):
+        return self._spaces[name] if name in self._spaces else getattr(self._prof, name)
+
+
 def hand_verify_duality(sys):
     """(name, scope, ok) of every identity, each pairing written out by hand.
 
@@ -44,8 +58,9 @@ def hand_verify_duality(sys):
     replaces them there changes what both this oracle and ``verify_duality`` see.
     """
     dual = dual_system(sys)
-    rp, op = duality.reach_profile(sys), duality.obs_profile(sys)
-    rpd, opd = duality.reach_profile(dual), duality.obs_profile(dual)
+    rp, op = Global(duality.reach_profile(sys), sys), Global(duality.obs_profile(sys), sys)
+    rpd = Global(duality.reach_profile(dual), dual)
+    opd = Global(duality.obs_profile(dual), dual)
     poset, n = sys.poset, sys.n
     blocks = {j: coordinate_subspace(n, (j,)) for j in poset.nodes}
     checks = []
@@ -110,7 +125,7 @@ def hand_verify_duality(sys):
 
 def hand_reduction_blocks(sys, variant):
     """Per-block subspaces of ``poset_reduce``, the dual variants through complements."""
-    rp, op = reach_profile(sys), obs_profile(sys)
+    rp, op = Global(reach_profile(sys), sys), Global(obs_profile(sys), sys)
     parts = []
     for j in sys.poset.nodes:
         block = coordinate_subspace(sys.n, (j,))
@@ -143,6 +158,21 @@ def test_duality_holds_and_matches_the_hand_listed_identities(sys):
     assert len(rep.checks) == len(hand)
 
 
+def support(sys, name, key):
+    """The coordinate blocks that the observability space ``name[key]`` of ``sys`` lies in.
+
+    Block ``key[1]`` for a pair, block ``key`` for a node bound and the up-set
+    of ``key`` for ``upstream``.
+    """
+    if isinstance(key, tuple):
+        nodes = (key[1],)
+    elif name == "upstream":
+        nodes = derived_set(sys.poset, {key}, "up")
+    else:
+        nodes = (key,)
+    return coordinate_subspace(sys.n, nodes)
+
+
 @PROPERTIES
 @given(systems())
 def test_both_observability_routes_agree_and_every_space_lies_in_its_support(sys):
@@ -151,9 +181,13 @@ def test_both_observability_routes_agree_and_every_space_lies_in_its_support(sys
     dual = dual_system(sys)
     rpd = reach_profile(dual)
     for name, dual_name in DUAL_SPACES.items():
+        placed = op.embedded(sys, name)
+        placed_dual = rpd.embedded(dual, dual_name)
         for key, space in getattr(op, name).items():
-            assert support(sys, name, key).contains(space), (name, key)
-            assert support(sys, name, key).contains(getattr(rpd, dual_name)[dual_key(key)])
+            room = support(sys, name, key)
+            assert space.ambient == room.dim, (name, key)
+            assert room.contains(placed[key]), (name, key)
+            assert room.contains(placed_dual[dual_key(key)]), (name, key)
 
 
 @PROPERTIES
@@ -183,11 +217,11 @@ def test_dual_circ_cuts_with_the_floor():
     assert dims == {"primal": (0, 0), "dual_tilde": (0, 1), "dual_circ": (0, 0)}
 
 
-def _replace_one(spaces, room_of):
-    """``spaces`` with one space of non-zero support replaced by another subspace of it."""
+def _replace_one(spaces):
+    """``spaces`` with one space of non-zero blocks replaced by another subspace of them."""
     spaces = dict(spaces)
-    key = next(k for k in spaces if not room_of(k).is_zero())
-    room = room_of(key)
+    key = next(k for k, space in spaces.items() if space.ambient)
+    room = Subspace.full(spaces[key].ambient)
     spaces[key] = Subspace.zero(room.ambient) if spaces[key] == room else room
     return spaces
 
@@ -198,17 +232,15 @@ def test_a_replaced_space_fails_both_routes(monkeypatch, side, field):
     sys = load_corpus_system("strict-chain-combined")
     if side == "observability":
         attr, name = "obs_profile", field
-        room_of = lambda key: support(sys, field, key)  # noqa: E731
     else:
         # a reachability space of sys pairs with an observability space of the dual
         attr, name = "reach_profile", DUAL_SPACES[field]
-        room_of = lambda key: support(dual_system(sys), field, dual_key(key))  # noqa: E731
     real = getattr(duality, attr)
 
     def patched(s):
         prof = real(s)
         if s is sys:
-            prof = replace(prof, **{name: _replace_one(getattr(prof, name), room_of)})
+            prof = replace(prof, **{name: _replace_one(getattr(prof, name))})
         return prof
 
     monkeypatch.setattr(duality, attr, patched)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from conftest import det
 from posetsys import _linalg as la
 from posetsys.errors import SingularMatrix
 
@@ -45,9 +46,9 @@ def test_inverse_singular():
 
 
 def test_det_triangular_and_swap():
-    assert la.det(la.fmat([[2, 5], [0, 3]])) == 6
-    assert la.det(la.fmat([[0, 1], [1, 0]])) == -1
-    assert la.det(la.zeros(0, 0)) == 1
+    assert det(la.fmat([[2, 5], [0, 3]])) == 6
+    assert det(la.fmat([[0, 1], [1, 0]])) == -1
+    assert det(la.zeros(0, 0)) == 1
 
 
 from conftest import char_poly_by_interpolation as _char_poly_by_interpolation
@@ -98,6 +99,13 @@ def test_object_arrays_pass_through_untouched():
     assert la.fvec(la.fvec([1, 2])).shape == (2, 1)
     ints = la.fmat(np.array([[1, 2]]))
     assert ints.dtype == object and all(type(x) is F for x in ints.flat)
+    held = la.fmat(np.array([[1, np.int64(2)]], dtype=object))
+    assert held.dtype == object and all(type(x) is F for x in held.flat)
+    for bad in (0.5, True):
+        with pytest.raises(TypeError, match="exact rational"):
+            la.fmat(np.array([[1, bad]], dtype=object))
+        with pytest.raises(TypeError, match="exact rational"):
+            la.fvec(np.array([1, bad], dtype=object))
 
 
 def test_fmat_refuses_text_entries():

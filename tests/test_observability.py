@@ -1,6 +1,7 @@
 import numpy as np
 
 from conftest import (
+    coordinate_subspace,
     random_locally_controllable_system,
     random_poset,
     random_system,
@@ -55,12 +56,12 @@ def test_upstream_sets_live_upstream(rng):
         poset = random_poset(rng, rng.randint(1, 5))
         sys = random_system(rng, poset)
         from posetsys.poset import derived_set
-        from posetsys.reachability import coordinate_subspace
 
+        placed = profile(sys).embedded(sys, "upstream")
         for i in poset.nodes:
             ups = derived_set(poset, {i}, "up")
-            space = upstream_indistinguishable(sys, i)
-            assert coordinate_subspace(sys.n, ups).contains(space)
+            assert upstream_indistinguishable(sys, i).ambient == len(sys.n.indices(ups))
+            assert coordinate_subspace(sys.n, ups).contains(placed[i])
 
 
 def test_profile_chain(rng):
@@ -88,8 +89,6 @@ def test_profile_optimality(rng):
             inner = Subspace(sys.state_dim, basis[:, cols]) if cols else Subspace.zero(sys.state_dim)
         else:
             inner = Subspace.zero(sys.state_dim)
-        from posetsys.reachability import coordinate_subspace
-
         structured_inner = Subspace.zero(sys.state_dim)
         for j in poset.nodes:
             structured_inner = structured_inner.sum(
@@ -104,7 +103,7 @@ def test_profile_optimality(rng):
         )
         outer = Subspace.zero(sys.state_dim)
         for j in poset.nodes:
-            outer = outer.sum(bigger.coordinate_project(sys.n, (j,)))
+            outer = outer.sum(bigger.project(sys.n, (j,)).embed(sys.n, (j,)))
         assert outer.contains(op.ceiling)
 
 
@@ -144,16 +143,15 @@ def test_zero_system_profile():
 def test_block_projection_of_distinguishable_states(rng):
     # projecting the complement of the unobservable set onto a block equals
     # the block minus its floor
-    from posetsys.reachability import coordinate_subspace
-
     for _ in range(10):
         poset = random_poset(rng, rng.randint(1, 5))
         sys = random_system(rng, poset)
         op = profile(sys)
         seen = op.unobservable.complement()
+        floor = op.embedded(sys, "node_floor")
         for j in poset.nodes:
-            lhs = seen.coordinate_project(sys.n, (j,))
-            rhs = coordinate_subspace(sys.n, (j,)).ominus(op.node_floor[j])
+            lhs = seen.project(sys.n, (j,)).embed(sys.n, (j,))
+            rhs = coordinate_subspace(sys.n, (j,)).ominus(floor[j])
             assert lhs.equals(rhs)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    coordinate_subspace,
     named_poset,
     random_locally_controllable_system,
     random_poset,
@@ -19,7 +20,6 @@ from posetsys.errors import NotWeaklyLocallyControllable, ShapeMismatch
 from posetsys.poset import build_poset, derived_set
 from posetsys.reachability import (
     char_poly_factored,
-    coordinate_subspace,
     ctrb_matrix,
     downstream_reachable,
     pole_place,
@@ -67,11 +67,13 @@ def test_antichain_profile_matches_per_block_oracle(rng):
     for _ in range(5):
         sys = random_system(rng, poset)
         rp = profile(sys)
+        node = {name: rp.embedded(sys, name)
+                for name in ("node_independent", "node_floor", "node_ceiling")}
         for j in poset.nodes:
             want = _per_block_reach_oracle(sys, j)
-            assert rp.node_independent[j].equals(want)
-            assert rp.node_floor[j].equals(want)
-            assert rp.node_ceiling[j].equals(want)
+            assert node["node_independent"][j].equals(want)
+            assert node["node_floor"][j].equals(want)
+            assert node["node_ceiling"][j].equals(want)
 
 
 def test_profile_chain_and_sum_decomposition(rng):
@@ -82,19 +84,21 @@ def test_profile_chain_and_sum_decomposition(rng):
         assert rp.floor.contains(rp.independent)
         assert rp.reachable.contains(rp.floor)
         assert rp.ceiling.contains(rp.reachable)
+        downstream = rp.embedded(sys, "downstream")
+        exclusive, projected = rp.embedded(sys, "exclusive"), rp.embedded(sys, "projected")
         summed = Subspace.zero(sys.state_dim)
         for i in poset.nodes:
-            summed = summed.sum(rp.downstream[i])
+            summed = summed.sum(downstream[i])
         assert summed.equals(rp.reachable)
         for j in poset.nodes:
             down = sorted(derived_set(poset, {j}, "down"))
             inner = Subspace.zero(sys.state_dim)
             outer = Subspace.zero(sys.state_dim)
             for i in down:
-                inner = inner.sum(rp.exclusive[(i, j)])
-                outer = outer.sum(rp.projected[(i, j)])
-            assert rp.downstream[j].contains(inner)
-            assert outer.contains(rp.downstream[j])
+                inner = inner.sum(exclusive[(i, j)])
+                outer = outer.sum(projected[(i, j)])
+            assert downstream[j].contains(inner)
+            assert outer.contains(downstream[j])
 
 
 def test_profile_optimality_of_floor_and_ceiling(rng):
@@ -110,9 +114,10 @@ def test_profile_optimality_of_floor_and_ceiling(rng):
             inner = Subspace(sys.state_dim, basis[:, cols]) if cols else Subspace.zero(sys.state_dim)
         else:
             inner = Subspace.zero(sys.state_dim)
+        floor, ceiling = rp.embedded(sys, "node_floor"), rp.embedded(sys, "node_ceiling")
         for j in poset.nodes:
             qj = inner.intersect(coordinate_subspace(sys.n, (j,)))
-            assert rp.node_floor[j].contains(qj)
+            assert floor[j].contains(qj)
         bigger = rp.reachable.sum(
             Subspace.from_columns(
                 sys.state_dim,
@@ -120,8 +125,8 @@ def test_profile_optimality_of_floor_and_ceiling(rng):
             )
         )
         for j in poset.nodes:
-            sj = bigger.coordinate_project(sys.n, (j,))
-            assert sj.contains(rp.node_ceiling[j])
+            sj = bigger.project(sys.n, (j,)).embed(sys.n, (j,))
+            assert sj.contains(ceiling[j])
 
 
 def test_reachable_is_a_invariant_but_bounds_need_not_be():
@@ -296,7 +301,8 @@ def _assert_local_routes_agree(sys):
     flag, detail = weakly_locally_controllable(sys)
     rp = profile(sys)
     assert rp.weakly_locally_controllable == flag
-    assert detail == {j: rp.projected[(j, j)].dim == sys.n.size(j) for j in sys.poset.nodes}
+    projected = rp.embedded(sys, "projected")
+    assert detail == {j: projected[(j, j)].dim == sys.n.size(j) for j in sys.poset.nodes}
 
 
 @pytest.mark.parametrize("name", sorted({Path(f).stem for f in corpus._SYSTEM_FILES.values()}))

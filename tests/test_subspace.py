@@ -6,7 +6,7 @@ import pytest
 from posetsys import _linalg as la
 from posetsys.blockmat import Partition
 from posetsys.errors import AmbientMismatch
-from posetsys.subspace import Subspace, image, kernel
+from posetsys.subspace import Subspace, direct_sum, image, kernel
 
 
 def _random_subspace(rng, ambient, dim):
@@ -99,26 +99,47 @@ def test_ominus_general_form():
     assert u.ominus(v).equals(Subspace.from_columns(2, [[1, -1]]))
 
 
-def test_coordinate_project_examples():
+def test_project_examples():
     part = Partition((2, 2))
     u = Subspace.from_columns(4, [[0, 1, 0, 1]])
-    proj = u.coordinate_project(part, (2,))
-    assert proj.equals(Subspace.from_columns(4, [[0, 0, 0, 1]]))
+    proj = u.project(part, (2,))
+    assert proj.equals(Subspace.from_columns(2, [[0, 1]]))
+    assert proj.embed(part, (2,)).equals(Subspace.from_columns(4, [[0, 0, 0, 1]]))
     inside = Subspace.from_columns(4, [[0, 0, 1, 2]])
-    assert inside.coordinate_project(part, (2,)).equals(inside)
+    assert inside.project(part, (2,)).embed(part, (2,)).equals(inside)
 
 
-def test_coordinate_project_requires_matching_ambient():
+def test_project_and_section_require_matching_ambient():
     with pytest.raises(AmbientMismatch):
-        Subspace.full(3).coordinate_project(Partition((2, 2)), (1,))
+        Subspace.full(3).project(Partition((2, 2)), (1,))
+    with pytest.raises(AmbientMismatch):
+        Subspace.full(3).section(Partition((2, 2)), (1,))
 
 
-def test_coordinate_project_is_exact_projection(rng):
+def test_section_examples():
+    part = Partition((2, 2))
+    u = Subspace.from_columns(4, [[1, 0, 1, 0], [0, 1, 1, 0]])
+    # x1 - x2 kills block 2, so the section in block 1 is the line (1, -1)
+    assert u.section(part, (1,)) == Subspace.from_columns(2, [[1, -1]])
+    assert u.section(part, (2,)).is_zero()
+    assert u.section(part, (1, 2)) == u
+    assert Subspace.zero(4).section(part, (2,)) == Subspace.zero(2)
+
+
+def test_direct_sum_examples():
+    line = Subspace.from_columns(2, [[1, 2]])
+    both = direct_sum(line, Subspace.zero(0), Subspace.full(1))
+    assert both == Subspace.from_columns(3, [[1, 2, 0], [0, 0, 1]])
+    assert direct_sum() == Subspace.zero(0)
+    assert direct_sum(Subspace.zero(2), line) == Subspace.from_columns(4, [[0, 0, 1, 2]])
+
+
+def test_project_is_exact_projection(rng):
     part = Partition((1, 2, 0, 3))
     for _ in range(10):
         u = _random_subspace(rng, 6, rng.randint(0, 4))
         nodes = tuple(j for j in (1, 2, 3, 4) if rng.random() < 0.5)
-        proj = u.coordinate_project(part, nodes)
+        proj = u.project(part, nodes).embed(part, nodes)
         keep = [k for j in nodes for k in part.block_range(j)]
         mat = la.zeros(6, 6)
         for k in keep:
@@ -158,6 +179,14 @@ def test_float_arrays_are_refused_and_integer_arrays_made_exact():
     assert all(type(x) is F for x in line.basis.flat)
     assert line.contains_vector(np.array([3, 0]))
     assert not line.contains_vector(np.array([[0], [1]]))
+
+
+def test_floats_and_bools_inside_object_arrays_are_refused():
+    for bad in (0.5, True):
+        with pytest.raises(TypeError, match="exact rational"):
+            Subspace(2, np.array([[bad], [0]], dtype=object))
+        with pytest.raises(TypeError, match="exact rational"):
+            Subspace.full(2).contains_vector(np.array([bad, 0], dtype=object))
 
 
 def test_columns_of_the_wrong_length_are_an_ambient_mismatch():

@@ -10,10 +10,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import coordinate_subspace
 from posetsys import _linalg as la
 from posetsys.blockmat import Partition
-from posetsys.reachability import coordinate_subspace
-from posetsys.subspace import Subspace
+from posetsys.subspace import Subspace, direct_sum
 
 LAWS = settings(max_examples=120, deadline=None, derandomize=True)
 
@@ -98,4 +98,23 @@ def test_coordinate_subspace_and_project_match_unit_vectors(part_nodes, data):
     mask = la.zeros(total, total)
     for k in keep:
         mask[k, k] = Fraction(1)
-    assert u.coordinate_project(partition, nodes) == u.apply(mask)
+    assert u.project(partition, nodes).embed(partition, nodes) == u.apply(mask)
+
+
+@LAWS
+@given(_partition_and_nodes(), st.data())
+def test_section_is_the_intersection_with_the_blocks(part_nodes, data):
+    partition, nodes = part_nodes
+    u = data.draw(_subspace(partition.total))
+    section = u.section(partition, nodes)
+    assert section.ambient == len(_coordinates(partition, nodes))
+    assert section.embed(partition, nodes) == u.intersect(coordinate_subspace(partition, nodes))
+
+
+@LAWS
+@given(st.lists(st.integers(0, 3), max_size=4), st.data())
+def test_direct_sum_is_the_sum_of_the_embeddings(sizes, data):
+    spaces = [data.draw(_subspace(size)) for size in sizes]
+    partition = Partition(sizes)
+    placed = [space.embed(partition, (j,)) for j, space in enumerate(spaces, start=1)]
+    assert direct_sum(*spaces) == Subspace.zero(partition.total).sum(*placed)

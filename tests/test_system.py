@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_poset, random_system, structured_random_matrix
+from conftest import det, random_poset, random_system, structured_random_matrix
 from posetsys import _linalg as la
 from posetsys import corpus
 from posetsys.blockmat import compress, is_incident
@@ -178,7 +178,7 @@ def test_transfer_eval_structure_and_oracle(rng):
         for k in range(sys.state_dim):
             shifted[k, k] = s
         shifted = shifted - sys.A.entries
-        if la.det(shifted) == 0:
+        if det(shifted) == 0:
             continue
         f = transfer_eval(sys, s)
         dense = sys.D.entries + la.mdot(
@@ -282,6 +282,18 @@ def test_dual_of_a_derived_model_is_the_mirrored_model_of_the_dual(name):
 @given(st.randoms(use_true_random=False), st.integers(1, 5))
 def test_dual_of_a_derived_model_is_the_mirrored_model_of_the_dual_random(rng, p):
     _assert_derived_models_are_dual(random_system(rng, random_poset(rng, p)))
+
+
+def test_floats_and_bools_inside_object_arrays_are_refused():
+    # an object array once passed unchecked, and the float surfaced only deep in a profile
+    poset = build_poset(1, [])
+    half = np.array([[0.5, 0], [0, 1]], dtype=object)
+    with pytest.raises(TypeError, match="exact rational"):
+        PosetCausalSystem(poset, [2], [1], [1], half, [[1], [1]], [[1, 0]], [[0]])
+    for bad in (np.array([0.5, 1], dtype=object), np.array([True, 1], dtype=object)):
+        with pytest.raises(TypeError, match="exact rational"):
+            PosetCausalSystem(poset, [2], [1], [1], [[1, 0], [0, 1]], [[1], [1]], [[1, 0]], [[0]],
+                              x0=bad)
 
 
 def test_inexact_x0_entries_and_evaluation_points_are_refused():
