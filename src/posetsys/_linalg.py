@@ -1,18 +1,30 @@
 """Exact dense linear algebra over the rationals.
 
-All matrices are 2-D numpy arrays of dtype=object holding ``fractions.Fraction``
-entries. This module alone decides what an exact entry is (``exact_entry``): a
-Fraction, an int or a numpy integer; a bool, a float or anything else raises
-TypeError. ``exact_entry`` and ``exact_matrix`` are not in ``__all__``, so the
-benchmark's tracer, which wraps every listed function, does not count each
-entry and matrix. Everything here is exact; nothing ever rounds.
+Matrices are 2-D numpy arrays of dtype=object, of two kinds:
 
-The interface stays Fraction arrays, but the two kernels the other routines
-are built on, ``mdot`` and ``rref``, compute on Python ints: they clear the
-denominators of each row on the way in and form Fractions only on the way
-out. A product then costs one gcd per output entry instead of one per
-multiply-add, and an elimination forms no Fraction until it divides out its
-pivots.
+* *Exact* matrices hold ``fractions.Fraction`` entries. They are the system
+  matrices and what every caller outside the package sees. ``mdot``,
+  ``inverse``, ``solve_gram`` and ``krylov`` take and return them; ``rank``
+  and ``char_poly`` take them.
+* *Integer* matrices hold Python ints. The eliminations ``rref``,
+  ``column_echelon`` and ``kernel_basis`` take and return them, and
+  ``subspace`` keeps every basis in this form, so a lattice operation forms
+  no Fraction. ``rref`` returns each pivot row primitive with a positive
+  pivot, which is as unique for the row space as the pivot-1 form (fraction
+  free in the sense of Bareiss, Math. Comp. 22, 1968).
+
+This module alone decides what an exact entry is (``exact_entry``): a
+Fraction, an int or a numpy integer; a bool, a float or anything else raises
+TypeError. ``cleared_rows`` turns an exact matrix into an integer one by
+scaling each row by its common denominator, which keeps the row space and
+the kernel. ``exact_entry``, ``exact_matrix`` and ``cleared_rows`` are not in
+``__all__``, so the benchmark's tracer, which wraps every listed function,
+does not count them. Everything here is exact; nothing ever rounds.
+
+Products of exact matrices run on ints too: ``mdot`` clears each row of both
+factors on the way in and forms Fractions only on the way out, and
+``krylov``, the one power loop, clears ``a`` once to a single denominator and
+multiplies Python ints at every step.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ __all__ = [
     "zeros",
     "eye",
     "mdot",
+    "krylov",
     "is_zero_matrix",
     "rref",
     "column_echelon",
@@ -117,6 +130,25 @@ def _int_rows(m: np.ndarray) -> tuple[list[list[int]], list[int]]:
     return rows, dens
 
 
+def _int_matrix(rows: list, shape: tuple) -> np.ndarray:
+    out = np.empty(shape, dtype=object)  # not from a nested list: a 0 x n matrix would lose a dimension
+    for i, row in enumerate(rows):
+        out[i, :] = row
+    return out
+
+
+def cleared_rows(m: np.ndarray) -> np.ndarray:
+    """The integer matrix whose row i is row i of the exact matrix ``m`` times its common denominator."""
+    return _int_matrix(_int_rows(m)[0], m.shape)
+
+
+def _cleared(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """``m`` as an integer matrix over one common denominator."""
+    d = lcm(*(x.denominator for x in m.flat))
+    rows = [[x.numerator * (d // x.denominator) for x in row] for row in m.tolist()]
+    return _int_matrix(rows, m.shape), d
+
+
 def mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact matrix product; handles zero-sized operands.
 
@@ -136,20 +168,42 @@ def mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def krylov(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """The exact matrix [b, ab, ..., a^(k-1) b]: the one power loop.
+
+    ``a`` is cleared once, to Ia / d, and ``b`` to Ib / e, so a^j b is the
+    integer product Ia^j Ib over d^j e. Each block forms its Fractions once.
+    """
+    n, cols = b.shape
+    if a.shape != (n, n):
+        raise IncompatibleShapes(f"cannot take powers of {a.shape} against {b.shape}")
+    a_ints, d = _cleared(a)
+    cur, den = _cleared(b)
+    out = np.empty((n, k * cols), dtype=object)
+    for j in range(k):
+        if j:
+            cur = a_ints.dot(cur)
+            den *= d
+        for i, row in enumerate(cur.tolist()):
+            out[i, j * cols : (j + 1) * cols] = [Fraction(x, den) if x else _ZERO for x in row]
+    return out
+
+
 def is_zero_matrix(a: np.ndarray) -> bool:
     return all(x == 0 for x in a.flat)
 
 
 def rref(m: np.ndarray):
-    """Reduced row echelon form. Returns (R, pivot_columns).
+    """Reduced row echelon form of an integer matrix, in integers. Returns (R, pivot_columns).
 
-    Gauss-Jordan on integer rows: each row is cleared of denominators and
-    every update ``(p/g) row - (f/g) pivot_row`` is divided by its content,
-    which changes rows only by nonzero scalars. Dividing each pivot row by its
-    pivot at the end gives the reduced form, which is unique for the row space.
+    Gauss-Jordan on Python ints: every update ``(p/g) row - (f/g) pivot_row``
+    is divided by its content, which changes rows only by nonzero scalars. At
+    the end each pivot row is made primitive with a positive pivot. Divided by
+    its pivot it is the pivot-1 reduced form, so R is unique for the row space
+    as well. Rows past the pivots are zero.
     """
     nrows, ncols = m.shape
-    rows = _int_rows(m)[0]
+    rows = m.tolist()
     pivots: list[int] = []
     row = 0
     for col in range(ncols):
@@ -173,39 +227,51 @@ def rref(m: np.ndarray):
                 rows[i] = new
         pivots.append(col)
         row += 1
-    r = np.empty((nrows, ncols), dtype=object)  # not zeros(): rref calls no public function
-    r[...] = _ZERO
     for i, col in enumerate(pivots):
-        piv = rows[i][col]
-        r[i, :] = [Fraction(x, piv) if x else _ZERO for x in rows[i]]
-    return r, pivots
+        content = gcd(*rows[i]) if rows[i][col] > 0 else -gcd(*rows[i])
+        if content != 1:
+            rows[i] = [x // content for x in rows[i]]
+    return _int_matrix(rows, (nrows, ncols)), pivots
 
 
 def column_echelon(m: np.ndarray) -> np.ndarray:
-    """Canonical basis of the column space: reduced column echelon form.
+    """Canonical basis of the column space of an integer matrix: reduced column echelon form.
 
-    Pivot entries are normalized to 1 and zero columns are dropped, so two
-    matrices have identical output iff their column spaces coincide.
+    Each column is primitive with a positive pivot and zero columns are
+    dropped, so two matrices have identical output iff their column spaces
+    coincide.
     """
     r, pivots = rref(m.T)
     return r[: len(pivots), :].T
 
 
 def kernel_basis(m: np.ndarray) -> np.ndarray:
-    """Columns spanning the exact null space of ``m`` (possibly 0 columns)."""
-    nrows, ncols = m.shape
+    """Integer columns spanning the exact null space of the integer matrix ``m`` (possibly 0 columns).
+
+    Column k is the primitive null vector that is positive at the k-th free
+    column and zero at the others; divided by that entry it is the usual
+    rational kernel basis read off the pivot-1 reduced form.
+    """
+    ncols = m.shape[1]
     r, pivots = rref(m)
+    rows = r.tolist()
     free = [c for c in range(ncols) if c not in pivots]
-    out = zeros(ncols, len(free))
+    out = np.zeros((ncols, len(free)), dtype=object)  # not zeros(): that is a Fraction matrix
     for k, fc in enumerate(free):
-        out[fc, k] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            out[pc, k] = -r[row_idx, fc]
+        hits = [(pc, row[fc], row[pc]) for row, pc in zip(rows, pivots) if row[fc]]
+        scale = lcm(*(piv for _, _, piv in hits))
+        col = [0] * ncols
+        col[fc] = scale
+        for pc, x, piv in hits:
+            col[pc] = -x * (scale // piv)
+        content = gcd(*col)
+        out[:, k] = [x // content for x in col] if content > 1 else col
     return out
 
 
 def rank(m: np.ndarray) -> int:
-    return len(rref(m)[1])
+    """Rank of an exact matrix."""
+    return len(rref(cleared_rows(m))[1])
 
 
 def inverse(m: np.ndarray) -> np.ndarray:
@@ -213,11 +279,13 @@ def inverse(m: np.ndarray) -> np.ndarray:
     n, nc = m.shape
     if n != nc:
         raise IncompatibleShapes("inverse of a non-square matrix")
-    aug = np.hstack([m.copy(), eye(n)])
-    r, pivots = rref(aug)
+    r, pivots = rref(cleared_rows(np.hstack([m, eye(n)])))
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    return r[:, n:]
+    out = np.empty((n, n), dtype=object)
+    for i, row in enumerate(r.tolist()):
+        out[i, :] = [Fraction(x, row[i]) if x else _ZERO for x in row[n:]]
+    return out
 
 
 def solve_gram(basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:

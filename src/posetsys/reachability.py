@@ -51,12 +51,7 @@ def ctrb_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeMismatch("input matrix has wrong row count")
     if n == 0:
         return la.zeros(0, 0)
-    blocks = [b]
-    cur = b
-    for _ in range(n - 1):
-        cur = la.mdot(a, cur)
-        blocks.append(cur)
-    return np.hstack(blocks)
+    return la.krylov(a, b, n)
 
 
 def reachable(sys: PosetCausalSystem) -> Subspace:

@@ -207,15 +207,14 @@ def poset_reduce(sys: PosetCausalSystem, variant: str = "primal") -> ReducedSyst
 
 
 def moments_equal(sys1: PosetCausalSystem, sys2: PosetCausalSystem) -> bool:
-    """Exact equality of C A^k B for every k, checked for k = 0..n1 + n2 - 1."""
+    """Exact equality of C A^k B for every k, checked for k = 0..n1 + n2 - 1.
+
+    Each side is one product C [B, AB, ..., A^h B] over the same horizon h.
+    """
     if sys1.input_dim != sys2.input_dim or sys1.output_dim != sys2.output_dim:
         raise DimensionMismatch("systems must share input and output dimensions")
-    b1, b2 = sys1.B.entries, sys2.B.entries
-    for _ in range(_horizon(sys1.state_dim, sys2.state_dim) + 1):
-        lhs = la.mdot(sys1.C.entries, b1)
-        rhs = la.mdot(sys2.C.entries, b2)
-        if not all(x == y for x, y in zip(lhs.flat, rhs.flat)):
-            return False
-        b1 = la.mdot(sys1.A.entries, b1)
-        b2 = la.mdot(sys2.A.entries, b2)
-    return True
+    blocks = _horizon(sys1.state_dim, sys2.state_dim) + 1
+    lhs, rhs = (
+        la.mdot(s.C.entries, la.krylov(s.A.entries, s.B.entries, blocks)) for s in (sys1, sys2)
+    )
+    return all(x == y for x, y in zip(lhs.flat, rhs.flat))

@@ -1,12 +1,22 @@
-"""Exact subspaces of Q^n represented by canonical column bases.
+"""Exact subspaces of Q^n represented by canonical integer column bases.
 
-The canonical form is the reduced column echelon form with pivots normalized
-to 1, so two Subspace objects are equal iff their basis arrays are identical.
+The canonical form is the reduced column echelon form with each column scaled
+to a primitive integer vector with a positive pivot (``_linalg.column_echelon``).
+It is unique, so two Subspace objects are equal iff their ``integer_basis``
+arrays are identical. Every lattice operation, projection and section
+eliminates on these integers and forms no Fraction; ``embed`` and
+``direct_sum`` place canonical bases without eliminating at all.
+
+Fractions appear only at the boundary: ``Subspace(ambient, basis)`` takes any
+exact matrix and clears each column of its denominators, and ``basis``, the
+pivot-1 form that ``vectors()``, ``project_onto``, ``contains_vector`` and the
+reductions read, divides each integer column by its pivot on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -16,19 +26,46 @@ from .errors import AmbientMismatch
 
 __all__ = ["Subspace", "image", "kernel", "direct_sum"]
 
+_ZERO = Fraction(0)
+
 
 class Subspace:
-    """A linear subspace of Q^ambient with a canonical rational basis."""
+    """A linear subspace of Q^ambient with a canonical integer basis."""
 
     def __init__(self, ambient: int, basis: np.ndarray):
-        self.ambient = int(ambient)
+        """Span of the columns of an exact matrix (array or rows)."""
         basis = la.exact_matrix(basis)
-        if basis.shape[0] != self.ambient:
-            raise AmbientMismatch(f"basis rows {basis.shape[0]} != ambient {self.ambient}")
-        basis = la.column_echelon(basis)
-        basis = basis.copy()
-        basis.flags.writeable = False
-        self.basis = basis
+        if basis.shape[0] != ambient:
+            raise AmbientMismatch(f"basis rows {basis.shape[0]} != ambient {ambient}")
+        # a column times its common denominator spans the same line
+        self._hold(ambient, la.column_echelon(la.cleared_rows(basis.T).T))
+
+    def _hold(self, ambient: int, integer_basis: np.ndarray) -> None:
+        integer_basis.flags.writeable = False
+        self.ambient = int(ambient)
+        self.integer_basis = integer_basis
+
+    @classmethod
+    def _canonical(cls, ambient: int, integer_basis: np.ndarray) -> "Subspace":
+        """The subspace whose canonical integer basis is ``integer_basis`` (not checked)."""
+        space = cls.__new__(cls)
+        space._hold(ambient, integer_basis)
+        return space
+
+    @classmethod
+    def _span(cls, ambient: int, columns: np.ndarray) -> "Subspace":
+        """Span of the columns of an integer matrix."""
+        return cls._canonical(ambient, la.column_echelon(columns))
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The canonical basis with pivots 1, in Fractions: each integer column over its pivot."""
+        out = np.empty(self.integer_basis.shape, dtype=object)
+        for k, col in enumerate(self.integer_basis.T.tolist()):
+            pivot = next(x for x in col if x)
+            out[:, k] = [Fraction(x, pivot) if x else _ZERO for x in col]
+        out.flags.writeable = False
+        return out
 
     # construction -----------------------------------------------------
 
@@ -44,17 +81,17 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, la.zeros(ambient, 0))
+        return cls._canonical(ambient, np.zeros((ambient, 0), dtype=object))
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, la.eye(ambient))
+        return cls._canonical(ambient, np.identity(ambient, dtype=object))
 
     # basic queries ----------------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return self.integer_basis.shape[1]
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -65,15 +102,15 @@ class Subspace:
 
     def equals(self, other: "Subspace") -> bool:
         self._require_same_ambient(other)
-        return self.basis.shape == other.basis.shape and all(
-            x == y for x, y in zip(self.basis.flat, other.basis.flat)
+        return self.integer_basis.shape == other.integer_basis.shape and all(
+            x == y for x, y in zip(self.integer_basis.flat, other.integer_basis.flat)
         )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subspace) and self.ambient == other.ambient and self.equals(other)
 
     def __hash__(self):
-        return hash((self.ambient, tuple(self.basis.flat)))
+        return hash((self.ambient, tuple(self.integer_basis.flat)))
 
     def contains(self, other: "Subspace") -> bool:
         self._require_same_ambient(other)
@@ -91,21 +128,20 @@ class Subspace:
         """Span of this subspace and all ``others``, by one canonical elimination."""
         for other in others:
             self._require_same_ambient(other)
-        return Subspace(self.ambient, np.hstack([self.basis] + [o.basis for o in others]))
+        parts = [self.integer_basis] + [o.integer_basis for o in others]
+        return Subspace._span(self.ambient, np.hstack(parts))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._require_same_ambient(other)
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.ambient)
         # U a + W b = 0 puts U a in U cap W, so no sign flip of W is needed
-        stacked = np.hstack([self.basis, other.basis])
-        null = la.kernel_basis(stacked)
-        coords = null[: self.dim, :]
-        return Subspace(self.ambient, la.mdot(self.basis, coords))
+        null = la.kernel_basis(np.hstack([self.integer_basis, other.integer_basis]))
+        return Subspace._span(self.ambient, self.integer_basis.dot(null[: self.dim, :]))
 
     def complement(self) -> "Subspace":
         """Orthogonal complement in the standard inner product."""
-        return Subspace(self.ambient, la.kernel_basis(self.basis.T))
+        return Subspace._span(self.ambient, la.kernel_basis(self.integer_basis.T))
 
     def ominus(self, other: "Subspace") -> "Subspace":
         """self intersected with the orthogonal complement of ``other``."""
@@ -133,32 +169,34 @@ class Subspace:
     def project(self, partition: Partition, nodes) -> "Subspace":
         """Projection onto the coordinate blocks in ``nodes``, in their coordinates."""
         rows = self._rows(partition, nodes)
-        return Subspace(len(rows), self.basis[rows, :])
+        return Subspace._span(len(rows), self.integer_basis[rows, :])
 
     def section(self, partition: Partition, nodes) -> "Subspace":
         """Intersection with the coordinate blocks in ``nodes``, in their coordinates."""
         rows = self._rows(partition, nodes)
-        coords = la.kernel_basis(np.delete(self.basis, rows, axis=0))  # vanishing off ``nodes``
-        return Subspace(len(rows), la.mdot(self.basis[rows, :], coords))
+        cols = self.integer_basis
+        coords = la.kernel_basis(np.delete(cols, rows, axis=0))  # vanishing off ``nodes``
+        return Subspace._span(len(rows), cols[rows, :].dot(coords))
 
     def embed(self, partition: Partition, nodes) -> "Subspace":
         """This subspace of the coordinates of ``nodes``, placed in the full ambient.
 
         The basis rows go to the coordinates ``partition.indices(nodes)``; every
-        other row is zero.
+        other row is zero. Those coordinates increase, so each column stays
+        primitive with its pivot first and the placed basis is already canonical.
         """
         rows = partition.indices(nodes)
         if len(rows) != self.ambient:
             raise AmbientMismatch(f"nodes have {len(rows)} coordinates, ambient is {self.ambient}")
-        placed = la.zeros(partition.total, self.dim)
-        placed[rows, :] = self.basis
-        return Subspace(partition.total, placed)
+        placed = np.zeros((partition.total, self.dim), dtype=object)
+        placed[rows, :] = self.integer_basis
+        return Subspace._canonical(partition.total, placed)
 
     # serialization ------------------------------------------------------
 
     def vectors(self) -> list[list[Fraction]]:
         """Canonical basis as a list of column vectors."""
-        return [[self.basis[r, c] for r in range(self.ambient)] for c in range(self.dim)]
+        return self.basis.T.tolist()
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -170,15 +208,18 @@ def image(matrix: np.ndarray) -> Subspace:
 
 
 def kernel(matrix: np.ndarray) -> Subspace:
-    """Exact null space."""
-    return Subspace(matrix.shape[1], la.kernel_basis(matrix))
+    """Exact null space; a row times its common denominator has the same null space."""
+    return Subspace._span(matrix.shape[1], la.kernel_basis(la.cleared_rows(la.exact_matrix(matrix))))
 
 
 def direct_sum(*spaces: Subspace) -> Subspace:
-    """The spaces placed block-diagonally, the k-th in the k-th block of coordinates."""
-    placed = la.zeros(sum(s.ambient for s in spaces), sum(s.dim for s in spaces))
+    """The spaces placed block-diagonally, the k-th in the k-th block of coordinates.
+
+    The placed canonical bases form a canonical basis, so nothing is eliminated.
+    """
+    placed = np.zeros((sum(s.ambient for s in spaces), sum(s.dim for s in spaces)), dtype=object)
     row = col = 0
     for space in spaces:
-        placed[row : row + space.ambient, col : col + space.dim] = space.basis
+        placed[row : row + space.ambient, col : col + space.dim] = space.integer_basis
         row, col = row + space.ambient, col + space.dim
-    return Subspace(placed.shape[0], placed)
+    return Subspace._canonical(placed.shape[0], placed)

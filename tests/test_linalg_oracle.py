@@ -4,9 +4,17 @@
 ``mdot`` that ``_linalg`` used before its products and eliminations moved to
 Python ints. Every routine built on them must give identical matrices: same
 shape, same pivots and equal entries, every one a ``Fraction``.
+
+The eliminations return integer matrices whose pivot rows (``rref``) or
+columns (``column_echelon``, ``kernel_basis``) are primitive with a positive
+pivot. Those are checked to be in that form, then divided by their pivots and
+compared with the oracle exactly. ``Subspace`` stores the integer canonical
+form, so its columns, its pivot-1 ``basis`` and its ``==`` and ``hash`` are
+held against the oracle too.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -15,6 +23,7 @@ from hypothesis import strategies as st
 
 from posetsys import _linalg as la
 from posetsys.errors import SingularMatrix
+from posetsys.subspace import Subspace
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -76,6 +85,34 @@ def assert_identical(got, want):
     assert all(x == y for x, y in zip(got.flat, want.flat)), (got, want)
 
 
+def _over_pivot(line, pivot):
+    """An integer row or column divided by its pivot, after checking it is primitive and positive there."""
+    assert all(type(x) is int for x in line)
+    assert pivot > 0 and gcd(*line) == 1, line
+    return [Fraction(x, pivot) for x in line]
+
+
+def pivot_normalized_rows(r, pivots):
+    """The integer ``rref`` with each pivot row divided by its pivot; the other rows must be zero."""
+    out = np.empty(r.shape, dtype=object)
+    for i, row in enumerate(r.tolist()):
+        if i < len(pivots):
+            out[i, :] = _over_pivot(row, row[pivots[i]])
+        else:
+            assert all(type(x) is int and x == 0 for x in row)
+            out[i, :] = [Fraction(0)] * len(row)
+    return out
+
+
+def pivot_normalized_columns(m, last=False):
+    """Each integer column divided by its pivot: the first nonzero entry, or with ``last`` the last."""
+    out = np.empty(m.shape, dtype=object)
+    for k, col in enumerate(m.T.tolist()):
+        nonzero = [x for x in col if x]
+        out[:, k] = _over_pivot(col, nonzero[-1] if last else nonzero[0])
+    return out
+
+
 def as_fractions(m):
     return np.array([[Fraction(x) for x in row] for row in m], dtype=object).reshape(m.shape)
 
@@ -129,19 +166,19 @@ def products(draw, entries=RATIONALS):
 @SETTINGS
 @given(matrices())
 def test_rref_matches_fraction_oracle(m):
-    r, pivots = la.rref(m)
+    r, pivots = la.rref(la.cleared_rows(m))
     want, want_pivots = oracle_rref(m)
     assert pivots == want_pivots
-    assert_identical(r, want)
+    assert_identical(pivot_normalized_rows(r, pivots), want)
 
 
 @SETTINGS
 @given(INT_MATRICES)
 def test_rref_of_plain_ints_matches_oracle(m):
-    r, pivots = la.rref(m)
+    r, pivots = la.rref(la.cleared_rows(m))  # its dependent and zero rows hold Fractions
     want, want_pivots = oracle_rref(as_fractions(m))
     assert pivots == want_pivots
-    assert_identical(r, want)
+    assert_identical(pivot_normalized_rows(r, pivots), want)
 
 
 @SETTINGS
@@ -161,14 +198,15 @@ def test_mdot_of_plain_ints_matches_oracle(ab):
 @SETTINGS
 @given(matrices())
 def test_column_echelon_matches_fraction_oracle(m):
-    assert_identical(la.column_echelon(m), oracle_column_echelon(m))
+    got = la.column_echelon(la.cleared_rows(m.T).T)
+    assert_identical(pivot_normalized_columns(got), oracle_column_echelon(m))
 
 
 @SETTINGS
 @given(matrices())
 def test_kernel_basis_matches_fraction_oracle(m):
-    k = la.kernel_basis(m)
-    assert_identical(k, oracle_kernel_basis(m))
+    k = la.kernel_basis(la.cleared_rows(m))
+    assert_identical(pivot_normalized_columns(k, last=True), oracle_kernel_basis(m))
     assert la.is_zero_matrix(la.mdot(m, k))
 
 
@@ -189,9 +227,36 @@ def test_inverse_matches_fraction_oracle(m):
 def test_edge_shapes_match_oracle():
     for shape in ((0, 0), (0, 3), (3, 0)):
         m = la.zeros(*shape)
-        r, pivots = la.rref(m)
+        r, pivots = la.rref(la.cleared_rows(m))
         assert (r.shape, pivots) == (shape, [])
-        assert_identical(la.kernel_basis(m), oracle_kernel_basis(m))
-        assert_identical(la.column_echelon(m), oracle_column_echelon(m))
+        k = la.kernel_basis(la.cleared_rows(m))
+        assert_identical(pivot_normalized_columns(k, last=True), oracle_kernel_basis(m))
+        c = la.column_echelon(la.cleared_rows(m))
+        assert_identical(pivot_normalized_columns(c), oracle_column_echelon(m))
     assert_identical(la.mdot(la.zeros(3, 0), la.zeros(0, 2)), la.zeros(3, 2))
     assert_identical(la.mdot(la.zeros(0, 2), la.zeros(2, 3)), la.zeros(0, 3))
+
+
+@SETTINGS
+@given(matrices())
+def test_subspace_integer_form_is_the_fraction_form_over_its_pivots(m):
+    space = Subspace(m.shape[0], m)
+    want = oracle_column_echelon(m)
+    assert_identical(pivot_normalized_columns(space.integer_basis), want)
+    assert_identical(space.basis, want)
+    assert space.vectors() == want.T.tolist()
+
+
+@SETTINGS
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(matrices(rows=n), st.data())))
+def test_subspace_equality_and_hash_agree_with_the_fraction_form(drawn):
+    m, data = drawn
+    # m x spans a subspace of span(m): the same one exactly when x keeps the rank
+    x = data.draw(matrices(rows=m.shape[1], cols=data.draw(st.integers(0, 6))))
+    other = m @ x if m.shape[1] else la.zeros(m.shape[0], x.shape[1])
+    u, w = Subspace(m.shape[0], m), Subspace(m.shape[0], other)
+    a, b = oracle_column_echelon(m), oracle_column_echelon(other)
+    same = a.shape == b.shape and all(p == q for p, q in zip(a.flat, b.flat))
+    assert (u == w) is same and u.equals(w) is same
+    if same:
+        assert hash(u) == hash(w)

@@ -2,7 +2,7 @@
 
 Each subspace is spanned by a few random columns with small rational entries,
 so zero, dependent and full-rank spanning sets all occur. Subspaces are
-compared with ``==``, which compares canonical bases entry by entry.
+compared with ``==``, which compares canonical integer bases entry by entry.
 """
 
 from fractions import Fraction
@@ -118,3 +118,30 @@ def test_direct_sum_is_the_sum_of_the_embeddings(sizes, data):
     partition = Partition(sizes)
     placed = [space.embed(partition, (j,)) for j, space in enumerate(spaces, start=1)]
     assert direct_sum(*spaces) == Subspace.zero(partition.total).sum(*placed)
+
+
+# ``embed`` and ``direct_sum`` place canonical bases without eliminating; the
+# placed matrix, canonicalized again by ``Subspace``, must give the same basis.
+
+
+@LAWS
+@given(_partition_and_nodes(), st.data())
+def test_embed_needs_no_elimination(part_nodes, data):
+    partition, nodes = part_nodes
+    keep = _coordinates(partition, nodes)
+    u = data.draw(_subspace(len(keep)))
+    placed = la.zeros(partition.total, u.dim)
+    placed[keep, :] = u.basis
+    assert u.embed(partition, nodes) == Subspace(partition.total, placed)
+
+
+@LAWS
+@given(st.lists(st.integers(0, 3), max_size=4), st.data())
+def test_direct_sum_needs_no_elimination(sizes, data):
+    spaces = [data.draw(_subspace(size)) for size in sizes]
+    placed = la.zeros(sum(sizes), sum(space.dim for space in spaces))
+    row = col = 0
+    for space in spaces:
+        placed[row : row + space.ambient, col : col + space.dim] = space.basis
+        row, col = row + space.ambient, col + space.dim
+    assert direct_sum(*spaces) == Subspace(placed.shape[0], placed)
