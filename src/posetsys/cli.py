@@ -12,12 +12,12 @@ import math
 import sys as _sys
 
 from . import corpus, fileio, report
-from .errors import ParseError, PosetSysError
-from .reduction import poset_reduce
+from .errors import ParseError, PosetSysError, ValidationError
+from .reduction import REDUCTION_VARIANTS, poset_reduce
 from .sim import InputSignal, simulate, verify_trajectory_decomposition
-from .system import dual_system, require_valid, validate
+from .system import ValidationReport, dual_system
 
-_VARIANT_NAMES = {"primal": "primal", "dual-tilde": "dual_tilde", "dual-circ": "dual_circ"}
+_VARIANT_NAMES = {variant.replace("_", "-"): variant for variant in REDUCTION_VARIANTS}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,20 +68,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args) -> int:
-    system = fileio.load_system(args.path)
-    rep = validate(system)
-    print(rep.describe())
-    return 0 if rep.ok else 1
-
-
-def _load_valid(path):
-    system = fileio.load_system(path)
-    require_valid(system)
-    return system
+    try:
+        fileio.load_system(args.path)
+    except ValidationError as exc:
+        print(exc)
+        return 1
+    print(ValidationReport(violations={}).describe())
+    return 0
 
 
 def _cmd_analyze(args) -> int:
-    system = _load_valid(args.path)
+    system = fileio.load_system(args.path)
     doc = report.analyze(system, skip_duality=args.skip_duality)
     if args.text:
         _sys.stdout.write(report.render_text(doc))
@@ -92,14 +89,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    system = _load_valid(args.path)
+    system = fileio.load_system(args.path)
     fileio.save_system(dual_system(system), args.out_path)
     print(f"wrote dual system to {args.out_path}")
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    system = _load_valid(args.path)
+    system = fileio.load_system(args.path)
     red = poset_reduce(system, _VARIANT_NAMES[args.variant])
     fileio.save_system(red.system, args.out_path)
     print(
@@ -113,7 +110,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_simulate(args) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise ParseError(f"--tol must be finite and non-negative, got {args.tol}")
-    system = _load_valid(args.path)
+    system = fileio.load_system(args.path)
     signal = fileio.read_signal(args.signal_path, step=args.h)
     if signal.width != system.input_dim:
         raise ParseError(f"{args.signal_path}: signal has {signal.width} input columns, "

@@ -15,7 +15,7 @@ from .observability import DUAL_SPACES, dual_key
 from .observability import profile as obs_profile
 from .reachability import profile as reach_profile
 from .subspace import Subspace
-from .system import PosetCausalSystem, dual_system, require_valid
+from .system import PosetCausalSystem, dual_system
 
 __all__ = ["DualityReport", "IdentityCheck", "verify_duality"]
 
@@ -83,7 +83,6 @@ def _scope(key) -> str:
 
 def verify_duality(sys: PosetCausalSystem) -> DualityReport:
     """Check every aggregate, per-node and per-pair duality identity exactly."""
-    require_valid(sys)
     dual = dual_system(sys)
     rp, op = reach_profile(sys), obs_profile(sys)
     rpd, opd = reach_profile(dual), obs_profile(dual)

@@ -83,4 +83,4 @@ class ParseError(PosetSysError):
 
 
 class ValidationError(PosetSysError):
-    """A parsed system failed structural validation."""
+    """A system breaks its poset's zero pattern; the message names every violating block."""

@@ -27,7 +27,7 @@ from .poset import derived_set
 from .reachability import BlockProfile, ctrb_matrix
 from .reachability import profile as reach_profile
 from .subspace import Subspace, kernel
-from .system import PosetCausalSystem, derived, dual_system, require_valid
+from .system import PosetCausalSystem, derived, dual_system
 
 __all__ = [
     "ObservabilityProfile",
@@ -107,7 +107,6 @@ DUAL_SPACES = {
 
 def profile(sys: PosetCausalSystem) -> ObservabilityProfile:
     """Compute every observability subspace and flag by direct kernel computations."""
-    require_valid(sys)
     poset = sys.poset
     n = sys.n
     unobs = unobservable(sys)
@@ -165,7 +164,6 @@ def profile_via_duality(sys: PosetCausalSystem) -> ObservabilityProfile:
     reachability space that ``DUAL_SPACES`` pairs it with; no kernel is ever
     computed.
     """
-    require_valid(sys)
     rp = reach_profile(dual_system(sys))
     spaces = {
         name: {dual_key(key): space.complement() for key, space in getattr(rp, dual_name).items()}

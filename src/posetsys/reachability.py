@@ -27,7 +27,7 @@ from .errors import (
 )
 from .poset import Poset, derived_set
 from .subspace import Subspace, direct_sum, image
-from .system import PosetCausalSystem, derived, require_valid
+from .system import PosetCausalSystem, derived
 
 __all__ = [
     "ReachabilityProfile",
@@ -129,7 +129,6 @@ class ReachabilityProfile(BlockProfile):
 
 def profile(sys: PosetCausalSystem) -> ReachabilityProfile:
     """Compute every reachability subspace and classification flag at once."""
-    require_valid(sys)
     poset = sys.poset
     n = sys.n
     reach = reachable(sys)
@@ -174,7 +173,6 @@ def profile(sys: PosetCausalSystem) -> ReachabilityProfile:
 
 def weakly_locally_controllable(sys: PosetCausalSystem):
     """(flag, per-node detail): every local pair must be controllable."""
-    require_valid(sys)
     detail = {}
     for i in sys.poset.nodes:
         loc = derived(sys, "local", i)
@@ -241,7 +239,6 @@ def pole_place(sys: PosetCausalSystem, targets, seed: int = 0) -> BlockMatrix:
     per-block and global characteristic polynomials are verified exactly
     before returning.
     """
-    require_valid(sys)
     if not isinstance(targets, dict):
         targets = dict(enumerate(targets, start=1))
     if set(targets) != set(sys.poset.nodes):

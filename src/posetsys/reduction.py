@@ -3,8 +3,8 @@
 Every reduction is again a poset-causal system, over the source's poset or,
 for a sandwich compression, over the one-element order. One step compresses
 with the Gram formula A' = (V^T V)^-1 V^T A V for a rational basis V (an
-orthonormal basis would generally need irrational entries), validates the
-result and verifies its moments.
+orthonormal basis would generally need irrational entries), checks the
+result's pattern and verifies its moments.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .poset import build_poset
 from .reachability import profile as reach_profile
 from .reachability import reachable
 from .subspace import Subspace, direct_sum
-from .system import PosetCausalSystem, dual_system, require_valid
+from .system import PosetCausalSystem, dual_system
 
 __all__ = [
     "KalmanDecomposition",
@@ -79,14 +79,13 @@ def _horizon(n1: int, n2: int) -> int:
 
 
 def _compress(sys: PosetCausalSystem, subspace: Subspace, poset, n, m, r) -> PosetCausalSystem:
-    """``sys`` compressed to ``subspace`` over ``poset``, validated, with its moments checked."""
+    """``sys`` compressed to ``subspace`` over ``poset``; its pattern is checked on construction."""
     basis = subspace.basis
     lift = la.mdot(la.inverse(la.mdot(basis.T, basis)), basis.T)
     a = la.mdot(lift, la.mdot(sys.A.entries, basis))
     b = la.mdot(lift, sys.B.entries)
     c = la.mdot(sys.C.entries, basis)
     reduced = PosetCausalSystem(poset, n, m, r, a, b, c, sys.D.entries)
-    require_valid(reduced)
     if not moments_equal(sys, reduced):
         raise StructureViolation("compression failed to preserve the moments (internal bug)")
     return reduced
@@ -117,7 +116,6 @@ def generalized_reduce(
     the compressed system lives over the one-element order, with partitions
     [k], [m], [r]; its moments C A^k B are verified exactly before returning.
     """
-    require_valid(sys)
     kal = kalman(sys)
     # both splits are orthogonal: reach_unobs lies in the reachable and the unobservable set
     reach = kal.reach_obs.sum(kal.reach_unobs)
@@ -182,7 +180,6 @@ def poset_reduce(sys: PosetCausalSystem, variant: str = "primal") -> ReducedSyst
     itself; its moments are verified exactly. The reduced system lives over
     the same poset.
     """
-    require_valid(sys)
     if variant not in REDUCTION_VARIANTS:
         raise ValueError(f"variant must be one of {REDUCTION_VARIANTS}")
     source = sys if variant == "primal" else dual_system(sys)

@@ -21,7 +21,7 @@ import numpy as np
 from . import _linalg as la
 from .errors import DimensionMismatch, NonFinite
 from .poset import derived_set
-from .system import PosetCausalSystem, derived, require_valid
+from .system import PosetCausalSystem, derived
 
 __all__ = [
     "expm",
@@ -225,7 +225,6 @@ def verify_trajectory_decomposition(
     plus strictly-upstream downstream contributions. Upstream models are also
     checked to be restrictions of the global trajectory.
     """
-    require_valid(sys)
     poset = sys.poset
     n, m, r = sys.n, sys.m, sys.r
     x0vec = _initial_state(x0, n.total)

@@ -16,13 +16,12 @@ from .errors import (
     StructureViolation,
     ValidationError,
 )
-from .poset import Poset, derived_set
+from .poset import Poset, derived_set, dual_poset
 
 __all__ = [
     "PosetCausalSystem",
     "ValidationReport",
     "validate",
-    "require_valid",
     "dual_system",
     "derived",
     "transfer_eval",
@@ -30,9 +29,26 @@ __all__ = [
 
 
 class PosetCausalSystem:
-    """(A, B, C, D) over a poset with state/input/output partitions n, m, r."""
+    """(A, B, C, D) over a poset with state/input/output partitions n, m, r.
+
+    Every matrix keeps the poset's zero pattern: block (i, j) vanishes unless
+    node j is above node i. The constructor raises ``ValidationError`` otherwise.
+    """
 
     def __init__(self, poset: Poset, n, m, r, A, B, C, D, x0=None):
+        self._hold(poset, n, m, r, A, B, C, D, x0)
+        report = validate(self)
+        if not report.ok:
+            raise ValidationError(report.describe())
+
+    @classmethod
+    def _unchecked(cls, *args, **kwargs) -> "PosetCausalSystem":
+        """A system whose matrices are known to keep the pattern (not checked)."""
+        sys = cls.__new__(cls)
+        sys._hold(*args, **kwargs)
+        return sys
+
+    def _hold(self, poset: Poset, n, m, r, A, B, C, D, x0=None) -> None:
         self.poset = poset
         self.n = n if isinstance(n, Partition) else Partition(n)
         self.m = m if isinstance(m, Partition) else Partition(m)
@@ -105,24 +121,19 @@ class ValidationReport:
 
 
 def validate(sys: PosetCausalSystem) -> ValidationReport:
-    """Check the four incidence conditions; reports every violating block."""
+    """Check the four incidence conditions, as the constructor does; reports every bad block."""
     out = {}
     for name in ("A", "B", "C", "D"):
         out[name] = incidence_violations(getattr(sys, name), sys.poset)
     return ValidationReport(violations=out)
 
 
-def require_valid(sys: PosetCausalSystem) -> None:
-    report = validate(sys)
-    if not report.ok:
-        raise ValidationError(report.describe())
-
-
 def dual_system(sys: PosetCausalSystem) -> PosetCausalSystem:
-    """Transpose all matrices and reverse the order; inputs and outputs swap."""
-    from .poset import dual_poset
+    """Transpose all matrices and reverse the order; inputs and outputs swap.
 
-    return PosetCausalSystem(
+    No pattern check: the paper shows poset-causal systems are closed under duality.
+    """
+    return PosetCausalSystem._unchecked(
         poset=dual_poset(sys.poset),
         n=sys.n,
         m=sys.r,
@@ -142,6 +153,7 @@ def derived(sys: PosetCausalSystem, kind: str, i: int | None = None) -> PosetCau
     are the system's, restricted to the model's state, input and output nodes
     (the other blocks have size 0), so block j of the model is block j of the
     system, and ``sys.n.indices(model.n.nonempty)`` are its global coordinates.
+    No pattern check: a restriction of a system keeps its pattern.
     """
     if kind == "global":
         states = inputs = outputs = sys.poset.nodes
@@ -160,7 +172,7 @@ def derived(sys: PosetCausalSystem, kind: str, i: int | None = None) -> PosetCau
             outputs = own
         else:
             raise ValueError(f"unknown derived kind {kind!r}")
-    return PosetCausalSystem(
+    return PosetCausalSystem._unchecked(
         poset=sys.poset,
         n=sys.n.restrict(states),
         m=sys.m.restrict(inputs),

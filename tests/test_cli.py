@@ -1,13 +1,16 @@
 import json
+import random
 import warnings
 
 import numpy as np
 import pytest
 
-from posetsys import report
+from conftest import random_poset, random_system
+from posetsys import cli, report
 from posetsys.cli import main
 from posetsys.corpus import demo_names, system_path
-from posetsys.fileio import load_system, system_to_dict
+from posetsys.fileio import load_system, save_system, system_to_dict
+from posetsys.reduction import REDUCTION_VARIANTS, poset_reduce
 
 
 def _run(capsys, *argv):
@@ -136,6 +139,30 @@ def test_validate_reports_a_pattern_violation_on_stdout(tmp_path, capsys):
     code, stdout, err = _run(capsys, "validate", _pattern_violating_file(tmp_path))
     assert code == 1 and err == ""
     assert stdout.startswith("A: block (1,2) must vanish")
+
+
+def test_reduce_variants_are_the_reduction_variants_spelled_with_hyphens(tmp_path, capsys):
+    commands = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    variant = next(a for a in commands.choices["reduce"]._actions if a.dest == "variant")
+    assert sorted(variant.choices) == ["dual-circ", "dual-tilde", "primal"]
+    assert cli._VARIANT_NAMES == {"dual-circ": "dual_circ", "dual-tilde": "dual_tilde",
+                                  "primal": "primal"}
+    assert set(cli._VARIANT_NAMES.values()) == set(REDUCTION_VARIANTS)
+    # a system whose three reductions are not all equal, so a swapped name shows
+    rng = random.Random(5)
+    sys = random_system(rng, random_poset(rng, rng.randint(2, 4)), max_block=2, lo=-1, hi=1)
+    src = tmp_path / "sys.json"
+    save_system(sys, src)
+    written = {}
+    for name, entry in cli._VARIANT_NAMES.items():
+        out = tmp_path / f"{name}.json"
+        assert _run(capsys, "reduce", str(src), str(out), "--variant", name)[0] == 0
+        written[name] = json.loads(out.read_text())
+        assert written[name] == system_to_dict(poset_reduce(sys, entry).system)
+    assert written["dual-tilde"] != written["dual-circ"]
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", str(src), str(tmp_path / "x.json"), "--variant", "dual_circ"])
+    assert exc.value.code == 2
 
 
 def test_reduce_round_trips_through_validate(tmp_path, capsys):

@@ -36,7 +36,7 @@ from posetsys.sim import (
     verify_trajectory_decomposition,
 )
 from posetsys.subspace import Subspace, image, kernel
-from posetsys.system import derived, require_valid
+from posetsys.system import derived
 
 SHIPPED = sorted({Path(f).stem for f in corpus._SYSTEM_FILES.values()})
 PROPERTIES = settings(max_examples=25, deadline=None, derandomize=True)
@@ -44,7 +44,6 @@ PROPERTIES = settings(max_examples=25, deadline=None, derandomize=True)
 
 def embedded_verify_trajectory_decomposition(sys, x0, u, tolerance=1e-8):
     """The decomposition check with identity-matrix embeddings (the oracle)."""
-    require_valid(sys)
     poset = sys.poset
     n, m, r = sys.n, sys.m, sys.r
     x0vec = _initial_state(x0, n.total)

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from posetsys.system import (
     PosetCausalSystem,
     derived,
     dual_system,
-    require_valid,
     transfer_eval,
     validate,
 )
@@ -37,18 +37,19 @@ def test_validate_corpus_system():
 def test_validate_flags_every_bad_block():
     sys = load_corpus_system("exLargeEx")
     antichain = build_poset(4, [])
-    moved = PosetCausalSystem(
-        poset=antichain, n=sys.n, m=sys.m, r=sys.r,
-        A=sys.A.entries, B=sys.B.entries, C=sys.C.entries, D=sys.D.entries,
-    )
-    rep = validate(moved)
-    assert not rep.ok
-    assert set(rep.violations["A"]) == {(2, 1), (4, 1), (4, 2), (4, 3)}
-    assert set(rep.violations["B"]) == {(2, 1), (4, 1), (4, 2), (4, 3)}
-    assert rep.violations["C"] == []
-    assert "(2,1)" in rep.describe()
-    with pytest.raises(ValidationError):
-        require_valid(moved)
+    with pytest.raises(ValidationError) as err:
+        PosetCausalSystem(
+            poset=antichain, n=sys.n, m=sys.m, r=sys.r,
+            A=sys.A.entries, B=sys.B.entries, C=sys.C.entries, D=sys.D.entries,
+        )
+    message = str(err.value)
+    flagged = {name: {(int(i), int(j)) for i, j in
+                      re.findall(rf"^{name}: block \((\d+),(\d+)\)", message, re.M)}
+               for name in "ABC"}
+    assert flagged["A"] == {(2, 1), (4, 1), (4, 2), (4, 3)}
+    assert flagged["B"] == {(2, 1), (4, 1), (4, 2), (4, 3)}
+    assert flagged["C"] == set()
+    assert "(2,1)" in message
 
 
 def test_validate_zero_system_any_poset(rng):
