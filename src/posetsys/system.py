@@ -32,7 +32,8 @@ class PosetCausalSystem:
     """(A, B, C, D) over a poset with state/input/output partitions n, m, r.
 
     Every matrix keeps the poset's zero pattern: block (i, j) vanishes unless
-    node j is above node i. The constructor raises ``ValidationError`` otherwise.
+    node j is above node i. The constructor raises ``ValidationError`` otherwise,
+    and a built system is immutable, so the pattern cannot be broken later.
     """
 
     def __init__(self, poset: Poset, n, m, r, A, B, C, D, x0=None):
@@ -49,26 +50,25 @@ class PosetCausalSystem:
         return sys
 
     def _hold(self, poset: Poset, n, m, r, A, B, C, D, x0=None) -> None:
-        self.poset = poset
-        self.n = n if isinstance(n, Partition) else Partition(n)
-        self.m = m if isinstance(m, Partition) else Partition(m)
-        self.r = r if isinstance(r, Partition) else Partition(r)
-        for name, part in (("n", self.n), ("m", self.m), ("r", self.r)):
+        n = n if isinstance(n, Partition) else Partition(n)
+        m = m if isinstance(m, Partition) else Partition(m)
+        r = r if isinstance(r, Partition) else Partition(r)
+        for name, part in (("n", n), ("m", m), ("r", r)):
             if part.count != poset.p:
                 raise ShapeMismatch(f"partition {name} has {part.count} parts, poset has {poset.p}")
-        self.A = _as_block(A, self.n, self.n)
-        self.B = _as_block(B, self.n, self.m)
-        self.C = _as_block(C, self.r, self.n)
-        self.D = _as_block(D, self.r, self.m)
-        if x0 is None:
-            self.x0 = None
-        else:
-            vec = la.fvec(x0)
-            if vec.shape[0] != self.n.total:
-                raise ShapeMismatch(f"x0 has {vec.shape[0]} entries, expected {self.n.total}")
-            vec = vec.copy()
-            vec.flags.writeable = False
-            self.x0 = vec
+        A, B, C, D = _as_block(A, n, n), _as_block(B, n, m), _as_block(C, r, n), _as_block(D, r, m)
+        if x0 is not None:
+            x0 = la.fvec(x0).copy()
+            if x0.shape[0] != n.total:
+                raise ShapeMismatch(f"x0 has {x0.shape[0]} entries, expected {n.total}")
+            x0.flags.writeable = False
+        # past __setattr__, which refuses every assignment
+        vars(self).update(poset=poset, n=n, m=m, r=r, A=A, B=B, C=C, D=D, x0=x0)
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"a PosetCausalSystem is immutable: cannot change {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
 
     @property
     def state_dim(self) -> int:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import det, random_poset, random_system, structured_random_matrix
 from posetsys import _linalg as la
 from posetsys import corpus
-from posetsys.blockmat import compress, is_incident
+from posetsys.blockmat import BlockMatrix, compress, is_incident
 from posetsys.corpus import load_corpus_system
 from posetsys.errors import (
     IndexOutOfRange,
@@ -211,6 +211,20 @@ def test_x0_round_trip_and_default():
             A=sys.A.entries, B=sys.B.entries, C=sys.C.entries, D=sys.D.entries,
             x0=[1],
         )
+
+
+@pytest.mark.parametrize("build", ["checked", "derived", "dual"])
+def test_a_built_system_is_immutable(build):
+    # reassigning A could break the zero pattern the constructor checked
+    sys = load_corpus_system("two-node-local-gap")
+    sys = {"checked": sys, "derived": derived(sys, "global"), "dual": dual_system(sys)}[build]
+    bad = BlockMatrix(la.fmat([[0, 1], [0, 0]]), sys.n, sys.n)
+    for name, value in (("A", bad), ("n", sys.n), ("x0", la.fvec([1, 2])), ("cache", 1)):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(sys, name, value)
+    with pytest.raises(AttributeError, match="immutable"):
+        del sys.A
+    assert sys.x0 is None and validate(sys).ok
 
 
 def test_float_arrays_are_refused_and_integer_arrays_made_exact():
