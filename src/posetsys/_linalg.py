@@ -5,7 +5,7 @@ Matrices are 2-D numpy arrays of dtype=object, of two kinds:
 * *Exact* matrices hold ``fractions.Fraction`` entries. They are the system
   matrices and what every caller outside the package sees. ``mdot``,
   ``inverse``, ``solve_gram`` and ``krylov`` take and return them; ``rank``,
-  ``char_poly`` and ``invariant_span`` take them.
+  ``char_poly``, ``invariant_span`` and ``invariant_kernel`` take them.
 * *Integer* matrices hold Python ints. The eliminations ``rref``,
   ``column_echelon`` and ``kernel_basis`` take and return them, and
   ``subspace`` keeps every basis in this form, so a lattice operation forms
@@ -22,9 +22,12 @@ the kernel. ``exact_entry``, ``exact_matrix`` and ``cleared_rows`` are not in
 does not count them. Everything here is exact; nothing ever rounds.
 
 Products of exact matrices run on ints too: ``mdot`` clears each row of both
-factors on the way in and forms Fractions only on the way out. ``krylov``
-(the power loop of ``ctrb_matrix``) and ``invariant_span`` (the moment check's
-saturation) clear ``a`` once to one denominator and multiply Python ints.
+factors on the way in and forms Fractions only on the way out. ``krylov`` is
+the power loop of ``ctrb_matrix``, which the per-node models and the test
+oracles use. The global sets form no power matrix: ``invariant_span``
+saturates the reachable set (for ``reachable`` and the moment check) and
+``invariant_kernel`` the unobservable set (for ``unobservable``). All three
+clear ``a`` once to one denominator and multiply Python ints.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "mdot",
     "krylov",
     "invariant_span",
+    "invariant_kernel",
     "is_zero_matrix",
     "rref",
     "column_echelon",
@@ -193,9 +197,12 @@ def krylov(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
 def invariant_span(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Canonical integer basis of the smallest ``a``-invariant subspace containing im ``b``.
 
-    V <- column_echelon([V, Ia V]) from the cleared columns of ``b`` until the
-    dimension stops growing. ``a`` is cleared once, to Ia / d, which keeps its
-    invariant subspaces; clearing it row by row would change the map.
+    It is the column space of [b, ab, ..., a^(n-1) b]: the reachable set of
+    the pair (a, b), which ``reachability.reachable`` and the moment check
+    read from here. V <- column_echelon([V, Ia V]) from the cleared columns
+    of ``b`` until the dimension stops growing. ``a`` is cleared once, to
+    Ia / d, which keeps its invariant subspaces; clearing it row by row would
+    change the map.
     """
     a_ints = _cleared(a)[0]
     span = column_echelon(cleared_rows(b.T).T)
@@ -204,6 +211,26 @@ def invariant_span(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if grown.shape[1] == span.shape[1]:
             return span
         span = grown
+
+
+def invariant_kernel(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Integer basis (not canonical) of the largest ``a``-invariant subspace inside ker ``c``.
+
+    It is the kernel of [c; ca; ...; c a^(n-1)]: the unobservable set of the
+    pair (c, a). W <- W kernel_basis(P^T Ia W), with P spanning W^perp, keeps
+    the w in W with Ia w in W; it starts from the kernel of the cleared rows
+    of ``c`` and stops when the dimension stops shrinking or reaches 0. ``a``
+    is cleared once, to Ia / d, as in ``invariant_span``.
+    """
+    a_ints = _cleared(a)[0]
+    kern = kernel_basis(cleared_rows(c))
+    while kern.shape[1]:
+        perp = kernel_basis(kern.T)
+        shrunk = kern.dot(kernel_basis(perp.T.dot(a_ints.dot(kern))))
+        if shrunk.shape[1] == kern.shape[1]:
+            break
+        kern = shrunk
+    return kern
 
 
 def is_zero_matrix(a: np.ndarray) -> bool:

@@ -12,7 +12,10 @@ only output i is watched. Structured bounds:
 
 ``profile`` computes these directly; ``profile_via_duality`` recomputes them
 from the reachability profile of the dual system. The two must agree exactly,
-which is the strongest self-check this package has.
+which is the strongest self-check this package has. The routes are
+independent algorithms: the direct global unobservable set is a shrinking
+kernel chain inside ker C (``_linalg.invariant_kernel``), the dual one the
+complement of a growing span chain from im C^T (``_linalg.invariant_span``).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from functools import reduce
 
 import numpy as np
 
+from . import _linalg as la
 from .errors import StructureViolation
 from .poset import derived_set
 from .reachability import BlockProfile, ctrb_matrix
@@ -47,8 +51,12 @@ def obsv_matrix(c: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def unobservable(sys: PosetCausalSystem) -> Subspace:
-    """Kernel of the observability matrix of the global model."""
-    return kernel(obsv_matrix(sys.C.entries, sys.A.entries))
+    """Unobservable set of the global model: the largest A-invariant subspace inside ker C.
+
+    That is the kernel of the observability matrix (Wonham, *Linear
+    Multivariable Control*); it is saturated on integers, with no power of A.
+    """
+    return Subspace._span(sys.state_dim, la.invariant_kernel(sys.A.entries, sys.C.entries))
 
 
 def upstream_indistinguishable(sys: PosetCausalSystem, i: int) -> Subspace:

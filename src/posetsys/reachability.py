@@ -55,8 +55,12 @@ def ctrb_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def reachable(sys: PosetCausalSystem) -> Subspace:
-    """Column space of the controllability matrix of the global model."""
-    return image(ctrb_matrix(sys.A.entries, sys.B.entries))
+    """Reachable set of the global model: the smallest A-invariant subspace containing im B.
+
+    That is the column space of the controllability matrix (Wonham, *Linear
+    Multivariable Control*); it is saturated on integers, with no power of A.
+    """
+    return Subspace._canonical(sys.state_dim, la.invariant_span(sys.A.entries, sys.B.entries))
 
 
 def downstream_reachable(sys: PosetCausalSystem, i: int) -> Subspace:
