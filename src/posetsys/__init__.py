@@ -41,7 +41,6 @@ from .errors import (
 from .fileio import load_system, save_system, system_from_dict, system_to_dict
 from .observability import (
     ObservabilityProfile,
-    obsv_matrix,
     profile_via_duality,
     unobservable,
     upstream_indistinguishable,

@@ -5,7 +5,8 @@ Matrices are 2-D numpy arrays of dtype=object, of two kinds:
 * *Exact* matrices hold ``fractions.Fraction`` entries. They are the system
   matrices and what every caller outside the package sees. ``mdot``,
   ``inverse``, ``solve_gram`` and ``krylov`` take and return them; ``rank``,
-  ``char_poly``, ``invariant_span`` and ``invariant_kernel`` take them.
+  ``char_poly``, ``invariant_span``, ``invariant_kernel`` and
+  ``certified_kernel`` take them.
 * *Integer* matrices hold Python ints. The eliminations ``rref``,
   ``column_echelon`` and ``kernel_basis`` take and return them, and
   ``subspace`` keeps every basis in this form, so a lattice operation forms
@@ -23,17 +24,20 @@ does not count them. Everything here is exact; nothing ever rounds.
 
 Products of exact matrices run on ints too: ``mdot`` clears each row of both
 factors on the way in and forms Fractions only on the way out. ``krylov`` is
-the power loop of ``ctrb_matrix``, which the per-node models and the test
-oracles use. The global sets form no power matrix: ``invariant_span``
-saturates the reachable set (for ``reachable`` and the moment check) and
-``invariant_kernel`` the unobservable set (for ``unobservable``). All three
-clear ``a`` once to one denominator and multiply Python ints.
+the power loop of ``ctrb_matrix``, which the per-node downstream and local
+models and the test oracles use. The global sets form no power matrix:
+``invariant_span`` saturates the reachable set (for ``reachable`` and the
+moment check) and ``invariant_kernel`` the unobservable set (for
+``unobservable``). ``certified_kernel`` finds each per-node unobservable set
+(for ``upstream_indistinguishable``) from the rows of the observability
+matrix that stay independent modulo a prime, and certifies it exactly. All
+four clear ``a`` once to one denominator and multiply Python ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -49,6 +53,7 @@ __all__ = [
     "krylov",
     "invariant_span",
     "invariant_kernel",
+    "certified_kernel",
     "is_zero_matrix",
     "rref",
     "column_echelon",
@@ -65,6 +70,10 @@ __all__ = [
 
 F = Fraction
 _ZERO = Fraction(0)
+
+# The prime ``certified_kernel`` picks its rows modulo; a failed certificate
+# moves to the next prime below it.
+START_PRIME = 2**31 - 1
 
 
 def exact_entry(x) -> Fraction:
@@ -231,6 +240,97 @@ def invariant_kernel(a: np.ndarray, c: np.ndarray) -> np.ndarray:
             break
         kern = shrunk
     return kern
+
+
+def certified_kernel(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Integer basis (not canonical) of the kernel of [c; ca; ...; c a^(n-1)], certified exactly.
+
+    That kernel is the unobservable set N of the pair (c, a). ``a`` is
+    cleared once, to Ia / d, and ``c`` row by row; neither changes N. Modulo
+    a prime p, ``_rows_mod`` keeps each row c_j Ia^k that is independent of
+    the rows kept before it. Rows independent modulo p are independent over
+    Q, so if p keeps n rows, N = {0} and nothing is eliminated exactly.
+    Otherwise the kept rows are formed exactly and W is their kernel, which
+    contains N. Every other row of [c; kept Ia] is one p dropped; if each
+    vanishes on W, then c W = 0 and kept Ia W = 0, so W is an a-invariant
+    subspace inside ker c, W is inside N, and W = N. If one does not vanish,
+    p divides a minor the rank decision needed: the walk retries with the
+    next prime below p. Only finitely many primes divide those minors, so
+    the walk ends, and the result never depends on the prime.
+    """
+    n = a.shape[0]
+    a_ints = _cleared(a)[0]
+    c_ints = cleared_rows(c)
+    p = START_PRIME
+    while True:
+        picks, rank = _rows_mod(a_ints, c_ints, p)
+        if rank == n:
+            return np.zeros((n, 0), dtype=object)
+        kept, dropped = [], []
+        rows = c_ints
+        for pick in picks:
+            kept.append(rows[pick])
+            dropped.append(rows[~pick])
+            rows = rows[pick].dot(a_ints)
+        kern = kernel_basis(np.vstack(kept))
+        if is_zero_matrix(np.vstack(dropped).dot(kern)):
+            return kern
+        p = _prime_below(p)
+
+
+def _rows_mod(a_ints: np.ndarray, c_ints: np.ndarray, p: int) -> tuple[list, int]:
+    """Which rows of [c; c a; ...] stay independent modulo ``p``, block by block, and their rank.
+
+    Block 0 is the rows of ``c_ints``, block k + 1 the rows block k kept
+    times ``a_ints``; one boolean mask per block says which rows it kept. A
+    dropped row is a combination of the rows kept before it, and so is its
+    product with ``a_ints``, so dropping it loses nothing. The walk stops
+    when a block keeps nothing or the rank is the state dimension.
+    """
+    n = a_ints.shape[0]
+    if n >= 1 << 15:
+        raise IncompatibleShapes(f"state dimension {n} is too large for the int64 products modulo p")
+    a_mod = (a_ints % p).astype(np.int64)
+    block = (c_ints % p).astype(np.int64)
+    echelon = []  # (pivot, row) pairs: 1 at its pivot, 0 at the pivots of the rows before it
+    picks = []
+    while True:
+        pick = np.zeros(block.shape[0], dtype=bool)
+        for k, row in enumerate(block.tolist()):
+            for col, kept in echelon:
+                f = row[col]
+                if f:
+                    row = [(x - f * y) % p for x, y in zip(row, kept)]
+            col = next((j for j, x in enumerate(row) if x), None)
+            if col is not None:
+                inv = pow(row[col], -1, p)
+                echelon.append((col, [x * inv % p for x in row]))
+                pick[k] = True
+        picks.append(pick)
+        if not pick.any() or len(echelon) == n:
+            return picks, len(echelon)
+        block = _mulmod(block[pick], a_mod, p)
+
+
+def _mulmod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """x y modulo p for int64 matrices with entries in [0, p), p < 2**31, inner dimension < 2**15.
+
+    x is split into 16-bit halves, so no partial sum of either product passes 2**62.
+    """
+    high, low = x >> 16, x & 0xFFFF
+    return (((high @ y) % p << 16) + low @ y) % p
+
+
+def _prime_below(p: int) -> int:
+    """The largest prime below ``p``, by trial division (only a failed certificate asks).
+
+    About 10**8 primes lie below ``START_PRIME``; a walk uses only as many as
+    divide the minors of its rank decisions, plus one.
+    """
+    for q in range(p - 1, 1, -1):
+        if all(q % f for f in range(2, isqrt(q) + 1)):
+            return q
+    raise ArithmeticError("no prime is left below 2 to pick rows modulo")
 
 
 def is_zero_matrix(a: np.ndarray) -> bool:

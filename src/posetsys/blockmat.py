@@ -7,7 +7,8 @@ blocks, so block indices stay globally meaningful across compressions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -38,15 +39,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Partition:
-    """Block sizes (n_1, ..., n_p): ints or numpy integers, zero allowed, never a bool."""
+    """Block sizes (n_1, ..., n_p): ints or numpy integers, zero allowed, never a bool.
+
+    Equality and hashing read ``sizes`` alone; ``starts``, the prefix sums
+    (block j begins at ``starts[j - 1]``, and ``starts[-1]`` is the total), is
+    computed once from them.
+    """
 
     sizes: tuple
+    starts: tuple = field(init=False, repr=False, compare=False)
 
     def __init__(self, sizes):
         sizes = tuple(sizes)
         if any(isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0 for s in sizes):
             raise PartitionMismatch(f"partition sizes must be non-negative integers, got {sizes}")
-        object.__setattr__(self, "sizes", tuple(map(int, sizes)))
+        self._hold(tuple(map(int, sizes)))
+
+    def _hold(self, sizes: tuple) -> None:
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "starts", (0, *accumulate(sizes)))
+
+    @classmethod
+    def _of(cls, sizes: tuple) -> "Partition":
+        """The partition of a tuple of ints already validated (not checked)."""
+        out = cls.__new__(cls)
+        out._hold(sizes)
+        return out
 
     @property
     def count(self) -> int:
@@ -54,19 +72,19 @@ class Partition:
 
     @property
     def total(self) -> int:
-        return sum(self.sizes)
+        return self.starts[-1]
 
     def offset(self, j: int) -> int:
         self._check(j)
-        return sum(self.sizes[: j - 1])
+        return self.starts[j - 1]
 
     def size(self, j: int) -> int:
         self._check(j)
         return self.sizes[j - 1]
 
     def block_range(self, j: int) -> range:
-        start = self.offset(j)
-        return range(start, start + self.size(j))
+        self._check(j)
+        return range(self.starts[j - 1], self.starts[j])
 
     @property
     def nonempty(self) -> tuple:
@@ -80,7 +98,7 @@ class Partition:
     def restrict(self, nodes) -> "Partition":
         """Same length, sizes zeroed outside ``nodes``."""
         keep = set(nodes)
-        return Partition(tuple(s if (j + 1) in keep else 0 for j, s in enumerate(self.sizes)))
+        return Partition._of(tuple(s if (j + 1) in keep else 0 for j, s in enumerate(self.sizes)))
 
     def _check(self, j: int) -> None:
         if not 1 <= j <= len(self.sizes):
@@ -97,11 +115,23 @@ class BlockMatrix:
                 f"entries {entries.shape} do not match partitions "
                 f"({row_partition.total}, {col_partition.total})"
             )
-        entries = entries.copy()
+        self._hold(entries.copy(), row_partition, col_partition)
+
+    def _hold(self, entries: np.ndarray, row_partition: Partition, col_partition: Partition) -> None:
         entries.flags.writeable = False
         self.entries = entries
         self.row_partition = row_partition
         self.col_partition = col_partition
+
+    @classmethod
+    def _owning(cls, entries: np.ndarray, row_partition: Partition, col_partition: Partition) -> "BlockMatrix":
+        """The block matrix of ``entries``, an exact matrix no one else holds, of the partitions' shape.
+
+        Nothing is checked or copied; ``entries`` becomes read-only.
+        """
+        out = cls.__new__(cls)
+        out._hold(entries, row_partition, col_partition)
+        return out
 
     @property
     def shape(self):
@@ -160,8 +190,9 @@ def compress(m: BlockMatrix, rows, cols) -> BlockMatrix:
     The result's partitions keep all p entries with dropped sizes set to zero.
     """
     rows, cols = set(rows), set(cols)
+    # fancy indexing copies, and the entries of ``m`` are already exact
     sub = m.entries[np.ix_(m.row_partition.indices(rows), m.col_partition.indices(cols))]
-    return BlockMatrix(sub, m.row_partition.restrict(rows), m.col_partition.restrict(cols))
+    return BlockMatrix._owning(sub, m.row_partition.restrict(rows), m.col_partition.restrict(cols))
 
 
 def structured_multiply(g: BlockMatrix, h: BlockMatrix, poset: Poset) -> BlockMatrix:

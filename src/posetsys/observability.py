@@ -12,10 +12,18 @@ only output i is watched. Structured bounds:
 
 ``profile`` computes these directly; ``profile_via_duality`` recomputes them
 from the reachability profile of the dual system. The two must agree exactly,
-which is the strongest self-check this package has. The routes are
-independent algorithms: the direct global unobservable set is a shrinking
-kernel chain inside ker C (``_linalg.invariant_kernel``), the dual one the
-complement of a growing span chain from im C^T (``_linalg.invariant_span``).
+which is the strongest self-check this package has. Three independent
+algorithms meet in these checks:
+
+* the per-node upstream sets are certified kernels
+  (``_linalg.certified_kernel``): rows of the observability matrix chosen
+  modulo a prime, whose exact kernel is checked to be invariant inside ker C;
+* the global unobservable set is a shrinking kernel chain inside ker C
+  (``_linalg.invariant_kernel``), which ``profile`` checks against the
+  intersection of the embedded upstream sets;
+* the dual route takes every space as the complement of a span of the dual
+  system: the Krylov span of each downstream model (``ctrb_matrix``) and the
+  growing span chain from im C^T (``_linalg.invariant_span``).
 """
 
 from __future__ import annotations
@@ -23,19 +31,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
-import numpy as np
-
 from . import _linalg as la
 from .errors import StructureViolation
 from .poset import derived_set
-from .reachability import BlockProfile, ctrb_matrix
+from .reachability import BlockProfile
 from .reachability import profile as reach_profile
-from .subspace import Subspace, kernel
+from .subspace import Subspace
 from .system import PosetCausalSystem, derived, dual_system
 
 __all__ = [
     "ObservabilityProfile",
-    "obsv_matrix",
     "unobservable",
     "upstream_indistinguishable",
     "DUAL_SPACES",
@@ -43,11 +48,6 @@ __all__ = [
     "profile",
     "profile_via_duality",
 ]
-
-
-def obsv_matrix(c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """[C; CA; ...; C A^(n-1)], the transposed controllability construction."""
-    return ctrb_matrix(a.T, c.T).T
 
 
 def unobservable(sys: PosetCausalSystem) -> Subspace:
@@ -60,9 +60,19 @@ def unobservable(sys: PosetCausalSystem) -> Subspace:
 
 
 def upstream_indistinguishable(sys: PosetCausalSystem, i: int) -> Subspace:
-    """States of the upstream model at i invisible in output i, in the coordinates of its up-set."""
+    """States of the upstream model at i invisible in output i, in the coordinates of its up-set.
+
+    That is the model's unobservable set N, the kernel of its observability
+    matrix, computed by ``_linalg.certified_kernel``: the rows independent
+    modulo a prime are kept, and W, their exact kernel, contains N. The
+    exact check that C W = 0 and A W lies in W makes W an A-invariant
+    subspace inside ker C, so W lies in N, and W = N (Wonham, *Linear
+    Multivariable Control*). When the prime keeps as many rows as there are
+    states, N = {0} with no exact elimination, since rows independent modulo
+    a prime are independent over Q. No result depends on the prime.
+    """
     sub = derived(sys, "upstream", i)
-    return kernel(obsv_matrix(sub.C.entries, sub.A.entries))
+    return Subspace._span(sub.state_dim, la.certified_kernel(sub.A.entries, sub.C.entries))
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,11 @@ def random_locally_controllable_system(rng, poset, max_block=3):
     )
 
 
+def obsv_matrix(c, a):
+    """[C; CA; ...; C A^(n-1)]: the observability matrix, the test oracle of every unobservable set."""
+    return ctrb_matrix(a.T, c.T).T
+
+
 def coordinate_subspace(partition, nodes) -> Subspace:
     """The blocks in ``nodes`` as a subspace of the full ambient, spanned by unit vectors."""
     total = partition.total

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_random_matrix, named_poset, random_poset, structured_random_matrix
 from posetsys import _linalg as la
@@ -42,6 +44,35 @@ def test_partition_sizes_must_be_integers():
             Partition(bad)
     sizes = Partition((np.int64(2), 0)).sizes
     assert sizes == (2, 0) and all(type(s) is int for s in sizes)
+
+
+def test_partition_equality_and_hash_read_the_sizes_alone():
+    part = Partition((2, 0, 3))
+    restricted = Partition((2, 1, 3)).restrict({1, 3})
+    assert restricted == part and hash(restricted) == hash(part)
+    assert restricted.starts == part.starts == (0, 2, 2, 5)
+    object.__setattr__(restricted, "starts", (9,))  # a stale cache must not change equality
+    assert restricted == part and hash(restricted) == hash(part)
+    assert Partition((2, 3)) != part and repr(part) == "Partition(sizes=(2, 0, 3))"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 4), max_size=6), st.sets(st.integers(1, 6)))
+def test_partition_prefix_sums_match_summing_the_sizes(sizes, nodes):
+    part = Partition(sizes)
+    nodes = {j for j in nodes if j <= len(sizes)}
+    assert part.total == sum(sizes)
+    for j in range(1, len(sizes) + 1):
+        start = sum(sizes[: j - 1])
+        assert part.offset(j) == start
+        assert part.block_range(j) == range(start, start + sizes[j - 1])
+    assert part.indices(nodes) == [
+        k for j in sorted(nodes) for k in range(sum(sizes[: j - 1]), sum(sizes[:j]))
+    ]
+    restricted = part.restrict(nodes)
+    assert restricted == Partition(s if j + 1 in nodes else 0 for j, s in enumerate(sizes))
+    assert restricted.starts == Partition(restricted.sizes).starts
+    assert all(type(s) is int for s in restricted.sizes)
 
 
 def test_partition_indices():
@@ -143,6 +174,9 @@ def test_compress_full_and_empty():
     assert compress(m, {1, 2}, {1, 2}).equals(m)
     empty = compress(m, set(), {1})
     assert empty.shape == (0, 2)
+    corner = compress(m, {2}, {1})
+    assert not corner.entries.flags.writeable and not np.shares_memory(corner.entries, m.entries)
+    assert all(type(x) is la.F for x in corner.entries.flat)
 
 
 def test_compress_composes(rng):

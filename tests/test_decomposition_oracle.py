@@ -15,13 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_poset, random_system
+from conftest import obsv_matrix, random_poset, random_system
 from posetsys import _linalg as la
 from posetsys import corpus
 from posetsys.blockmat import Partition, embed
 from posetsys.corpus import load_corpus_system
 from posetsys.errors import AmbientMismatch
-from posetsys.observability import obsv_matrix, upstream_indistinguishable
+from posetsys.observability import upstream_indistinguishable
 from posetsys.observability import profile as observability_profile
 from posetsys.poset import derived_set
 from posetsys.reachability import ctrb_matrix, downstream_reachable

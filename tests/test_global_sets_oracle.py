@@ -24,10 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import obsv_matrix
 from posetsys import _linalg as la
 from posetsys.corpus import load_corpus_system
 from posetsys.fileio import load_system
-from posetsys.observability import obsv_matrix, unobservable
+from posetsys.observability import unobservable
 from posetsys.reachability import ctrb_matrix, reachable
 from posetsys.subspace import Subspace, image, kernel
 from posetsys.system import derived, dual_system

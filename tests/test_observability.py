@@ -1,5 +1,3 @@
-import numpy as np
-
 from conftest import (
     coordinate_subspace,
     random_locally_controllable_system,
@@ -10,21 +8,13 @@ from conftest import (
 from posetsys import _linalg as la
 from posetsys.corpus import load_corpus_system
 from posetsys.observability import (
-    obsv_matrix,
     profile,
     profile_via_duality,
     upstream_indistinguishable,
 )
 from posetsys.poset import build_poset
-from posetsys.reachability import ctrb_matrix
 from posetsys.subspace import Subspace
 from posetsys.system import PosetCausalSystem, dual_system
-
-
-def test_obsv_matrix_is_transposed_ctrb():
-    a = la.fmat([[1, 2], [3, 4]])
-    c = la.fmat([[1, 0]])
-    assert np.array_equal(obsv_matrix(c, a), ctrb_matrix(a.T, c.T).T)
 
 
 def test_full_state_output_is_observable(rng):
