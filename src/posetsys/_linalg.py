@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import attrgetter, truediv
 
 import numpy as np
 
@@ -70,6 +71,7 @@ __all__ = [
 
 F = Fraction
 _ZERO = Fraction(0)
+_NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
 
 # The prime ``certified_kernel`` picks its rows modulo; a failed certificate
 # moves to the next prime below it.
@@ -487,4 +489,12 @@ def poly_eval_matrix(p: list[Fraction], m: np.ndarray) -> np.ndarray:
 
 
 def mat_to_float(m: np.ndarray) -> np.ndarray:
-    return m.astype(float)
+    """An exact matrix as doubles, each entry correctly rounded; OverflowError if one is too large.
+
+    ``numerator / denominator`` is Python's correctly rounded int division, the
+    value ``float(x)`` gives, without its per-entry ``numbers.Rational`` detour.
+    ``fromiter`` stores each quotient as it is made, so no list of floats is held.
+    """
+    flat = m.ravel()
+    quotients = map(truediv, map(_NUMERATOR, flat), map(_DENOMINATOR, flat))
+    return np.fromiter(quotients, dtype=float, count=m.size).reshape(m.shape)

@@ -9,6 +9,18 @@ double raises ``NonFinite``. Derived models are poset-causal systems too, so one
 ``simulate`` serves them all. The decomposition check derives each model once and
 compares its states and outputs in global coordinates: ``Partition.indices`` of
 the model's non-empty blocks.
+
+``simulate`` runs the recurrence over K steps in blocks of L = isqrt(K) steps,
+so each Python-level pass is one product vectorised over all ceil(K/L) blocks.
+Within block b, x[bL + l] = Phi^l x[bL] + c[b, l], where the zero-state part
+c[b, l] = Phi c[b, l-1] + Gamma u[bL + l-1] starts from c[b, 0] = 0. The passes
+are: L - 1 to accumulate every block's c, ceil(K/L) to chain the block starts
+x[(b+1)L] = Phi^L x[bL] + c[b, L], and L - 1 to add each block start's free
+response Phi^l x[bL], formed as Phi times the previous one. Expanding either
+form gives the same sum of powers of Phi times x[0] and the drives, so this is
+the step-by-step map; only the rounding of its sums differs. L is cut back to
+the last power of Phi that is still finite: an overflowed Phi^L times an exact
+zero of the state would give NaN where the step-by-step loop stays finite.
 """
 
 from __future__ import annotations
@@ -146,13 +158,34 @@ def _to_float(entries, what: str) -> np.ndarray:
 
 
 def _initial_state(x0, n: int) -> np.ndarray:
-    """``x0`` (None for zero, an array or a sequence) as a float vector of length n."""
+    """``x0`` (None for zero, an array or a sequence) as a float vector of length n.
+
+    Entries may be floats, ints or Fractions, so each goes through ``float``.
+    """
     if x0 is None:
         return np.zeros(n)
-    state = _to_float(np.asarray(x0, dtype=object).ravel(), "x0")
+    try:
+        state = np.asarray(x0, dtype=object).ravel().astype(float)
+    except OverflowError as exc:
+        raise NonFinite("x0 has an entry too large for double precision") from exc
     if state.shape != (n,):
         raise DimensionMismatch(f"initial state has {state.size} entries, model expects {n}")
     return state
+
+
+def _span(stepper_t: np.ndarray, steps: int) -> tuple[int, np.ndarray]:
+    """The block span L and ``(Phi^T)^L``: L is ``isqrt(steps)``, or the last finite power.
+
+    An overflowed power times an exact zero state entry would give NaN where the
+    step-by-step recurrence stays finite, so the span stops before it.
+    """
+    span, power = 1, stepper_t
+    while span < math.isqrt(steps):
+        following = power @ stepper_t
+        if not np.isfinite(following).all():
+            break
+        span, power = span + 1, following
+    return span, power
 
 
 def simulate(model: PosetCausalSystem, x0, u: InputSignal) -> Trajectory:
@@ -160,28 +193,43 @@ def simulate(model: PosetCausalSystem, x0, u: InputSignal) -> Trajectory:
 
     ``model`` is a poset-causal system, a derived model included. The drive
     ``u Gamma^T`` and the outputs ``x C^T + u_held D^T`` are whole-array
-    products (``u_held`` holds the last input at the final grid point); the loop
-    carries the state alone. A finite ``x0`` whose trajectory leaves double
+    products (``u_held`` holds the last input at the final grid point). The
+    state recurrence runs in blocks of L steps (see the module docstring): the
+    drive is written into the state rows it feeds, each block's zero-state
+    response is accumulated in place, the block starts are chained by
+    ``Phi^L``, and each block start's free response is added back, every pass
+    vectorised over the blocks. A finite ``x0`` whose trajectory leaves double
     precision raises ``NonFinite``; a NaN in ``x0`` propagates.
     """
     a, b, c, d = (_to_float(getattr(model, k).entries, k) for k in "ABCD")
     n, m = b.shape
     if u.width != m:
         raise DimensionMismatch(f"input has width {u.width}, model expects {m}")
-    states = np.empty((u.steps + 1, n))
+    steps = u.steps
+    # row k is x[k]; until the passes below, row k + 1 holds the drive Gamma u[k]
+    states = np.empty((steps + 1, n))
     states[0] = _initial_state(x0, n)
     big = expm(np.block([[a, b], [np.zeros((m, n + m))]]) * u.step)
-    stepper = big[:n, :n]
-    held = np.vstack([u.values, u.values[-1:] if u.steps else np.zeros((1, m))])
+    stepper_t = big[:n, :n].T
+    held = np.vstack([u.values, u.values[-1:] if steps else np.zeros((1, m))])
     with np.errstate(over="ignore", invalid="ignore"):
-        drive = u.values @ big[:n, n:].T
-        for k in range(u.steps):
-            states[k + 1] = stepper @ states[k] + drive[k]
+        span, leap_t = _span(stepper_t, steps)
+        np.matmul(u.values, big[:n, n:].T, out=states[1:])
+        # offset[l] views row bL + l of every block b; the last block may end early
+        offset = [states[l::span] for l in range(span + 1)]
+        for l in range(2, span + 1):
+            offset[l] += offset[l - 1][: len(offset[l])] @ stepper_t
+        for k in range(span, steps + 1, span):
+            states[k] += states[k - span] @ leap_t
+        free = offset[0]
+        for l in range(1, span):
+            free = free[: len(offset[l])] @ stepper_t
+            offset[l] += free
         outputs = states @ c.T + held @ d.T
     finite = np.isfinite(states).all() and np.isfinite(outputs).all()
     if not finite and np.isfinite(states[0]).all():
         raise NonFinite("trajectory overflows double precision")
-    return Trajectory(times=np.arange(u.steps + 1) * u.step, states=states, outputs=outputs)
+    return Trajectory(times=np.arange(steps + 1) * u.step, states=states, outputs=outputs)
 
 
 @dataclass(frozen=True)
