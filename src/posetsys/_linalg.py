@@ -18,9 +18,10 @@ This module alone decides what an exact entry is (``exact_entry``): a
 Fraction, an int or a numpy integer; a bool, a float or anything else raises
 TypeError. ``cleared_rows`` turns an exact matrix into an integer one by
 scaling each row by its common denominator, which keeps the row space and
-the kernel. ``exact_entry``, ``exact_matrix`` and ``cleared_rows`` are not in
-``__all__``, so the benchmark's tracer, which wraps every listed function,
-does not count them. Everything here is exact; nothing ever rounds.
+the kernel. ``exact_entry``, ``exact_matrix``, ``cleared_rows`` and
+``solve`` (under ``inverse`` and ``solve_gram``) are not in ``__all__``, so
+the benchmark's tracer, which wraps every listed function, does not count
+them. Everything here is exact; nothing ever rounds.
 
 Products of exact matrices run on ints too: ``mdot`` clears each row of both
 factors on the way in and forms Fractions only on the way out. ``krylov`` is
@@ -31,7 +32,10 @@ moment check) and ``invariant_kernel`` the unobservable set (for
 ``unobservable``). ``certified_kernel`` finds each per-node unobservable set
 (for ``upstream_indistinguishable``) from the rows of the observability
 matrix that stay independent modulo a prime, and certifies it exactly. All
-four clear ``a`` once to one denominator and multiply Python ints.
+four clear ``a`` once to one denominator and multiply Python ints, and so do
+``char_poly`` (Faddeev-LeVerrier on the cleared matrix) and
+``poly_eval_matrix`` (Horner's rule on the cleared matrix and coefficients):
+neither calls ``mdot``, and each forms its Fractions once, at the end.
 """
 
 from __future__ import annotations
@@ -425,13 +429,7 @@ def inverse(m: np.ndarray) -> np.ndarray:
     n, nc = m.shape
     if n != nc:
         raise IncompatibleShapes("inverse of a non-square matrix")
-    r, pivots = rref(cleared_rows(np.hstack([m, eye(n)])))
-    if pivots != list(range(n)):
-        raise SingularMatrix("matrix is singular")
-    out = np.empty((n, n), dtype=object)
-    for i, row in enumerate(r.tolist()):
-        out[i, :] = [Fraction(x, row[i]) if x else _ZERO for x in row[n:]]
-    return out
+    return solve(m, eye(n))
 
 
 def solve_gram(basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -439,28 +437,52 @@ def solve_gram(basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     ``basis`` must have independent columns; returns the coordinate matrix x.
     """
-    g = mdot(basis.T, basis)
-    return mdot(inverse(g), mdot(basis.T, rhs))
+    return solve(mdot(basis.T, basis), mdot(basis.T, rhs))
+
+
+def solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The x with m x = rhs for a square exact ``m``: one Gauss-Jordan pass on [m, rhs].
+
+    Raises SingularMatrix. Row i of the integer result has its pivot in column
+    i; the rest of the row over that pivot is row i of x.
+    """
+    n = m.shape[0]
+    r, pivots = rref(cleared_rows(np.hstack([m, rhs])))
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrix("matrix is singular")
+    out = np.empty((n, rhs.shape[1]), dtype=object)
+    for i, row in enumerate(r.tolist()):
+        out[i, :] = [Fraction(x, row[i]) if x else _ZERO for x in row[n:]]
+    return out
 
 
 def char_poly(m: np.ndarray) -> list[Fraction]:
     """Coefficients of det(lambda I - m), low degree first, leading 1.
 
-    Uses the trace-recursion (Faddeev-LeVerrier) scheme, exact over Q.
+    ``m`` is cleared once, to Ia / d, and the Faddeev-LeVerrier recursion
+    runs on the integer matrix Ia: M_1 = I, M_(k+1) = Ia M_k + c_(n-k) I
+    with c_(n-k) = -tr(Ia M_k) / k. The c_j are the integer coefficients of
+    det(lambda I - Ia), so every division by k is exact; one that is not
+    raises ArithmeticError. Scaling lambda by d gives c_j / d^(n-j), the
+    coefficients of ``m``.
     """
     n, nc = m.shape
     if n != nc:
         raise IncompatibleShapes("characteristic polynomial of a non-square matrix")
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
-    mk = eye(n)
+    a_ints, d = _cleared(m)
+    coeffs = [0] * n + [1]
+    diagonal = np.arange(n)
+    prod = a_ints.copy()  # Ia M_1
     for k in range(1, n + 1):
-        mk = mdot(m, mk)
-        trace = sum((mk[i, i] for i in range(n)), Fraction(0))
-        c = -trace / k
+        trace = prod.trace()
+        c, rest = divmod(-trace, k)
+        if rest:
+            raise ArithmeticError(f"Faddeev-LeVerrier step {k}: trace {trace} is not divisible by {k}")
         coeffs[n - k] = c
-        for i in range(n):
-            mk[i, i] += c
-    return coeffs
+        if k < n:
+            prod[diagonal, diagonal] += c
+            prod = a_ints.dot(prod)
+    return [Fraction(c, d ** (n - j)) for j, c in enumerate(coeffs)]
 
 
 def poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
@@ -479,13 +501,28 @@ def poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
 
 
 def poly_eval_matrix(p: list[Fraction], m: np.ndarray) -> np.ndarray:
+    """The exact matrix p(m) = sum_j p[j] m^j.
+
+    ``m`` is cleared once, to Ia / d, and ``p`` to C_j / D, so p(m) is
+    sum_j C_j d^(deg-j) Ia^j over D d^deg: Horner's rule on ints, divided once.
+    """
     n = m.shape[0]
-    acc = zeros(n, n)
-    for c in reversed(p):
-        acc = mdot(acc, m)
-        for i in range(n):
-            acc[i, i] += c
-    return acc
+    if not p:
+        return zeros(n, n)
+    a_ints, d = _cleared(m)
+    den = lcm(*(c.denominator for c in p))
+    deg = len(p) - 1
+    diagonal = np.arange(n)
+    acc = np.zeros((n, n), dtype=object)
+    for j in range(deg, -1, -1):
+        if j < deg:
+            acc = a_ints.dot(acc)
+        acc[diagonal, diagonal] += p[j].numerator * (den // p[j].denominator) * d ** (deg - j)
+    den *= d**deg
+    out = np.empty((n, n), dtype=object)
+    for i, row in enumerate(acc.tolist()):
+        out[i, :] = [Fraction(x, den) if x else _ZERO for x in row]
+    return out
 
 
 def mat_to_float(m: np.ndarray) -> np.ndarray:

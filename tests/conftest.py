@@ -168,6 +168,34 @@ def char_poly_by_interpolation(m):
     return coeffs
 
 
+def fraction_char_poly(m):
+    """The Fraction Faddeev-LeVerrier recursion ``_linalg.char_poly`` ran before it moved to ints."""
+    n, nc = m.shape
+    if n != nc:
+        raise IncompatibleShapes("characteristic polynomial of a non-square matrix")
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    mk = la.eye(n)
+    for k in range(1, n + 1):
+        mk = la.mdot(m, mk)
+        trace = sum((mk[i, i] for i in range(n)), Fraction(0))
+        c = -trace / k
+        coeffs[n - k] = c
+        for i in range(n):
+            mk[i, i] += c
+    return coeffs
+
+
+def fraction_poly_eval_matrix(p, m):
+    """The Fraction Horner loop ``_linalg.poly_eval_matrix`` ran before it moved to ints."""
+    n = m.shape[0]
+    acc = la.zeros(n, n)
+    for c in reversed(p):
+        acc = la.mdot(acc, m)
+        for i in range(n):
+            acc[i, i] += c
+    return acc
+
+
 def closure_oracle(p: int, edges) -> set:
     """Brute-force reflexive-transitive closure by repeated squaring of pairs."""
     rel = {(i, i) for i in range(1, p + 1)} | {tuple(e) for e in edges}

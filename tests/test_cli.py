@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import warnings
@@ -210,6 +211,17 @@ def test_demo_prints_a_set_as_a_sorted_list(capsys):
     assert code == 0
     line = next(line for line in out.splitlines() if "covering edges" in line)
     assert line.endswith("computed [(1, 2), (2, 4), (3, 2)] | published [(1, 2), (2, 4), (3, 2)]")
+
+
+# sha256 of the full `posetsys demo` output, which runs `pole_place` (refused at an
+# uncontrollable local pair) and `char_poly_factored` on random structured feedbacks
+DEMO_SHA256 = "f6b39b42c47989cac424def482b80bebcd038b8678ffa69c1df3c9bc08f18520"
+
+
+def test_demo_output_is_pinned(capsys):
+    code, out, err = _run(capsys, "demo")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == DEMO_SHA256
 
 
 def test_demo_unknown_name(capsys):

@@ -224,6 +224,30 @@ def test_inverse_matches_fraction_oracle(m):
     assert_identical(la.mdot(m, inv), la.eye(n))
 
 
+@SETTINGS
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(matrices(rows=n, cols=n), matrices(rows=n))))
+def test_solve_matches_the_fraction_inverse_product(drawn):
+    m, rhs = drawn
+    n = m.shape[0]
+    r, pivots = oracle_rref(np.hstack([m, la.eye(n)]))
+    if pivots != list(range(n)):
+        with pytest.raises(SingularMatrix):
+            la.solve(m, rhs)
+        return
+    assert_identical(la.solve(m, rhs), oracle_mdot(r[:, n:], rhs))
+
+
+@SETTINGS
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(matrices(rows=n), matrices(rows=n))))
+def test_solve_gram_matches_the_fraction_normal_equations(drawn):
+    m, rhs = drawn
+    basis = Subspace(m.shape[0], m).basis  # independent columns
+    k = basis.shape[1]
+    r, _ = oracle_rref(np.hstack([oracle_mdot(basis.T, basis), la.eye(k)]))
+    want = oracle_mdot(r[:, k:], oracle_mdot(basis.T, rhs))
+    assert_identical(la.solve_gram(basis, rhs), want)
+
+
 def test_edge_shapes_match_oracle():
     for shape in ((0, 0), (0, 3), (3, 0)):
         m = la.zeros(*shape)

@@ -23,7 +23,7 @@ from posetsys.corpus import load_corpus_system
 from posetsys.fileio import write_trajectory
 from posetsys.poset import build_poset
 from posetsys.sim import InputSignal, Trajectory, expm, simulate, verify_trajectory_decomposition
-from posetsys.system import PosetCausalSystem, derived
+from posetsys.system import PosetCausalSystem, derived, model_nodes
 
 SHIPPED = sorted({Path(f).stem for f in corpus._SYSTEM_FILES.values()})
 PROPERTIES = settings(max_examples=25, deadline=None, derandomize=True)
@@ -181,11 +181,12 @@ def test_decomposition_derives_each_model_once(name, monkeypatch):
     sys = load_corpus_system(name)
     calls = []
 
-    def counted(system, kind, i=None):
+    def counted(poset, kind, i=None):
         calls.append((kind, i))
-        return derived(system, kind, i)
+        return model_nodes(poset, kind, i)
 
-    monkeypatch.setattr(sim, "derived", counted)
+    # each model's float matrices are sliced from the system's once, after one node selection
+    monkeypatch.setattr(sim, "model_nodes", counted)
     u = InputSignal(step=0.1, values=np.ones((5, sys.input_dim)))
     assert verify_trajectory_decomposition(sys, None, u).ok
     assert len(calls) == 3 * sys.poset.p
