@@ -215,17 +215,19 @@ def invariant_span(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     It is the column space of [b, ab, ..., a^(n-1) b]: the reachable set of
     the pair (a, b), which ``reachability.reachable`` and the moment check
     read from here. V <- column_echelon([V, Ia V]) from the cleared columns
-    of ``b`` until the dimension stops growing. ``a`` is cleared once, to
-    Ia / d, which keeps its invariant subspaces; clearing it row by row would
-    change the map.
+    of ``b`` until the dimension stops growing, or at once when V is {0} or
+    the whole space, which every map keeps: then no elimination is run just
+    to see nothing grow. ``a`` is cleared once, to Ia / d, which keeps its
+    invariant subspaces; clearing it row by row would change the map.
     """
     a_ints = _cleared(a)[0]
     span = column_echelon(cleared_rows(b.T).T)
-    while True:
+    while 0 < span.shape[1] < a.shape[0]:
         grown = column_echelon(np.hstack([span, a_ints.dot(span)]))
         if grown.shape[1] == span.shape[1]:
-            return span
+            break
         span = grown
+    return span
 
 
 def invariant_kernel(a: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -135,9 +135,10 @@ def profile(sys: PosetCausalSystem) -> ObservabilityProfile:
     seen = []
     for i in poset.nodes:
         above = derived_set(poset, {i}, "up")
+        part = n.restrict(above)
         for j in sorted(above):
-            confined[(i, j)] = upstream[i].section(n.restrict(above), (j,))
-            projected[(i, j)] = upstream[i].project(n.restrict(above), (j,))
+            confined[(i, j)] = upstream[i].section(part, (j,))
+            projected[(i, j)] = upstream[i].project(part, (j,))
         seen.append(upstream[i].complement().embed(n, above))
 
     node_floor = {}

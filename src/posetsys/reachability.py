@@ -142,9 +142,10 @@ def profile(sys: PosetCausalSystem) -> ReachabilityProfile:
     projected = {}
     for j in poset.nodes:
         below = derived_set(poset, {j}, "down")
+        part = n.restrict(below)
         for i in sorted(below):
-            exclusive[(i, j)] = down[j].section(n.restrict(below), (i,))
-            projected[(i, j)] = down[j].project(n.restrict(below), (i,))
+            exclusive[(i, j)] = down[j].section(part, (i,))
+            projected[(i, j)] = down[j].project(part, (i,))
 
     node_independent = {}
     node_ceiling = {}

@@ -8,8 +8,10 @@ rational matrices become doubles at this boundary only; what does not fit a
 double raises ``NonFinite``. Derived models are poset-causal systems too, so one
 ``simulate`` serves them all. The decomposition check converts the system's
 matrices to doubles once and runs each derived model on slices of them, at the
-model's coordinates (``Partition.indices`` of its nodes); it compares states and
-outputs in those global coordinates too.
+model's coordinates (``Partition.indices`` of its nodes). Each trajectory stays
+at its model's width: the check compares it with the global one at those
+coordinates, and adds the downstream trajectories into their global sums in
+node order, as each one arrives.
 
 ``simulate`` runs the recurrence over K steps in blocks of L = isqrt(K) steps,
 so each Python-level pass is one product vectorised over all ceil(K/L) blocks.
@@ -312,41 +314,54 @@ def verify_trajectory_decomposition(
     gx, gy = global_traj.states, global_traj.outputs
 
     def run(model, seeded_nodes):
-        # the derived model started from x0 on seeded_nodes (zero elsewhere), scattered
-        # into global-width states and outputs that are zero outside the model
-        (a, b, c, d), (states, inputs, outputs) = model
+        # the derived model started from x0 on seeded_nodes (zero elsewhere), in its own coordinates
+        (a, b, c, d), (states, inputs, _) = model
         seed = np.zeros(n.total)
         seeded = n.indices(seeded_nodes)
         seed[seeded] = x0vec[seeded]
         traj = _simulate(a, b, c, d, seed[states], u.restrict(inputs))
-        x = np.zeros((len(traj.times), n.total))
-        y = np.zeros((len(traj.times), r.total))
-        x[:, states] = traj.states
-        y[:, outputs] = traj.outputs
-        return x, y
+        return traj.states, traj.outputs
 
+    def own(model, i):
+        # node i's state and output columns within the model; its coordinates increase
+        _, (states, _, outputs) = model
+        return np.searchsorted(states, n.indices((i,))), np.searchsorted(outputs, r.indices((i,)))
+
+    # each downstream trajectory keeps its model's width; the sums add them in node order
     down_models = {i: _model_floats(sys, floats, "downstream", i) for i in poset.nodes}
-    down = {i: run(down_models[i], (i,)) for i in poset.nodes}
+    down = {}
+    sum_x, sum_y = np.zeros_like(gx), np.zeros_like(gy)
+    for i in poset.nodes:
+        down[i] = down_x, down_y = run(down_models[i], (i,))
+        _, (states, _, outputs) = down_models[i]
+        sum_x[:, states] += down_x
+        sum_y[:, outputs] += down_y
     local_x, local_y, split_x, split_y, up = [], [], [], [], []
     for i in poset.nodes:
         own_x, own_y = n.indices((i,)), r.indices((i,))
+        # node i's columns in the downstream model at each j above it; the local
+        # model's coordinates are node i's alone, and so are the upstream model's outputs
+        at = {j: own(down_models[j], i) for j in derived_set(poset, {i}, "up")}
         full_x, full_y = run(down_models[i], poset.nodes)
         loc_x, loc_y = run(_model_floats(sys, floats, "local", i), (i,))
-        local_x.append(_deviation(full_x[:, own_x], loc_x[:, own_x]))
-        local_y.append(_deviation(full_y[:, own_y], loc_y[:, own_y]))
+        local_x.append(_deviation(full_x[:, at[i][0]], loc_x))
+        local_y.append(_deviation(full_y[:, at[i][1]], loc_y))
 
         above = sorted(derived_set(poset, {i}, "strict_up"))
-        split_x.append(_deviation(gx[:, own_x], sum((down[j][0] for j in above), loc_x)[:, own_x]))
-        split_y.append(_deviation(gy[:, own_y], sum((down[j][1] for j in above), loc_y)[:, own_y]))
+        parts_x = sum((down[j][0][:, at[j][0]] for j in above), loc_x)
+        parts_y = sum((down[j][1][:, at[j][1]] for j in above), loc_y)
+        split_x.append(_deviation(gx[:, own_x], parts_x))
+        split_y.append(_deviation(gy[:, own_y], parts_y))
 
-        up_x, up_y = run(_model_floats(sys, floats, "upstream", i), poset.nodes)
-        ups = n.indices(derived_set(poset, {i}, "up"))
-        up.append(_deviation(up_x[:, ups], gx[:, ups]))
-        up.append(_deviation(up_y[:, own_y], gy[:, own_y]))
+        upstream = _model_floats(sys, floats, "upstream", i)
+        ups = upstream[1][0]
+        up_x, up_y = run(upstream, poset.nodes)
+        up.append(_deviation(up_x, gx[:, ups]))
+        up.append(_deviation(up_y, gy[:, own_y]))
 
     families = {
-        "downstream_sum_states": [_deviation(gx, sum(down[i][0] for i in poset.nodes))],
-        "downstream_sum_outputs": [_deviation(gy, sum(down[i][1] for i in poset.nodes))],
+        "downstream_sum_states": [_deviation(gx, sum_x)],
+        "downstream_sum_outputs": [_deviation(gy, sum_y)],
         "downstream_local_component_states": local_x,
         "downstream_local_component_outputs": local_y,
         "per_node_split_states": split_x,

@@ -7,6 +7,22 @@ arrays are identical. Every lattice operation, projection and section
 eliminates on these integers and forms no Fraction; ``embed`` and
 ``direct_sum`` place canonical bases without eliminating at all.
 
+The canonical basis of {0} has no columns and that of the full space is the
+identity, so a zero or full operand decides these results from its dimension
+alone, with no elimination:
+
+* ``sum`` drops zero operands, is full if one operand is full, and returns
+  the operand that is left if only one is;
+* ``intersect`` is {0} if one operand is {0}, and the other operand if one
+  is full;
+* ``complement`` swaps {0} and the full space;
+* ``section`` and ``project`` of {0} are {0}, and of the full space the full
+  space of the chosen coordinates.
+
+Each is a lattice identity, and canonical bases are unique, so each result
+equals, by ``==``, the one the elimination gives. Every other operand is
+eliminated.
+
 Fractions appear only at the boundary: ``Subspace(ambient, basis)`` takes any
 exact matrix and clears each column of its denominators, and ``basis``, the
 pivot-1 form that ``vectors()``, ``project_onto``, ``contains_vector`` and the
@@ -96,6 +112,9 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
+    def is_full(self) -> bool:
+        return self.dim == self.ambient
+
     def _require_same_ambient(self, other: "Subspace") -> None:
         if self.ambient != other.ambient:
             raise AmbientMismatch(f"ambients differ: {self.ambient} vs {other.ambient}")
@@ -125,22 +144,38 @@ class Subspace:
     # lattice operations -----------------------------------------------
 
     def sum(self, *others: "Subspace") -> "Subspace":
-        """Span of this subspace and all ``others``, by one canonical elimination."""
+        """Span of this subspace and all ``others``, by at most one canonical elimination.
+
+        Zero operands are dropped; a single operand left, or a full one,
+        decides the span without elimination.
+        """
         for other in others:
             self._require_same_ambient(other)
-        parts = [self.integer_basis] + [o.integer_basis for o in others]
-        return Subspace._span(self.ambient, np.hstack(parts))
+        parts = [space for space in (self, *others) if not space.is_zero()]
+        if not parts:
+            return self
+        if len(parts) == 1:
+            return parts[0]
+        if any(space.is_full() for space in parts):
+            return Subspace.full(self.ambient)
+        return Subspace._span(self.ambient, np.hstack([space.integer_basis for space in parts]))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._require_same_ambient(other)
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.ambient)
+        if self.is_zero() or other.is_full():
+            return self
+        if other.is_zero() or self.is_full():
+            return other
         # U a + W b = 0 puts U a in U cap W, so no sign flip of W is needed
         null = la.kernel_basis(np.hstack([self.integer_basis, other.integer_basis]))
         return Subspace._span(self.ambient, self.integer_basis.dot(null[: self.dim, :]))
 
     def complement(self) -> "Subspace":
-        """Orthogonal complement in the standard inner product."""
+        """Orthogonal complement in the standard inner product; {0} and the full space swap."""
+        if self.is_zero():
+            return Subspace.full(self.ambient)
+        if self.is_full():
+            return Subspace.zero(self.ambient)
         return Subspace._span(self.ambient, la.kernel_basis(self.integer_basis.T))
 
     def ominus(self, other: "Subspace") -> "Subspace":
@@ -166,14 +201,22 @@ class Subspace:
             raise AmbientMismatch(f"partition total {partition.total} != ambient {self.ambient}")
         return partition.indices(nodes)
 
+    def _trivial_on(self, rows: list) -> "Subspace":
+        """{0} or the full space of ``rows``, as this one: its section and projection there."""
+        return Subspace.zero(len(rows)) if self.is_zero() else Subspace.full(len(rows))
+
     def project(self, partition: Partition, nodes) -> "Subspace":
         """Projection onto the coordinate blocks in ``nodes``, in their coordinates."""
         rows = self._rows(partition, nodes)
+        if self.is_zero() or self.is_full():
+            return self._trivial_on(rows)
         return Subspace._span(len(rows), self.integer_basis[rows, :])
 
     def section(self, partition: Partition, nodes) -> "Subspace":
         """Intersection with the coordinate blocks in ``nodes``, in their coordinates."""
         rows = self._rows(partition, nodes)
+        if self.is_zero() or self.is_full():
+            return self._trivial_on(rows)
         cols = self.integer_basis
         coords = la.kernel_basis(np.delete(cols, rows, axis=0))  # vanishing off ``nodes``
         return Subspace._span(len(rows), cols[rows, :].dot(coords))

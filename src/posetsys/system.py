@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg as la
-from .blockmat import BlockMatrix, Partition, compress, incidence_violations, is_incident
+from .blockmat import BlockMatrix, Partition, incidence_violations, is_incident
 from .errors import (
     IndexOutOfRange,
     ShapeMismatch,
@@ -177,19 +177,24 @@ def derived(sys: PosetCausalSystem, kind: str, i: int | None = None) -> PosetCau
     are the system's, restricted to the model's state, input and output nodes
     (``model_nodes``; the other blocks have size 0), so block j of the model is
     block j of the system, and ``sys.n.indices(model.n.nonempty)`` are its
-    global coordinates. No pattern check: a restriction of a system keeps its
-    pattern.
+    global coordinates. Each partition is restricted, and its coordinates
+    listed, once; the four matrices are sliced at them. No pattern check: a
+    restriction of a system keeps its pattern.
     """
-    states, inputs, outputs = model_nodes(sys.poset, kind, i)
+    parts = (sys.n, sys.m, sys.r)
+    nodes = model_nodes(sys.poset, kind, i)
+    n, m, r = (part.restrict(k) for part, k in zip(parts, nodes))
+    x, u, y = (part.indices(k) for part, k in zip(parts, nodes))
+    # fancy indexing copies, and the system's entries are already exact
     return PosetCausalSystem._unchecked(
         poset=sys.poset,
-        n=sys.n.restrict(states),
-        m=sys.m.restrict(inputs),
-        r=sys.r.restrict(outputs),
-        A=compress(sys.A, states, states),
-        B=compress(sys.B, states, inputs),
-        C=compress(sys.C, outputs, states),
-        D=compress(sys.D, outputs, inputs),
+        n=n,
+        m=m,
+        r=r,
+        A=BlockMatrix._owning(sys.A.entries[np.ix_(x, x)], n, n),
+        B=BlockMatrix._owning(sys.B.entries[np.ix_(x, u)], n, m),
+        C=BlockMatrix._owning(sys.C.entries[np.ix_(y, x)], r, n),
+        D=BlockMatrix._owning(sys.D.entries[np.ix_(y, u)], r, m),
     )
 
 

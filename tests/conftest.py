@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from posetsys import _linalg as la
@@ -194,6 +195,47 @@ def fraction_poly_eval_matrix(p, m):
         for i in range(n):
             acc[i, i] += c
     return acc
+
+
+# The lattice operations as every operand took them before zero and full
+# operands were decided from their dimension: one elimination each.
+
+
+def eliminated_sum(space, *others) -> Subspace:
+    parts = [space.integer_basis] + [o.integer_basis for o in others]
+    return Subspace._span(space.ambient, np.hstack(parts))
+
+
+def eliminated_intersect(u, w) -> Subspace:
+    null = la.kernel_basis(np.hstack([u.integer_basis, w.integer_basis]))
+    return Subspace._span(u.ambient, u.integer_basis.dot(null[: u.dim, :]))
+
+
+def eliminated_complement(space) -> Subspace:
+    return Subspace._span(space.ambient, la.kernel_basis(space.integer_basis.T))
+
+
+def eliminated_project(space, partition, nodes) -> Subspace:
+    rows = partition.indices(nodes)
+    return Subspace._span(len(rows), space.integer_basis[rows, :])
+
+
+def eliminated_section(space, partition, nodes) -> Subspace:
+    rows = partition.indices(nodes)
+    cols = space.integer_basis
+    coords = la.kernel_basis(np.delete(cols, rows, axis=0))
+    return Subspace._span(len(rows), cols[rows, :].dot(coords))
+
+
+def eliminated_invariant_span(a, b):
+    """``_linalg.invariant_span`` saturated until an elimination shows the span stopped growing."""
+    a_ints = la._cleared(a)[0]
+    span = la.column_echelon(la.cleared_rows(b.T).T)
+    while True:
+        grown = la.column_echelon(np.hstack([span, a_ints.dot(span)]))
+        if grown.shape[1] == span.shape[1]:
+            return span
+        span = grown
 
 
 def closure_oracle(p: int, edges) -> set:
