@@ -11,31 +11,44 @@ matrices to doubles once and runs each derived model on slices of them, at the
 model's coordinates (``Partition.indices`` of its nodes). Each trajectory stays
 at its model's width: the check compares it with the global one at those
 coordinates, and adds the downstream trajectories into their global sums in
-node order, as each one arrives.
+node order.
 
 ``simulate`` runs the recurrence over K steps in blocks of L = isqrt(K) steps,
 so each Python-level pass is one product vectorised over all ceil(K/L) blocks.
 Within block b, x[bL + l] = Phi^l x[bL] + c[b, l], where the zero-state part
-c[b, l] = Phi c[b, l-1] + Gamma u[bL + l-1] starts from c[b, 0] = 0. The passes
-are: L - 1 to accumulate every block's c, ceil(K/L) to chain the block starts
-x[(b+1)L] = Phi^L x[bL] + c[b, L], and L - 1 to add each block start's free
-response Phi^l x[bL], formed as Phi times the previous one. Expanding either
-form gives the same sum of powers of Phi times x[0] and the drives, so this is
-the step-by-step map; only the rounding of its sums differs. L is cut back to
-the last power of Phi that is still finite: an overflowed Phi^L times an exact
-zero of the state would give NaN where the step-by-step loop stays finite.
+c[b, l] = Phi c[b, l-1] + Gamma u[bL + l-1] starts from c[b, 0] = 0. A
+simulation has two stages. ``_forced`` does what does not depend on x[0]: the
+exponential, the powers Phi^1 .. Phi^L (L - 1 products) and, in L - 1 passes,
+every block's c. ``_respond`` chains the block starts x[(b+1)L] = Phi^L x[bL] +
+c[b, L] in ceil(K/L) passes, then forms every block start's free response
+Phi^l x[bL], l < L, in one product with the stacked powers, and the outputs in
+one more. So a model's first run makes about 2 isqrt(K) passes over the
+blocks, and a further run of the same model isqrt(K) + 2; the L - 1 products
+that form the powers are n x n. Expanding either form gives the same
+sum of powers of Phi times x[0] and the drives, so this is the step-by-step
+map; only the rounding of its sums differs. L is cut back to the last power of
+Phi that is still finite: an overflowed Phi^L times an exact zero of the state
+would give NaN where the step-by-step loop stays finite.
+
+The check runs 4p + 1 simulations for p nodes, but fewer distinct models: the
+downstream model runs from two seeds, and a node with no strict down-set
+(up-set) has a downstream (upstream) model on the local model's coordinates.
+Runs of models with the same state and input coordinates share one ``_forced``
+part, kept only until the last of them, so ``simulate`` and the check run the
+same arithmetic on each model.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _linalg as la
 from .errors import DimensionMismatch, NonFinite
-from .poset import derived_set
+from .poset import block_triangular_relabel, derived_set
 from .system import PosetCausalSystem, model_nodes
 
 __all__ = [
@@ -137,8 +150,17 @@ class InputSignal:
     def width(self) -> int:
         return self.values.shape[1]
 
+    @classmethod
+    def _of(cls, step: float, values: np.ndarray) -> "InputSignal":
+        """The signal of a step and a (steps, width) float array already validated (not checked)."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "step", step)
+        object.__setattr__(out, "values", values)
+        return out
+
     def restrict(self, columns) -> "InputSignal":
-        return InputSignal(step=self.step, values=self.values[:, list(columns)])
+        """The signal on the given columns; they are columns of a validated signal."""
+        return InputSignal._of(self.step, self.values[:, list(columns)])
 
 
 @dataclass(frozen=True)
@@ -180,70 +202,109 @@ def _initial_state(x0, n: int) -> np.ndarray:
     return state
 
 
-def _span(stepper_t: np.ndarray, steps: int) -> tuple[int, np.ndarray]:
-    """The block span L and ``(Phi^T)^L``: L is ``isqrt(steps)``, or the last finite power.
+def _powers(stepper_t: np.ndarray, steps: int) -> np.ndarray:
+    """The stacked powers ``(Phi^T)^1 .. (Phi^T)^L`` as an (n, L, n) array; ``[:, l - 1]`` is the l-th.
 
-    An overflowed power times an exact zero state entry would give NaN where the
-    step-by-step recurrence stays finite, so the span stops before it.
+    L is ``max(1, isqrt(steps))``, or the last finite power: an overflowed power
+    times an exact zero state entry would give NaN where the step-by-step
+    recurrence stays finite, so the stack stops before it.
     """
-    span, power = 1, stepper_t
-    while span < math.isqrt(steps):
-        following = power @ stepper_t
-        if not np.isfinite(following).all():
-            break
-        span, power = span + 1, following
-    return span, power
+    n, span = stepper_t.shape[0], max(1, math.isqrt(steps))
+    powers = np.empty((n, span, n))
+    powers[:, 0] = stepper_t
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(1, span):
+            np.matmul(powers[:, l - 1], stepper_t, out=powers[:, l])
+    finite = np.isfinite(powers).all(axis=(0, 2))
+    return powers if finite.all() else powers[:, : finite.argmin()].copy()
+
+
+@dataclass(frozen=True)
+class _Forced:
+    """What a simulation computes before it sees x0.
+
+    ``powers`` is ``_powers`` of Phi^T; row bL + l of ``zero`` is the zero-state
+    response c[b, l], and row 0 is zero.
+    """
+
+    powers: np.ndarray
+    zero: np.ndarray
+
+
+def _forced(a, b, u: InputSignal) -> _Forced:
+    """The x0-free part of the zero-order-hold response to ``u`` of the model with float a, b.
+
+    One matrix exponential gives Phi and Gamma; the drive ``u Gamma^T`` is
+    written into the rows it feeds (row k + 1 holds ``Gamma u[k]``), and L - 1
+    passes vectorised over the blocks accumulate each block's zero-state response
+    in place.
+    """
+    n, m = b.shape
+    if u.width != m:
+        raise DimensionMismatch(f"input has width {u.width}, model expects {m}")
+    augmented = np.zeros((n + m, n + m))
+    augmented[:n, :n], augmented[:n, n:] = a, b
+    big = expm(augmented * u.step)
+    zero = np.empty((u.steps + 1, n))
+    zero[0] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = _powers(big[:n, :n].T, u.steps)
+        span, stepper_t = powers.shape[1], powers[:, 0]
+        np.matmul(u.values, big[:n, n:].T, out=zero[1:])
+        # offset[l] views row bL + l of every block b; the last block may end early
+        offset = [zero[l::span] for l in range(span + 1)]
+        for l in range(2, span + 1):
+            offset[l] += offset[l - 1][: len(offset[l])] @ stepper_t
+    return _Forced(powers=powers, zero=zero)
+
+
+def _respond(forced: _Forced, c, d, x0, u: InputSignal) -> Trajectory:
+    """The trajectory from ``x0`` of a model whose x0-free part is ``forced``, with float c, d.
+
+    The block starts x[bL] are chained by ``Phi^L``; one product with the
+    stacked powers ``[Phi^T^1 .. Phi^T^(L-1)]`` then gives every block start's
+    free response, which is added to the zero-state response. The outputs are
+    ``x C^T + u_held D^T`` (``u_held`` holds the last input at the final grid
+    point). A finite ``x0`` whose trajectory leaves double precision raises
+    ``NonFinite``; a NaN in ``x0`` propagates.
+    """
+    powers, zero = forced.powers, forced.zero
+    n, span, steps = powers.shape[0], powers.shape[1], u.steps
+    starts = zero[::span].copy()
+    starts[0] = _initial_state(x0, n)
+    states = np.empty_like(zero)
+    whole = len(starts) - 1  # blocks that hold all L steps; the last start's block is shorter
+    held = np.vstack([u.values, u.values[-1:] if steps else np.zeros((1, u.width))])
+    leap_t = powers[:, -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, len(starts)):
+            starts[k] += starts[k - 1] @ leap_t
+        states[::span] = starts
+        stacked = powers[:, : span - 1].reshape(n, (span - 1) * n)
+        # row b of body is x[bL + 1 .. bL + L - 1] side by side, row 0 of tail the last block's
+        body = states[: whole * span].reshape(whole, span * n)[:, n:]
+        tail = states[whole * span + 1 :].reshape(1, -1)
+        np.matmul(starts[:whole], stacked, out=body)
+        np.matmul(starts[whole:], stacked[:, : tail.shape[1]], out=tail)
+        body += zero[: whole * span].reshape(whole, span * n)[:, n:]
+        tail += zero[whole * span + 1 :].reshape(tail.shape)
+        outputs = states @ c.T
+        outputs += held @ d.T
+    finite = np.isfinite(states).all() and np.isfinite(outputs).all()
+    if not finite and np.isfinite(states[0]).all():
+        raise NonFinite("trajectory overflows double precision")
+    return Trajectory(times=np.arange(steps + 1) * u.step, states=states, outputs=outputs)
 
 
 def simulate(model: PosetCausalSystem, x0, u: InputSignal) -> Trajectory:
     """Grid samples of the model's zero-order-hold response to ``u``.
 
     ``model`` is a poset-causal system, a derived model included; its exact
-    matrices become doubles here, and ``_simulate`` runs them.
+    matrices become doubles here. The x0-free part comes from ``_forced`` and
+    the trajectory from ``_respond``, as in the decomposition check.
     """
-    return _simulate(*_floats(model), x0, u)
-
-
-def _simulate(a, b, c, d, x0, u: InputSignal) -> Trajectory:
-    """The zero-order-hold response to ``u`` of the model with float matrices a, b, c, d.
-
-    The drive ``u Gamma^T`` and the outputs ``x C^T + u_held D^T`` are
-    whole-array products (``u_held`` holds the last input at the final grid
-    point). The state recurrence runs in blocks of L steps (see the module
-    docstring): the drive is written into the state rows it feeds, each
-    block's zero-state response is accumulated in place, the block starts are
-    chained by ``Phi^L``, and each block start's free response is added back,
-    every pass vectorised over the blocks. A finite ``x0`` whose trajectory
-    leaves double precision raises ``NonFinite``; a NaN in ``x0`` propagates.
-    """
-    n, m = b.shape
-    if u.width != m:
-        raise DimensionMismatch(f"input has width {u.width}, model expects {m}")
-    steps = u.steps
-    # row k is x[k]; until the passes below, row k + 1 holds the drive Gamma u[k]
-    states = np.empty((steps + 1, n))
-    states[0] = _initial_state(x0, n)
-    big = expm(np.block([[a, b], [np.zeros((m, n + m))]]) * u.step)
-    stepper_t = big[:n, :n].T
-    held = np.vstack([u.values, u.values[-1:] if steps else np.zeros((1, m))])
-    with np.errstate(over="ignore", invalid="ignore"):
-        span, leap_t = _span(stepper_t, steps)
-        np.matmul(u.values, big[:n, n:].T, out=states[1:])
-        # offset[l] views row bL + l of every block b; the last block may end early
-        offset = [states[l::span] for l in range(span + 1)]
-        for l in range(2, span + 1):
-            offset[l] += offset[l - 1][: len(offset[l])] @ stepper_t
-        for k in range(span, steps + 1, span):
-            states[k] += states[k - span] @ leap_t
-        free = offset[0]
-        for l in range(1, span):
-            free = free[: len(offset[l])] @ stepper_t
-            offset[l] += free
-        outputs = states @ c.T + held @ d.T
-    finite = np.isfinite(states).all() and np.isfinite(outputs).all()
-    if not finite and np.isfinite(states[0]).all():
-        raise NonFinite("trajectory overflows double precision")
-    return Trajectory(times=np.arange(steps + 1) * u.step, states=states, outputs=outputs)
+    a, b, c, d = _floats(model)
+    return _respond(_forced(a, b, u), c, d, x0, u)
 
 
 @dataclass(frozen=True)
@@ -266,23 +327,34 @@ class DecompositionReport:
         return "\n".join(lines)
 
 
-def _model_floats(sys: PosetCausalSystem, floats, kind: str, i: int) -> tuple:
-    """A, B, C, D of ``derived(sys, kind, i)`` as float slices of ``floats``, and its coordinates.
+def _coordinates(sys: PosetCausalSystem, kind: str, i: int) -> tuple:
+    """State, input and output indices (``Partition.indices``) of the nodes of ``derived(sys, kind, i)``.
 
-    ``floats`` is the system's A, B, C, D as doubles. The coordinates are the
-    state, input and output indices (``Partition.indices``) of the model's
-    nodes; a node's empty block adds none.
+    A node's empty block adds none.
     """
     nodes = model_nodes(sys.poset, kind, i)
-    states, inputs, outputs = (part.indices(k) for part, k in zip((sys.n, sys.m, sys.r), nodes))
-    a, b, c, d = floats
-    sliced = (
+    return tuple(part.indices(k) for part, k in zip((sys.n, sys.m, sys.r), nodes))
+
+
+def _slices(floats, coords) -> tuple:
+    """A, B, C, D of the model at ``coords`` (its state, input and output indices) as slices of ``floats``."""
+    (a, b, c, d), (states, inputs, outputs) = floats, coords
+    return (
         a[np.ix_(states, states)],
         b[np.ix_(states, inputs)],
         c[np.ix_(outputs, states)],
         d[np.ix_(outputs, inputs)],
     )
-    return sliced, (states, inputs, outputs)
+
+
+def _model_floats(sys: PosetCausalSystem, floats, kind: str, i: int) -> tuple:
+    """A, B, C, D of ``derived(sys, kind, i)`` as float slices of ``floats``, and its coordinates.
+
+    ``floats`` is the system's A, B, C, D as doubles; the coordinates are
+    ``_coordinates(sys, kind, i)``.
+    """
+    coords = _coordinates(sys, kind, i)
+    return _slices(floats, coords), coords
 
 
 def _nanmax(values) -> float:
@@ -292,6 +364,10 @@ def _nanmax(values) -> float:
 
 def _deviation(x, y) -> float:
     return _nanmax(np.abs(x - y))
+
+
+# runs of each derived model per node: the downstream model seeded at its node and everywhere
+_RUNS = {"downstream": 2, "local": 1, "upstream": 1}
 
 
 def verify_trajectory_decomposition(
@@ -305,59 +381,95 @@ def verify_trajectory_decomposition(
     the per-node split of the global trajectory into the local contribution
     plus strictly-upstream downstream contributions. Upstream models are also
     checked to be restrictions of the global trajectory.
+
+    Models that share their state and input coordinates share one ``_forced``
+    part, which is dropped after their last run. Nodes are visited in a linear
+    extension, upstream first, so each node's split is evaluated as soon as its
+    local run exists; the downstream sums still add in node order, and each
+    downstream trajectory is dropped once the sums and every split have it.
     """
     poset = sys.poset
     n, r = sys.n, sys.r
     x0vec = _initial_state(x0, n.total)
     floats = _floats(sys)
-    global_traj = _simulate(*floats, x0vec, u)
+    a, b, c, d = floats
+    global_traj = _respond(_forced(a, b, u), c, d, x0vec, u)
     gx, gy = global_traj.states, global_traj.outputs
 
-    def run(model, seeded_nodes):
+    coords = {(kind, i): _coordinates(sys, kind, i) for kind in _RUNS for i in poset.nodes}
+
+    def shared(kind, i):
+        # models on the same state and input coordinates share their forced part
+        states, inputs, _ = coords[kind, i]
+        return tuple(states), tuple(inputs)
+
+    left = Counter()
+    for kind, i in coords:
+        left[shared(kind, i)] += _RUNS[kind]
+    forced = {}
+
+    def run(kind, i, seeded_nodes):
         # the derived model started from x0 on seeded_nodes (zero elsewhere), in its own coordinates
-        (a, b, c, d), (states, inputs, _) = model
+        states, inputs, _ = coords[kind, i]
+        model_a, model_b, model_c, model_d = _slices(floats, coords[kind, i])
+        key = shared(kind, i)
+        if key not in forced:
+            ui = u.restrict(inputs)
+            forced[key] = _forced(model_a, model_b, ui), ui
+        part, ui = forced[key]
+        left[key] -= 1
+        if not left[key]:
+            del forced[key]
         seed = np.zeros(n.total)
         seeded = n.indices(seeded_nodes)
         seed[seeded] = x0vec[seeded]
-        traj = _simulate(a, b, c, d, seed[states], u.restrict(inputs))
+        traj = _respond(part, model_c, model_d, seed[states], ui)
         return traj.states, traj.outputs
 
-    def own(model, i):
-        # node i's state and output columns within the model; its coordinates increase
-        _, (states, _, outputs) = model
+    def own(j, i):
+        # node i's state and output columns within the downstream model at j; its coordinates increase
+        states, _, outputs = coords["downstream", j]
         return np.searchsorted(states, n.indices((i,))), np.searchsorted(outputs, r.indices((i,)))
 
-    # each downstream trajectory keeps its model's width; the sums add them in node order
-    down_models = {i: _model_floats(sys, floats, "downstream", i) for i in poset.nodes}
-    down = {}
+    # each downstream trajectory keeps its model's width; it is kept until the sums (nodes
+    # 1..summed) and the splits of every node below it (waiting[j] left) have used it
+    down, summed = {}, 0
+    waiting = {j: len(derived_set(poset, {j}, "strict_down")) for j in poset.nodes}
     sum_x, sum_y = np.zeros_like(gx), np.zeros_like(gy)
-    for i in poset.nodes:
-        down[i] = down_x, down_y = run(down_models[i], (i,))
-        _, (states, _, outputs) = down_models[i]
-        sum_x[:, states] += down_x
-        sum_y[:, outputs] += down_y
     local_x, local_y, split_x, split_y, up = [], [], [], [], []
-    for i in poset.nodes:
+    relabel = block_triangular_relabel(poset)
+    for i in sorted(poset.nodes, key=relabel.__getitem__):
+        down[i] = run("downstream", i, (i,))
+        while summed + 1 in down:
+            summed += 1
+            states, _, outputs = coords["downstream", summed]
+            sum_x[:, states] += down[summed][0]
+            sum_y[:, outputs] += down[summed][1]
+
         own_x, own_y = n.indices((i,)), r.indices((i,))
         # node i's columns in the downstream model at each j above it; the local
         # model's coordinates are node i's alone, and so are the upstream model's outputs
-        at = {j: own(down_models[j], i) for j in derived_set(poset, {i}, "up")}
-        full_x, full_y = run(down_models[i], poset.nodes)
-        loc_x, loc_y = run(_model_floats(sys, floats, "local", i), (i,))
+        at = {j: own(j, i) for j in derived_set(poset, {i}, "up")}
+        full_x, full_y = run("downstream", i, poset.nodes)
+        loc_x, loc_y = run("local", i, (i,))
         local_x.append(_deviation(full_x[:, at[i][0]], loc_x))
         local_y.append(_deviation(full_y[:, at[i][1]], loc_y))
+        # no trajectory outlives its deviations, which keeps the check's peak memory down
+        del full_x, full_y
 
         above = sorted(derived_set(poset, {i}, "strict_up"))
-        parts_x = sum((down[j][0][:, at[j][0]] for j in above), loc_x)
-        parts_y = sum((down[j][1][:, at[j][1]] for j in above), loc_y)
-        split_x.append(_deviation(gx[:, own_x], parts_x))
-        split_y.append(_deviation(gy[:, own_y], parts_y))
+        split_x.append(_deviation(gx[:, own_x], sum((down[j][0][:, at[j][0]] for j in above), loc_x)))
+        split_y.append(_deviation(gy[:, own_y], sum((down[j][1][:, at[j][1]] for j in above), loc_y)))
+        for j in above:
+            waiting[j] -= 1
+        for j in [j for j in down if j <= summed and not waiting[j]]:
+            del down[j]
 
-        upstream = _model_floats(sys, floats, "upstream", i)
-        ups = upstream[1][0]
-        up_x, up_y = run(upstream, poset.nodes)
+        ups = coords["upstream", i][0]
+        up_x, up_y = run("upstream", i, poset.nodes)
         up.append(_deviation(up_x, gx[:, ups]))
         up.append(_deviation(up_y, gy[:, own_y]))
+        del up_x, up_y
 
     families = {
         "downstream_sum_states": [_deviation(gx, sum_x)],

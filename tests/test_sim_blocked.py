@@ -1,10 +1,11 @@
 """The blocked state recurrence of ``simulate`` against the per-step oracle.
 
 ``simulate`` steps the grid in blocks of L = isqrt(K) steps, with L cut back
-to the last power of the stepper that is still finite. These tests cover the
-block boundaries (K at, just below and just above a perfect square, and K
-that L does not divide, so the last block is short), the power cap, and the
-overflow and NaN behaviour of the per-step loop. ``stepwise_simulate`` in ``test_sim_oracle``
+to the last power of the stepper that is still finite; ``_powers`` stacks the
+powers 1..L that the blocks use. These tests cover the block boundaries (K at,
+just below and just above a perfect square, and K that L does not divide, so
+the last block is short), the power cap, the stacked powers, and the overflow
+and NaN behaviour of the per-step loop. ``stepwise_simulate`` in ``test_sim_oracle``
 is the oracle, with its 1e-12 bound.
 """
 
@@ -51,6 +52,15 @@ def _stateless():
     )
 
 
+def _assert_stacked_powers(powers, stepper_t):
+    """``powers[:, l - 1]`` is finite and equals ``(Phi^T)^l`` for every l up to the span."""
+    n = stepper_t.shape[0]
+    assert powers.shape == (n, powers.shape[1], n)
+    for l in range(1, powers.shape[1] + 1):
+        assert np.isfinite(powers[:, l - 1]).all(), l
+        assert powers[:, l - 1] == pytest.approx(np.linalg.matrix_power(stepper_t, l), rel=1e-12), l
+
+
 @pytest.mark.parametrize("steps", STEPS)
 @pytest.mark.parametrize("name", SHIPPED)
 def test_blocked_simulation_equals_the_stepwise_oracle(name, steps):
@@ -92,9 +102,11 @@ def test_an_overflowing_power_cuts_the_span_and_the_trajectory_stays_finite():
     sys = _diagonal([100, -1])
     stepper_t = expm(np.diag([100.0, -1.0])).T
     with np.errstate(over="ignore"):
-        span, leap_t = sim._span(stepper_t, 500)
+        powers = sim._powers(stepper_t, 500)
         assert not np.isfinite(np.linalg.matrix_power(stepper_t, 8)).all()
+    span, leap_t = powers.shape[1], powers[:, -1]
     assert span == 7 and np.isfinite(leap_t).all()
+    _assert_stacked_powers(powers, stepper_t)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = simulate(sys, [0, 1], InputSignal(step=1.0, values=np.zeros((500, 2))))
@@ -109,9 +121,11 @@ def test_an_overflowing_power_cuts_the_span_and_the_trajectory_stays_finite():
 @pytest.mark.parametrize("steps", [0, 1, 3, 4, 99, 100])
 def test_the_span_is_the_square_root_of_the_steps(steps):
     stepper_t = expm(np.array([[-1.0, 2.0], [0.0, 0.5]]) * 0.1).T
-    span, leap_t = sim._span(stepper_t, steps)
+    powers = sim._powers(stepper_t, steps)
+    span, leap_t = powers.shape[1], powers[:, -1]
     assert span == max(1, math.isqrt(steps))
     assert leap_t == pytest.approx(np.linalg.matrix_power(stepper_t, span), rel=1e-12)
+    _assert_stacked_powers(powers, stepper_t)
 
 
 def test_a_state_that_overflows_in_a_later_block_raises_nonfinite():
