@@ -8,10 +8,9 @@ rational matrices become doubles at this boundary only; what does not fit a
 double raises ``NonFinite``. Derived models are poset-causal systems too, so one
 ``simulate`` serves them all. The decomposition check converts the system's
 matrices to doubles once and runs each derived model on slices of them, at the
-model's coordinates (``Partition.indices`` of its nodes). Each trajectory stays
-at its model's width: the check compares it with the global one at those
-coordinates, and adds the downstream trajectories into their global sums in
-node order.
+model's coordinates (``system.model_coordinates``). Each trajectory stays at
+its model's width: the check compares it with the global one at those
+coordinates.
 
 ``simulate`` runs the recurrence over K steps in blocks of L = isqrt(K) steps,
 so each Python-level pass is one product vectorised over all ceil(K/L) blocks.
@@ -35,7 +34,10 @@ downstream model runs from two seeds, and a node with no strict down-set
 (up-set) has a downstream (upstream) model on the local model's coordinates.
 Runs of models with the same state and input coordinates share one ``_forced``
 part, kept only until the last of them, so ``simulate`` and the check run the
-same arithmetic on each model.
+same arithmetic on each model. The check is one pass in node order after every
+local run: each downstream trajectory is added into the global sums and into
+the splits of the nodes below it as it arrives, then dropped, so the check's
+peak memory does not grow with the depth of the poset.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ import numpy as np
 
 from . import _linalg as la
 from .errors import DimensionMismatch, NonFinite
-from .poset import block_triangular_relabel, derived_set
-from .system import PosetCausalSystem, model_nodes
+from .poset import derived_set
+from .system import PosetCausalSystem, model_coordinates
 
 __all__ = [
     "expm",
@@ -327,15 +329,6 @@ class DecompositionReport:
         return "\n".join(lines)
 
 
-def _coordinates(sys: PosetCausalSystem, kind: str, i: int) -> tuple:
-    """State, input and output indices (``Partition.indices``) of the nodes of ``derived(sys, kind, i)``.
-
-    A node's empty block adds none.
-    """
-    nodes = model_nodes(sys.poset, kind, i)
-    return tuple(part.indices(k) for part, k in zip((sys.n, sys.m, sys.r), nodes))
-
-
 def _slices(floats, coords) -> tuple:
     """A, B, C, D of the model at ``coords`` (its state, input and output indices) as slices of ``floats``."""
     (a, b, c, d), (states, inputs, outputs) = floats, coords
@@ -345,16 +338,6 @@ def _slices(floats, coords) -> tuple:
         c[np.ix_(outputs, states)],
         d[np.ix_(outputs, inputs)],
     )
-
-
-def _model_floats(sys: PosetCausalSystem, floats, kind: str, i: int) -> tuple:
-    """A, B, C, D of ``derived(sys, kind, i)`` as float slices of ``floats``, and its coordinates.
-
-    ``floats`` is the system's A, B, C, D as doubles; the coordinates are
-    ``_coordinates(sys, kind, i)``.
-    """
-    coords = _coordinates(sys, kind, i)
-    return _slices(floats, coords), coords
 
 
 def _nanmax(values) -> float:
@@ -382,11 +365,12 @@ def verify_trajectory_decomposition(
     plus strictly-upstream downstream contributions. Upstream models are also
     checked to be restrictions of the global trajectory.
 
-    Models that share their state and input coordinates share one ``_forced``
-    part, which is dropped after their last run. Nodes are visited in a linear
-    extension, upstream first, so each node's split is evaluated as soon as its
-    local run exists; the downstream sums still add in node order, and each
-    downstream trajectory is dropped once the sums and every split have it.
+    One pass in node order after every local run: node i's split starts from
+    its local trajectory, and the downstream trajectory seeded at node j is
+    added into the global sums and into the splits of the nodes below j as it
+    arrives, then dropped, so at most one is alive at a time. Models that share
+    their state and input coordinates share one ``_forced`` part, which is
+    dropped after their last run.
     """
     poset = sys.poset
     n, r = sys.n, sys.r
@@ -396,7 +380,7 @@ def verify_trajectory_decomposition(
     global_traj = _respond(_forced(a, b, u), c, d, x0vec, u)
     gx, gy = global_traj.states, global_traj.outputs
 
-    coords = {(kind, i): _coordinates(sys, kind, i) for kind in _RUNS for i in poset.nodes}
+    coords = {(kind, i): model_coordinates(sys, kind, i) for kind in _RUNS for i in poset.nodes}
 
     def shared(kind, i):
         # models on the same state and input coordinates share their forced part
@@ -431,44 +415,34 @@ def verify_trajectory_decomposition(
         states, _, outputs = coords["downstream", j]
         return np.searchsorted(states, n.indices((i,))), np.searchsorted(outputs, r.indices((i,)))
 
-    # each downstream trajectory keeps its model's width; it is kept until the sums (nodes
-    # 1..summed) and the splits of every node below it (waiting[j] left) have used it
-    down, summed = {}, 0
-    waiting = {j: len(derived_set(poset, {j}, "strict_down")) for j in poset.nodes}
+    # the local model's coordinates are its node's alone, and so are the upstream model's outputs
+    local = {i: run("local", i, (i,)) for i in poset.nodes}
+    split_x = {i: loc_x.copy() for i, (loc_x, _) in local.items()}
+    split_y = {i: loc_y.copy() for i, (_, loc_y) in local.items()}
     sum_x, sum_y = np.zeros_like(gx), np.zeros_like(gy)
-    local_x, local_y, split_x, split_y, up = [], [], [], [], []
-    relabel = block_triangular_relabel(poset)
-    for i in sorted(poset.nodes, key=relabel.__getitem__):
-        down[i] = run("downstream", i, (i,))
-        while summed + 1 in down:
-            summed += 1
-            states, _, outputs = coords["downstream", summed]
-            sum_x[:, states] += down[summed][0]
-            sum_y[:, outputs] += down[summed][1]
+    local_x, local_y, up = [], [], []
+    for j in poset.nodes:
+        states, _, outputs = coords["downstream", j]
+        down_x, down_y = run("downstream", j, (j,))
+        sum_x[:, states] += down_x
+        sum_y[:, outputs] += down_y
+        for i in derived_set(poset, {j}, "strict_down"):
+            cols_x, cols_y = own(j, i)
+            split_x[i] += down_x[:, cols_x]
+            split_y[i] += down_y[:, cols_y]
+        # no trajectory outlives its last use, which keeps the check's peak memory down
+        del down_x, down_y
 
-        own_x, own_y = n.indices((i,)), r.indices((i,))
-        # node i's columns in the downstream model at each j above it; the local
-        # model's coordinates are node i's alone, and so are the upstream model's outputs
-        at = {j: own(j, i) for j in derived_set(poset, {i}, "up")}
-        full_x, full_y = run("downstream", i, poset.nodes)
-        loc_x, loc_y = run("local", i, (i,))
-        local_x.append(_deviation(full_x[:, at[i][0]], loc_x))
-        local_y.append(_deviation(full_y[:, at[i][1]], loc_y))
-        # no trajectory outlives its deviations, which keeps the check's peak memory down
-        del full_x, full_y
+        cols_x, cols_y = own(j, j)
+        full_x, full_y = run("downstream", j, poset.nodes)
+        loc_x, loc_y = local.pop(j)
+        local_x.append(_deviation(full_x[:, cols_x], loc_x))
+        local_y.append(_deviation(full_y[:, cols_y], loc_y))
+        del full_x, full_y, loc_x, loc_y
 
-        above = sorted(derived_set(poset, {i}, "strict_up"))
-        split_x.append(_deviation(gx[:, own_x], sum((down[j][0][:, at[j][0]] for j in above), loc_x)))
-        split_y.append(_deviation(gy[:, own_y], sum((down[j][1][:, at[j][1]] for j in above), loc_y)))
-        for j in above:
-            waiting[j] -= 1
-        for j in [j for j in down if j <= summed and not waiting[j]]:
-            del down[j]
-
-        ups = coords["upstream", i][0]
-        up_x, up_y = run("upstream", i, poset.nodes)
-        up.append(_deviation(up_x, gx[:, ups]))
-        up.append(_deviation(up_y, gy[:, own_y]))
+        up_x, up_y = run("upstream", j, poset.nodes)
+        up.append(_deviation(up_x, gx[:, coords["upstream", j][0]]))
+        up.append(_deviation(up_y, gy[:, r.indices((j,))]))
         del up_x, up_y
 
     families = {
@@ -476,8 +450,8 @@ def verify_trajectory_decomposition(
         "downstream_sum_outputs": [_deviation(gy, sum_y)],
         "downstream_local_component_states": local_x,
         "downstream_local_component_outputs": local_y,
-        "per_node_split_states": split_x,
-        "per_node_split_outputs": split_y,
+        "per_node_split_states": [_deviation(gx[:, n.indices((i,))], split_x[i]) for i in poset.nodes],
+        "per_node_split_outputs": [_deviation(gy[:, r.indices((i,))], split_y[i]) for i in poset.nodes],
         "upstream_restriction": up,
     }
     return DecompositionReport(

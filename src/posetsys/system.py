@@ -149,7 +149,7 @@ def dual_system(sys: PosetCausalSystem) -> PosetCausalSystem:
 def model_nodes(poset: Poset, kind: str, i: int | None = None) -> tuple:
     """State, input and output nodes of the global, local(i), downstream(i) or upstream(i) model.
 
-    ``derived`` builds the model on them; ``sim`` slices the model's float matrices with them.
+    ``derived`` builds the model on them; ``model_coordinates`` lists their coordinates.
     Not in ``__all__``, so the benchmark's tracer, which wraps every listed function, does not
     count it as a call of its own.
     """
@@ -170,21 +170,33 @@ def model_nodes(poset: Poset, kind: str, i: int | None = None) -> tuple:
     raise ValueError(f"unknown derived kind {kind!r}")
 
 
+def model_coordinates(sys: PosetCausalSystem, kind: str, i: int | None = None) -> tuple:
+    """State, input and output coordinates (``Partition.indices``) of the nodes of the model.
+
+    ``derived`` slices the system's exact matrices at them; ``sim`` slices their doubles.
+    A node's empty block adds none. Not in ``__all__``, as ``model_nodes``.
+    """
+    return _coordinates(sys, model_nodes(sys.poset, kind, i))
+
+
+def _coordinates(sys: PosetCausalSystem, nodes) -> tuple:
+    """Global coordinates of ``nodes``, a (state, input, output) triple of node sets."""
+    return tuple(part.indices(k) for part, k in zip((sys.n, sys.m, sys.r), nodes))
+
+
 def derived(sys: PosetCausalSystem, kind: str, i: int | None = None) -> PosetCausalSystem:
     """The global, local(i), downstream(i) or upstream(i) model of the system.
 
     The model is again a poset-causal system over ``sys.poset``. Its partitions
     are the system's, restricted to the model's state, input and output nodes
     (``model_nodes``; the other blocks have size 0), so block j of the model is
-    block j of the system, and ``sys.n.indices(model.n.nonempty)`` are its
-    global coordinates. Each partition is restricted, and its coordinates
-    listed, once; the four matrices are sliced at them. No pattern check: a
-    restriction of a system keeps its pattern.
+    block j of the system. The four matrices are sliced at the model's global
+    coordinates (``model_coordinates``). No pattern check: a restriction of a
+    system keeps its pattern.
     """
-    parts = (sys.n, sys.m, sys.r)
     nodes = model_nodes(sys.poset, kind, i)
-    n, m, r = (part.restrict(k) for part, k in zip(parts, nodes))
-    x, u, y = (part.indices(k) for part, k in zip(parts, nodes))
+    n, m, r = (part.restrict(k) for part, k in zip((sys.n, sys.m, sys.r), nodes))
+    x, u, y = _coordinates(sys, nodes)
     # fancy indexing copies, and the system's entries are already exact
     return PosetCausalSystem._unchecked(
         poset=sys.poset,

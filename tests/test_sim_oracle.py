@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import random_poset, random_system
 from posetsys import _linalg as la
-from posetsys import corpus, sim
+from posetsys import corpus, sim, system
 from posetsys.corpus import load_corpus_system
 from posetsys.fileio import write_trajectory
 from posetsys.poset import build_poset
@@ -186,7 +186,8 @@ def test_decomposition_derives_each_model_once(name, monkeypatch):
         return model_nodes(poset, kind, i)
 
     # each model's float matrices are sliced from the system's once, after one node selection
-    monkeypatch.setattr(sim, "model_nodes", counted)
+    # (``system.model_coordinates`` calls ``model_nodes``)
+    monkeypatch.setattr(system, "model_nodes", counted)
     u = InputSignal(step=0.1, values=np.ones((5, sys.input_dim)))
     assert verify_trajectory_decomposition(sys, None, u).ok
     assert len(calls) == 3 * sys.poset.p

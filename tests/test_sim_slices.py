@@ -18,7 +18,7 @@ from posetsys import corpus, sim
 from posetsys.corpus import load_corpus_system
 from posetsys.poset import derived_set
 from posetsys.sim import InputSignal, simulate, verify_trajectory_decomposition
-from posetsys.system import derived
+from posetsys.system import derived, model_coordinates
 from test_global_sets_oracle import LADDER_SYSTEMS, ladder_seed_1  # noqa: F401
 
 SHIPPED = sorted({Path(f).stem for f in corpus._SYSTEM_FILES.values()})
@@ -79,7 +79,8 @@ def assert_slices_convert_the_models(sys):
     for kind in KINDS:
         for i in sys.poset.nodes:
             model = derived(sys, kind, i)
-            sliced, coords = sim._model_floats(sys, floats, kind, i)
+            coords = model_coordinates(sys, kind, i)
+            sliced = sim._slices(floats, coords)
             for got, k in zip(sliced, "ABCD"):
                 want = la.mat_to_float(getattr(model, k).entries)
                 assert got.dtype == want.dtype and got.shape == want.shape, (kind, i, k)
