@@ -6,13 +6,22 @@ Matrices are 2-D numpy arrays of dtype=object, of two kinds:
   matrices and what every caller outside the package sees. ``mdot``,
   ``inverse``, ``solve_gram`` and ``krylov`` take and return them; ``rank``,
   ``char_poly``, ``invariant_span``, ``invariant_kernel`` and
-  ``certified_kernel`` take them.
+  ``certified_kernel`` take them. An int is an exact entry too, so the power
+  and kernel loops (``krylov``, ``invariant_span``, ``invariant_kernel``,
+  ``certified_kernel``) also take an integer matrix: the per-node sets pass
+  them integer slices of the system, cleared once
+  (``system.model_integers``).
 * *Integer* matrices hold Python ints. The eliminations ``rref``,
   ``column_echelon`` and ``kernel_basis`` take and return them, and
   ``subspace`` keeps every basis in this form, so a lattice operation forms
   no Fraction. ``rref`` returns each pivot row primitive with a positive
   pivot, which is as unique for the row space as the pivot-1 form (fraction
-  free in the sense of Bareiss, Math. Comp. 22, 1968).
+  free in the sense of Bareiss, Math. Comp. 22, 1968). It is the one
+  elimination core: ``column_echelon``, ``kernel_basis``, ``solve`` and
+  ``rank`` all call it. It takes the rows one at a time and stops reading
+  them once the rank is the number of columns, so a tall matrix of full rank,
+  such as a Krylov matrix or a sum of subspaces, leaves its last rows, which
+  hold its largest integers, unread.
 
 This module alone decides what an exact entry is (``exact_entry``): a
 Fraction, an int or a numpy integer; a bool, a float or anything else raises
@@ -348,42 +357,60 @@ def is_zero_matrix(a: np.ndarray) -> bool:
 def rref(m: np.ndarray):
     """Reduced row echelon form of an integer matrix, in integers. Returns (R, pivot_columns).
 
-    Gauss-Jordan on Python ints: every update ``(p/g) row - (f/g) pivot_row``
-    is divided by its content, which changes rows only by nonzero scalars. At
-    the end each pivot row is made primitive with a positive pivot. Divided by
-    its pivot it is the pivot-1 reduced form, so R is unique for the row space
-    as well. Rows past the pivots are zero.
+    The rows are taken one at a time. Each is reduced against the pivot rows
+    found so far, in the order they were found, by ``(p/g) row - (f/g)
+    pivot_row`` divided by its content, which changes rows only by nonzero
+    scalars. A row that stays nonzero becomes a pivot row at its first
+    nonzero entry. Once there are as many pivots as columns, R is the
+    identity and the rows left are never read: the tall Krylov matrices and
+    sums reach full rank long before their last rows, which hold the largest
+    integers. Otherwise one back-substitution, last pivot first, clears each
+    pivot column above its pivot. Each pivot row is then made primitive with
+    a positive pivot. Divided by its pivot it is the pivot-1 reduced form,
+    which is unique for the row space, so R does not depend on the order of
+    the rows. Rows past the pivots are zero.
     """
     nrows, ncols = m.shape
-    rows = m.tolist()
     pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        sel = next((i for i in range(row, nrows) if rows[i][col]), None)
-        if sel is None:
+    rows: list[list] = []
+    for row in m.tolist():
+        for col, prow in zip(pivots, rows):
+            if row[col]:
+                row = _eliminate(row, prow, col)
+        for col, x in enumerate(row):
+            if x:
+                break
+        else:
             continue
-        rows[row], rows[sel] = rows[sel], rows[row]
-        prow = rows[row]
-        piv = prow[col]
-        for i, cur in enumerate(rows):
-            factor = cur[col]
-            if factor and i != row:
-                g = gcd(piv, factor)
-                p, f = piv // g, factor // g
-                new = [p * x - f * y for x, y in zip(cur, prow)]
-                content = gcd(*new)
-                if content > 1:
-                    new = [x // content for x in new]
-                rows[i] = new
         pivots.append(col)
-        row += 1
-    for i, col in enumerate(pivots):
-        content = gcd(*rows[i]) if rows[i][col] > 0 else -gcd(*rows[i])
-        if content != 1:
-            rows[i] = [x // content for x in rows[i]]
-    return _int_matrix(rows, (nrows, ncols)), pivots
+        rows.append(row)
+        if len(pivots) == ncols:
+            out = np.zeros((nrows, ncols), dtype=object)
+            np.fill_diagonal(out, 1)
+            return out, list(range(ncols))
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    pivots = [pivots[k] for k in order]
+    rows = [rows[k] for k in order]
+    for k in range(len(rows) - 1, 0, -1):
+        col, prow = pivots[k], rows[k]
+        for i in range(k):
+            if rows[i][col]:
+                rows[i] = _eliminate(rows[i], prow, col)
+    out = np.zeros((nrows, ncols), dtype=object)
+    for i, (col, row) in enumerate(zip(pivots, rows)):
+        content = gcd(*row) if row[col] > 0 else -gcd(*row)
+        out[i, :] = [x // content for x in row] if content != 1 else row
+    return out, pivots
+
+
+def _eliminate(row: list, prow: list, col: int) -> list:
+    """``row`` with its entry in ``col`` cleared by the pivot row ``prow``, divided by its content."""
+    piv, factor = prow[col], row[col]
+    g = gcd(piv, factor)
+    p, f = piv // g, factor // g
+    new = [p * x - f * y for x, y in zip(row, prow)]
+    content = gcd(*new)
+    return [x // content for x in new] if content > 1 else new
 
 
 def column_echelon(m: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from .poset import derived_set
 from .reachability import BlockProfile
 from .reachability import profile as reach_profile
 from .subspace import Subspace
-from .system import PosetCausalSystem, derived, dual_system
+from .system import PosetCausalSystem, dual_system, model_integers
 
 __all__ = [
     "ObservabilityProfile",
@@ -54,9 +54,11 @@ def unobservable(sys: PosetCausalSystem) -> Subspace:
     """Unobservable set of the global model: the largest A-invariant subspace inside ker C.
 
     That is the kernel of the observability matrix (Wonham, *Linear
-    Multivariable Control*); it is saturated on integers, with no power of A.
+    Multivariable Control*); it is saturated on integers, with no power of A,
+    from the system's integer form.
     """
-    return Subspace._span(sys.state_dim, la.invariant_kernel(sys.A.entries, sys.C.entries))
+    ia, _, ic = model_integers(sys, "global")
+    return Subspace._span(sys.state_dim, la.invariant_kernel(ia, ic))
 
 
 def upstream_indistinguishable(sys: PosetCausalSystem, i: int) -> Subspace:
@@ -70,9 +72,13 @@ def upstream_indistinguishable(sys: PosetCausalSystem, i: int) -> Subspace:
     Multivariable Control*). When the prime keeps as many rows as there are
     states, N = {0} with no exact elimination, since rows independent modulo
     a prime are independent over Q. No result depends on the prime.
+
+    It runs on the model's integer slices (``system.model_integers``): Ia over
+    the up-set is a multiple of the model's A, and output i reads only the
+    up-set, so its rows of Ic are the model's C cleared; neither changes N.
     """
-    sub = derived(sys, "upstream", i)
-    return Subspace._span(sub.state_dim, la.certified_kernel(sub.A.entries, sub.C.entries))
+    a, _, c = model_integers(sys, "upstream", i)
+    return Subspace._span(a.shape[0], la.certified_kernel(a, c))
 
 
 @dataclass(frozen=True)

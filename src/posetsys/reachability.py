@@ -27,7 +27,7 @@ from .errors import (
 )
 from .poset import Poset, derived_set
 from .subspace import Subspace, direct_sum, image
-from .system import PosetCausalSystem, derived
+from .system import PosetCausalSystem, model_integers
 
 __all__ = [
     "ReachabilityProfile",
@@ -58,15 +58,22 @@ def reachable(sys: PosetCausalSystem) -> Subspace:
     """Reachable set of the global model: the smallest A-invariant subspace containing im B.
 
     That is the column space of the controllability matrix (Wonham, *Linear
-    Multivariable Control*); it is saturated on integers, with no power of A.
+    Multivariable Control*); it is saturated on integers, with no power of A,
+    from the system's integer form.
     """
-    return Subspace._canonical(sys.state_dim, la.invariant_span(sys.A.entries, sys.B.entries))
+    ia, ib, _ = model_integers(sys, "global")
+    return Subspace._canonical(sys.state_dim, la.invariant_span(ia, ib))
 
 
 def downstream_reachable(sys: PosetCausalSystem, i: int) -> Subspace:
-    """Reachable set of the downstream model at node i, in the coordinates of its down-set."""
-    sub = derived(sys, "downstream", i)
-    return image(ctrb_matrix(sub.A.entries, sub.B.entries))
+    """Reachable set of the downstream model at node i, in the coordinates of its down-set.
+
+    It is the image of the Krylov matrix of the model's integer slices
+    (``system.model_integers``): Ia over the down-set is a multiple of the
+    model's A, and the inputs of node i act only there, so no model is built.
+    """
+    a, b, _ = model_integers(sys, "downstream", i)
+    return image(ctrb_matrix(a, b))
 
 
 class BlockProfile:
@@ -180,8 +187,8 @@ def weakly_locally_controllable(sys: PosetCausalSystem):
     """(flag, per-node detail): every local pair must be controllable."""
     detail = {}
     for i in sys.poset.nodes:
-        loc = derived(sys, "local", i)
-        detail[i] = la.rank(ctrb_matrix(loc.A.entries, loc.B.entries)) == sys.n.size(i)
+        a, b, _ = model_integers(sys, "local", i)  # multiples of the local A and of its B's columns
+        detail[i] = la.rank(ctrb_matrix(a, b)) == sys.n.size(i)
     return all(detail.values()), detail
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,9 @@ class PosetCausalSystem:
 
     Every matrix keeps the poset's zero pattern: block (i, j) vanishes unless
     node j is above node i. The constructor raises ``ValidationError`` otherwise,
-    and a built system is immutable, so the pattern cannot be broken later.
+    and a built system is immutable, so the pattern cannot be broken later. On
+    first use it clears A, B and C to integers once and keeps them
+    (``_integers``), for the exact per-node sets to slice.
     """
 
     def __init__(self, poset: Poset, n, m, r, A, B, C, D, x0=None):
@@ -64,6 +67,26 @@ class PosetCausalSystem:
             x0.flags.writeable = False
         # past __setattr__, which refuses every assignment
         vars(self).update(poset=poset, n=n, m=m, r=r, A=A, B=B, C=C, D=D, x0=x0)
+
+    @cached_property
+    def _integers(self) -> tuple:
+        """(Ia, Ib, Ic): A, B and C as integer matrices, cleared once on first use and kept.
+
+        Ia is A over one common denominator d, Ib is B with each column times
+        its common denominator, and Ic is C with each row times its own. The
+        per-node sets read sub-blocks of them (``model_integers``) instead of
+        deriving each model and clearing it again. ``cached_property`` writes
+        the instance dictionary directly, past the frozen ``__setattr__``; the
+        arrays are read-only, as the system is.
+        """
+        ints = (
+            la._cleared(self.A.entries)[0],
+            la.cleared_rows(self.B.entries.T).T,
+            la.cleared_rows(self.C.entries),
+        )
+        for m in ints:
+            m.flags.writeable = False
+        return ints
 
     def _frozen(self, name, *value):
         raise AttributeError(f"a PosetCausalSystem is immutable: cannot change {name!r}")
@@ -179,6 +202,29 @@ def model_coordinates(sys: PosetCausalSystem, kind: str, i: int | None = None) -
     return _coordinates(sys, model_nodes(sys.poset, kind, i))
 
 
+def model_integers(sys: PosetCausalSystem, kind: str, i: int | None = None) -> tuple:
+    """The model's A, B and C as slices of the system's integer form, at ``model_coordinates``.
+
+    The per-node sets read these in place of the derived model's own cleared
+    matrices. Slicing is exact, so every set comes out equal:
+
+    * Ia[x, x] is d times the model's A, so it has the same Krylov spans,
+      kernels and invariant subspaces.
+    * Block (k, j) of B vanishes unless node j is above node k, so the column
+      of an input at node j has all its nonzeros in the down-set of j. Sliced
+      to the downstream model at j, it is that model's column cleared by its
+      own common denominator; sliced to node j alone, a positive multiple.
+    * Likewise the row of an output at node j has all its nonzeros in the
+      up-set of j, so sliced to the upstream model at j it is that model's
+      row cleared by its own common denominator.
+
+    Not in ``__all__``, as ``model_nodes``.
+    """
+    x, u, y = model_coordinates(sys, kind, i)
+    ia, ib, ic = sys._integers
+    return ia[np.ix_(x, x)], ib[np.ix_(x, u)], ic[np.ix_(y, x)]
+
+
 def _coordinates(sys: PosetCausalSystem, nodes) -> tuple:
     """Global coordinates of ``nodes``, a (state, input, output) triple of node sets."""
     return tuple(part.indices(k) for part, k in zip((sys.n, sys.m, sys.r), nodes))
@@ -192,7 +238,8 @@ def derived(sys: PosetCausalSystem, kind: str, i: int | None = None) -> PosetCau
     (``model_nodes``; the other blocks have size 0), so block j of the model is
     block j of the system. The four matrices are sliced at the model's global
     coordinates (``model_coordinates``). No pattern check: a restriction of a
-    system keeps its pattern.
+    system keeps its pattern. The exact per-node sets build no model: they
+    read integer slices of the system (``model_integers``).
     """
     nodes = model_nodes(sys.poset, kind, i)
     n, m, r = (part.restrict(k) for part, k in zip((sys.n, sys.m, sys.r), nodes))

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -195,6 +196,47 @@ def fraction_poly_eval_matrix(p, m):
         for i in range(n):
             acc[i, i] += c
     return acc
+
+
+def gauss_jordan_rref(m: np.ndarray):
+    """The column-wise Gauss-Jordan ``_linalg.rref`` ran before it took rows one at a time.
+
+    Gauss-Jordan on Python ints: every update ``(p/g) row - (f/g) pivot_row``
+    is divided by its content, which changes rows only by nonzero scalars. At
+    the end each pivot row is made primitive with a positive pivot. Divided by
+    its pivot it is the pivot-1 reduced form, so R is unique for the row space
+    as well. Rows past the pivots are zero.
+    """
+    nrows, ncols = m.shape
+    rows = m.tolist()
+    pivots: list[int] = []
+    row = 0
+    for col in range(ncols):
+        if row >= nrows:
+            break
+        sel = next((i for i in range(row, nrows) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[row], rows[sel] = rows[sel], rows[row]
+        prow = rows[row]
+        piv = prow[col]
+        for i, cur in enumerate(rows):
+            factor = cur[col]
+            if factor and i != row:
+                g = gcd(piv, factor)
+                p, f = piv // g, factor // g
+                new = [p * x - f * y for x, y in zip(cur, prow)]
+                content = gcd(*new)
+                if content > 1:
+                    new = [x // content for x in new]
+                rows[i] = new
+        pivots.append(col)
+        row += 1
+    for i, col in enumerate(pivots):
+        content = gcd(*rows[i]) if rows[i][col] > 0 else -gcd(*rows[i])
+        if content != 1:
+            rows[i] = [x // content for x in rows[i]]
+    return la._int_matrix(rows, (nrows, ncols)), pivots
 
 
 # The lattice operations as every operand took them before zero and full

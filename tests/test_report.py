@@ -9,6 +9,7 @@ import pytest
 
 from posetsys import report
 from posetsys.fileio import load_system
+from test_global_sets_oracle import LADDER_SYSTEMS, ladder_seed_1  # noqa: F401
 
 GOLDENS = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "goldens.json").read_text(encoding="utf-8")
@@ -28,3 +29,16 @@ def test_analyze_json_matches_golden(entry):
     text = report.render_json(report.analyze(load_system(entry)))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == GOLDENS[Path(entry.name).stem]["analyze_sha256"]
+
+
+# bench/goldens.json holds no analyzed n37 system; this pins the reference seed's replica 0,
+# whose tall Krylov matrices and sums carry the largest integers the seed-1 ladder eliminates
+LADDER_INDEX_N37 = LADDER_SYSTEMS["n9"] + LADDER_SYSTEMS["n22"]
+N37_ANALYZE_SHA256 = "1189b8dd7ac6ca021f040a62cc8047e8e92287493c34ab3e6c64bbec8bd4aa92"
+
+
+def test_reference_ladder_n37_analyze_json_is_pinned(ladder_seed_1):  # noqa: F811
+    system = ladder_seed_1[LADDER_INDEX_N37]
+    assert system.state_dim == 37
+    text = report.render_json(report.analyze(system))
+    assert hashlib.sha256(text.encode()).hexdigest() == N37_ANALYZE_SHA256
