@@ -3,48 +3,56 @@
 Matrices are 2-D numpy arrays of dtype=object, of two kinds:
 
 * *Exact* matrices hold ``fractions.Fraction`` entries. They are the system
-  matrices and what every caller outside the package sees. ``mdot``,
-  ``inverse``, ``solve_gram`` and ``krylov`` take and return them; ``rank``,
-  ``char_poly``, ``invariant_span``, ``invariant_kernel`` and
-  ``certified_kernel`` take them. An int is an exact entry too, so the power
-  and kernel loops (``krylov``, ``invariant_span``, ``invariant_kernel``,
-  ``certified_kernel``) also take an integer matrix: the per-node sets pass
-  them integer slices of the system, cleared once
-  (``system.model_integers``).
+  matrices and what every caller outside the package sees. ``mdot`` and
+  ``inverse`` take and return them; ``rank`` and ``char_poly`` take them.
 * *Integer* matrices hold Python ints. The eliminations ``rref``,
   ``column_echelon`` and ``kernel_basis`` take and return them, and
   ``subspace`` keeps every basis in this form, so a lattice operation forms
   no Fraction. ``rref`` returns each pivot row primitive with a positive
   pivot, which is as unique for the row space as the pivot-1 form (fraction
   free in the sense of Bareiss, Math. Comp. 22, 1968). It is the one
-  elimination core: ``column_echelon``, ``kernel_basis``, ``solve`` and
-  ``rank`` all call it. It takes the rows one at a time and stops reading
-  them once the rank is the number of columns, so a tall matrix of full rank,
-  such as a Krylov matrix or a sum of subspaces, leaves its last rows, which
-  hold its largest integers, unread.
+  elimination core: ``column_echelon``, ``kernel_basis``, ``solve``,
+  ``normal_equations`` and ``rank`` all call it. It takes the rows one at a
+  time and stops reading them once the rank is the number of columns, so a
+  tall matrix of full rank, such as a Krylov matrix or a sum of subspaces,
+  leaves its last rows, which hold its largest integers, unread.
+
+The power and kernel loops ``krylov``, ``invariant_span``,
+``invariant_kernel`` and ``certified_kernel`` run on integer matrices. The
+per-node sets pass them integer slices of the system, cleared once
+(``system.model_integers``), and they take those as they are. A caller with
+an exact matrix is cleared once, at the top of the same routine: ``a`` to
+one common denominator, which keeps its invariant subspaces, and ``b`` by
+columns or ``c`` by rows, which keeps their spans and kernels. ``krylov``
+gives an integer matrix for integer operands and an exact one otherwise,
+each block formed as Fractions once.
 
 This module alone decides what an exact entry is (``exact_entry``): a
 Fraction, an int or a numpy integer; a bool, a float or anything else raises
 TypeError. ``cleared_rows`` turns an exact matrix into an integer one by
 scaling each row by its common denominator, which keeps the row space and
-the kernel. ``exact_entry``, ``exact_matrix``, ``cleared_rows`` and
-``solve`` (under ``inverse`` and ``solve_gram``) are not in ``__all__``, so
-the benchmark's tracer, which wraps every listed function, does not count
-them. Everything here is exact; nothing ever rounds.
+the kernel. ``exact_entry``, ``exact_matrix``, ``cleared_rows``,
+``integer_columns``, ``solve`` (under ``inverse``) and ``normal_equations``
+are not in ``__all__``, so the benchmark's tracer, which wraps every listed
+function, does not count them. Everything here is exact; nothing ever
+rounds.
 
 Products of exact matrices run on ints too: ``mdot`` clears each row of both
-factors on the way in and forms Fractions only on the way out. ``krylov`` is
-the power loop of ``ctrb_matrix``, which the per-node downstream and local
-models and the test oracles use. The global sets form no power matrix:
-``invariant_span`` saturates the reachable set (for ``reachable`` and the
-moment check) and ``invariant_kernel`` the unobservable set (for
-``unobservable``). ``certified_kernel`` finds each per-node unobservable set
-(for ``upstream_indistinguishable``) from the rows of the observability
-matrix that stay independent modulo a prime, and certifies it exactly. All
-four clear ``a`` once to one denominator and multiply Python ints, and so do
-``char_poly`` (Faddeev-LeVerrier on the cleared matrix) and
-``poly_eval_matrix`` (Horner's rule on the cleared matrix and coefficients):
-neither calls ``mdot``, and each forms its Fractions once, at the end.
+factors on the way in and forms Fractions only on the way out. The
+projections and compressions form no such product: ``normal_equations``
+solves the Gram system of an integer basis in one ``rref``, and its callers
+(``Subspace.project_onto``, ``reduction``) form each Fraction once, at the
+end. ``krylov`` is the power loop of ``ctrb_matrix``, which the per-node
+downstream and local models and the test oracles use. The global sets form
+no power matrix: ``invariant_span`` saturates the reachable set (for
+``reachable`` and the moment check) and ``invariant_kernel`` the
+unobservable set (for ``unobservable``). ``certified_kernel`` finds each
+per-node unobservable set (for ``upstream_indistinguishable``) from the rows
+of the observability matrix that stay independent modulo a prime, and
+certifies it exactly. ``char_poly`` (Faddeev-LeVerrier on the cleared
+matrix) and ``poly_eval_matrix`` (Horner's rule on the cleared matrix and
+coefficients) clear ``m`` once and multiply Python ints: neither calls
+``mdot``, and each forms its Fractions once, at the end.
 """
 
 from __future__ import annotations
@@ -74,7 +82,6 @@ __all__ = [
     "kernel_basis",
     "rank",
     "inverse",
-    "solve_gram",
     "char_poly",
     "poly_mul",
     "poly_eval",
@@ -168,7 +175,13 @@ def _int_matrix(rows: list, shape: tuple) -> np.ndarray:
 
 def cleared_rows(m: np.ndarray) -> np.ndarray:
     """The integer matrix whose row i is row i of the exact matrix ``m`` times its common denominator."""
-    return _int_matrix(_int_rows(m)[0], m.shape)
+    return _cleared_by_rows(m)[0]
+
+
+def _cleared_by_rows(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """``cleared_rows(m)`` and the common denominator of each row of ``m``."""
+    rows, dens = _int_rows(m)
+    return _int_matrix(rows, m.shape), dens
 
 
 def _cleared(m: np.ndarray) -> tuple[np.ndarray, int]:
@@ -176,6 +189,32 @@ def _cleared(m: np.ndarray) -> tuple[np.ndarray, int]:
     d = lcm(*(x.denominator for x in m.flat))
     rows = [[x.numerator * (d // x.denominator) for x in row] for row in m.tolist()]
     return _int_matrix(rows, m.shape), d
+
+
+def _is_integer(m: np.ndarray) -> bool:
+    """Whether ``m`` is an integer matrix: an object array whose every entry is an int."""
+    return m.dtype == object and all(type(x) is int for x in m.flat)
+
+
+def _integer_map(a: np.ndarray) -> np.ndarray:
+    """An integer ``a`` as it is; an exact one over one common denominator, which keeps its invariant subspaces."""
+    return a if _is_integer(a) else _cleared(a)[0]
+
+
+def _integer_rows(m: np.ndarray) -> np.ndarray:
+    """An integer ``m`` as it is; an exact one cleared row by row, which keeps its row space and kernel."""
+    return m if _is_integer(m) else cleared_rows(m)
+
+
+def integer_columns(m) -> np.ndarray:
+    """An exact matrix (array or rows) with each column times its common denominator; an integer one as it is.
+
+    Either way the column space is kept. Entries go through ``exact_matrix``
+    unless the matrix is integer already.
+    """
+    if isinstance(m, np.ndarray) and _is_integer(m):
+        return m
+    return cleared_rows(exact_matrix(m).T).T
 
 
 def mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -198,23 +237,39 @@ def mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def krylov(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """The exact matrix [b, ab, ..., a^(k-1) b]: the power loop of ``ctrb_matrix``.
+    """The matrix [b, ab, ..., a^(k-1) b]: the power loop of ``ctrb_matrix``.
 
-    ``a`` is cleared once, to Ia / d, and ``b`` to Ib / e, so a^j b is the
-    integer product Ia^j Ib over d^j e. Each block forms its Fractions once.
+    Integer ``a`` and ``b`` give the integer matrix, with no clearing pass.
+    Otherwise ``a`` is cleared once, to Ia / d, and ``b`` to Ib / e, so a^j b
+    is the integer product Ia^j Ib over d^j e, and each block of the exact
+    result forms its Fractions once.
     """
     n, cols = b.shape
     if a.shape != (n, n):
         raise IncompatibleShapes(f"cannot take powers of {a.shape} against {b.shape}")
+    if _is_integer(a) and _is_integer(b):
+        return _powers(a, b, k)
     a_ints, d = _cleared(a)
-    cur, den = _cleared(b)
+    b_ints, den = _cleared(b)
+    ints = _powers(a_ints, b_ints, k)
+    out = np.empty(ints.shape, dtype=object)
+    for j in range(k):
+        block = slice(j * cols, (j + 1) * cols)
+        for i, row in enumerate(ints[:, block].tolist()):
+            out[i, block] = [Fraction(x, den) if x else _ZERO for x in row]
+        den *= d
+    return out
+
+
+def _powers(a_ints: np.ndarray, b_ints: np.ndarray, k: int) -> np.ndarray:
+    """The integer matrix [Ib, Ia Ib, ..., Ia^(k-1) Ib]."""
+    n, cols = b_ints.shape
     out = np.empty((n, k * cols), dtype=object)
+    cur = b_ints
     for j in range(k):
         if j:
             cur = a_ints.dot(cur)
-            den *= d
-        for i, row in enumerate(cur.tolist()):
-            out[i, j * cols : (j + 1) * cols] = [Fraction(x, den) if x else _ZERO for x in row]
+        out[:, j * cols : (j + 1) * cols] = cur
     return out
 
 
@@ -226,11 +281,12 @@ def invariant_span(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     read from here. V <- column_echelon([V, Ia V]) from the cleared columns
     of ``b`` until the dimension stops growing, or at once when V is {0} or
     the whole space, which every map keeps: then no elimination is run just
-    to see nothing grow. ``a`` is cleared once, to Ia / d, which keeps its
-    invariant subspaces; clearing it row by row would change the map.
+    to see nothing grow. An integer ``a`` is taken as it is and an exact one
+    cleared once, to Ia / d, which keeps its invariant subspaces; clearing it
+    row by row would change the map.
     """
-    a_ints = _cleared(a)[0]
-    span = column_echelon(cleared_rows(b.T).T)
+    a_ints = _integer_map(a)
+    span = column_echelon(_integer_rows(b.T).T)
     while 0 < span.shape[1] < a.shape[0]:
         grown = column_echelon(np.hstack([span, a_ints.dot(span)]))
         if grown.shape[1] == span.shape[1]:
@@ -245,11 +301,11 @@ def invariant_kernel(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     It is the kernel of [c; ca; ...; c a^(n-1)]: the unobservable set of the
     pair (c, a). W <- W kernel_basis(P^T Ia W), with P spanning W^perp, keeps
     the w in W with Ia w in W; it starts from the kernel of the cleared rows
-    of ``c`` and stops when the dimension stops shrinking or reaches 0. ``a``
-    is cleared once, to Ia / d, as in ``invariant_span``.
+    of ``c`` and stops when the dimension stops shrinking or reaches 0. An
+    exact ``a`` is cleared once, to Ia / d, as in ``invariant_span``.
     """
-    a_ints = _cleared(a)[0]
-    kern = kernel_basis(cleared_rows(c))
+    a_ints = _integer_map(a)
+    kern = kernel_basis(_integer_rows(c))
     while kern.shape[1]:
         perp = kernel_basis(kern.T)
         shrunk = kern.dot(kernel_basis(perp.T.dot(a_ints.dot(kern))))
@@ -262,8 +318,9 @@ def invariant_kernel(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 def certified_kernel(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Integer basis (not canonical) of the kernel of [c; ca; ...; c a^(n-1)], certified exactly.
 
-    That kernel is the unobservable set N of the pair (c, a). ``a`` is
-    cleared once, to Ia / d, and ``c`` row by row; neither changes N. Modulo
+    That kernel is the unobservable set N of the pair (c, a). Integer ``a``
+    and ``c`` are taken as they are; an exact ``a`` is cleared once, to
+    Ia / d, and an exact ``c`` row by row; neither changes N. Modulo
     a prime p, ``_rows_mod`` keeps each row c_j Ia^k that is independent of
     the rows kept before it. Rows independent modulo p are independent over
     Q, so if p keeps n rows, N = {0} and nothing is eliminated exactly.
@@ -276,8 +333,8 @@ def certified_kernel(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     the walk ends, and the result never depends on the prime.
     """
     n = a.shape[0]
-    a_ints = _cleared(a)[0]
-    c_ints = cleared_rows(c)
+    a_ints = _integer_map(a)
+    c_ints = _integer_rows(c)
     p = START_PRIME
     while True:
         picks, rank = _rows_mod(a_ints, c_ints, p)
@@ -449,8 +506,8 @@ def kernel_basis(m: np.ndarray) -> np.ndarray:
 
 
 def rank(m: np.ndarray) -> int:
-    """Rank of an exact matrix."""
-    return len(rref(cleared_rows(m))[1])
+    """Rank of an exact or integer matrix."""
+    return len(rref(_integer_rows(m))[1])
 
 
 def inverse(m: np.ndarray) -> np.ndarray:
@@ -461,12 +518,18 @@ def inverse(m: np.ndarray) -> np.ndarray:
     return solve(m, eye(n))
 
 
-def solve_gram(basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (basis^T basis) x = basis^T rhs, the normal equations of a projection.
+def normal_equations(basis: np.ndarray, rhs: np.ndarray) -> tuple[list[int], list[list[int]]]:
+    """The normal equations G x = basis^T rhs, G = basis^T basis, on integers: (q, rows).
 
-    ``basis`` must have independent columns; returns the coordinate matrix x.
+    ``basis`` and ``rhs`` are integer matrices and the k columns of ``basis``
+    are independent, so G is invertible. One ``rref`` of [G, basis^T rhs]
+    gives pivot row i as q_i e_i, q_i > 0, followed by ``rows[i]``: row i of
+    x is ``rows[i]`` over q_i.
     """
-    return solve(mdot(basis.T, basis), mdot(basis.T, rhs))
+    k = basis.shape[1]
+    r, _ = rref(np.hstack([basis.T.dot(basis), basis.T.dot(rhs)]))
+    out = r.tolist()
+    return [row[i] for i, row in enumerate(out)], [row[k:] for row in out]
 
 
 def solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:

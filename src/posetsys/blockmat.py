@@ -93,7 +93,12 @@ class Partition:
 
     def indices(self, nodes) -> list:
         """Global coordinates of the blocks in ``nodes``, in increasing node order."""
-        return [k for j in sorted(set(nodes)) for k in self.block_range(j)]
+        out: list[int] = []
+        starts = self.starts
+        for j in sorted(set(nodes)):
+            self._check(j)
+            out.extend(range(starts[j - 1], starts[j]))
+        return out
 
     def restrict(self, nodes) -> "Partition":
         """Same length, sizes zeroed outside ``nodes``."""

@@ -3,13 +3,15 @@
 Every reduction is again a poset-causal system, over the source's poset or,
 for a sandwich compression, over the one-element order. One step compresses
 with the Gram formula A' = (V^T V)^-1 V^T A V for a rational basis V (an
-orthonormal basis would generally need irrational entries), checks the
-result's pattern and verifies its moments on a joint reachable subspace.
+orthonormal basis would generally need irrational entries), solved on the
+integers of V and of the system, checks the result's pattern and verifies
+its moments on a joint reachable subspace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -36,6 +38,8 @@ __all__ = [
 ]
 
 REDUCTION_VARIANTS = ("primal", "dual_tilde", "dual_circ")
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -81,16 +85,37 @@ def _horizon(n1: int, n2: int) -> int:
 def _compress(sys: PosetCausalSystem, subspace: Subspace, poset, n, m, r) -> PosetCausalSystem:
     """``sys`` compressed to ``subspace`` over ``poset``; its pattern is checked on construction.
 
-    With V the basis, A' = L A V and B' = L B for the left inverse
-    L = (V^T V)^-1 V^T, which is unique and is solved in one elimination of
-    [V^T V, V^T]. At these sizes one elimination of the whole Gram matrix is
-    faster than one per block of a block-diagonal ``poset_reduce`` basis.
+    With V the pivot-1 basis, A' = L A V, B' = L B and C' = C V for the left
+    inverse L = (V^T V)^-1 V^T, which is unique. All of it is solved on
+    integers. V = Vi diag(1/p), with Vi the canonical integer basis and p
+    its pivots, so with G = Vi^T Vi the left inverse is diag(p) G^-1 Vi^T:
+    the scaling of V's columns cancels inside L and comes back only as
+    diag(p) on the left and diag(1/p) on the right. The system's integer
+    form gives A = Ia / d, B = Ib diag(1/e) and C = diag(1/f) Ic, so
+
+        A' = diag(p) G^-1 Vi^T Ia Vi diag(1/p) / d,
+        B' = diag(p) G^-1 Vi^T Ib diag(1/e),
+        C' = diag(1/f) Ic Vi diag(1/p).
+
+    One elimination of [G, Vi^T Ia Vi, Vi^T Ib] (``_linalg.normal_equations``)
+    gives row i of G^-1 [Vi^T Ia Vi, Vi^T Ib] as an integer row over its
+    pivot q_i, so every entry is an integer over a product of known scales,
+    made a Fraction once. At these sizes one elimination of the whole Gram
+    matrix is faster than one per block of a block-diagonal ``poset_reduce``
+    basis.
     """
-    basis = subspace.basis
-    lift = la.solve(la.mdot(basis.T, basis), basis.T)
-    a = la.mdot(lift, la.mdot(sys.A.entries, basis))
-    b = la.mdot(lift, sys.B.entries)
-    c = la.mdot(sys.C.entries, basis)
+    (ia, ib, ic), (d, e, f) = sys._integer_form
+    vi = subspace.integer_basis
+    p = [next(x for x in col if x) for col in vi.T.tolist()]
+    k = len(p)
+    q, rows = la.normal_equations(vi, np.hstack([ia.dot(vi), ib]))
+    a, b = np.empty((k, k), dtype=object), np.empty((k, len(e)), dtype=object)
+    for i, (pi, qi, row) in enumerate(zip(p, q, rows)):
+        a[i, :] = [Fraction(pi * x, qi * d * pj) if x else _ZERO for x, pj in zip(row[:k], p)]
+        b[i, :] = [Fraction(pi * x, qi * ej) if x else _ZERO for x, ej in zip(row[k:], e)]
+    c = np.empty((len(f), k), dtype=object)
+    for i, (fi, row) in enumerate(zip(f, ic.dot(vi).tolist())):
+        c[i, :] = [Fraction(x, fi * pj) if x else _ZERO for x, pj in zip(row, p)]
     reduced = PosetCausalSystem(poset, n, m, r, a, b, c, sys.D.entries)
     if not moments_equal(sys, reduced):
         raise StructureViolation("compression failed to preserve the moments (internal bug)")

@@ -24,15 +24,19 @@ equals, by ``==``, the one the elimination gives. Every other operand is
 eliminated.
 
 Fractions appear only at the boundary: ``Subspace(ambient, basis)`` takes any
-exact matrix and clears each column of its denominators, and ``basis``, the
-pivot-1 form that ``vectors()``, ``project_onto``, ``contains_vector`` and the
-reductions read, divides each integer column by its pivot on first use.
+exact matrix and clears each column of its denominators (an integer matrix,
+such as a Krylov matrix of integer slices, is taken as it is), and
+``basis``, the pivot-1 form that ``vectors()`` and ``contains_vector`` read,
+divides each integer column by its pivot on first use. ``project_onto`` and
+the reductions solve their normal equations on the integer bases
+(``_linalg.normal_equations``) and never read ``basis``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 import numpy as np
 
@@ -49,12 +53,12 @@ class Subspace:
     """A linear subspace of Q^ambient with a canonical integer basis."""
 
     def __init__(self, ambient: int, basis: np.ndarray):
-        """Span of the columns of an exact matrix (array or rows)."""
-        basis = la.exact_matrix(basis)
+        """Span of the columns of an exact matrix (array or rows) or of an integer matrix."""
+        # a column times its common denominator spans the same line
+        basis = la.integer_columns(basis)
         if basis.shape[0] != ambient:
             raise AmbientMismatch(f"basis rows {basis.shape[0]} != ambient {ambient}")
-        # a column times its common denominator spans the same line
-        self._hold(ambient, la.column_echelon(la.cleared_rows(basis.T).T))
+        self._hold(ambient, la.column_echelon(basis))
 
     def _hold(self, ambient: int, integer_basis: np.ndarray) -> None:
         integer_basis.flags.writeable = False
@@ -189,12 +193,26 @@ class Subspace:
         return Subspace(matrix.shape[0], la.mdot(matrix, self.basis))
 
     def project_onto(self, target: "Subspace") -> "Subspace":
-        """Orthogonal projection of this subspace onto ``target``."""
+        """Orthogonal projection of this subspace onto ``target``, on the integer bases.
+
+        With T and S the canonical integer bases, the projection of S is
+        T G^-1 T^T S for the Gram matrix G = T^T T. That matrix does not
+        depend on how T's columns are scaled (T D, for a diagonal D, gives
+        T D D^-1 G^-1 D^-1 D T^T), and scaling S's columns does not change
+        the span, so the pivot-1 bases would give the same subspace. One
+        ``rref`` of [G, T^T S] (``_linalg.normal_equations``) gives row i of
+        G^-1 T^T S as row i of X over its pivot piv_i; with L the lcm of the
+        pivots, T diag(L / piv_i) X is L times the projection, in integers.
+        """
         self._require_same_ambient(target)
         if target.is_zero() or self.is_zero():
             return Subspace.zero(self.ambient)
-        coords = la.solve_gram(target.basis, self.basis)
-        return Subspace(self.ambient, la.mdot(target.basis, coords))
+        pivots, rows = la.normal_equations(target.integer_basis, self.integer_basis)
+        scale = lcm(*pivots)
+        coords = np.empty((len(rows), self.dim), dtype=object)
+        for i, (piv, row) in enumerate(zip(pivots, rows)):
+            coords[i, :] = [x * (scale // piv) for x in row] if piv != scale else row
+        return Subspace._span(self.ambient, target.integer_basis.dot(coords))
 
     def _rows(self, partition: Partition, nodes) -> list:
         if partition.total != self.ambient:

@@ -35,8 +35,9 @@ class PosetCausalSystem:
     Every matrix keeps the poset's zero pattern: block (i, j) vanishes unless
     node j is above node i. The constructor raises ``ValidationError`` otherwise,
     and a built system is immutable, so the pattern cannot be broken later. On
-    first use it clears A, B and C to integers once and keeps them
-    (``_integers``), for the exact per-node sets to slice.
+    first use it clears A, B and C to integers once and keeps them with the
+    denominators it cleared by (``_integer_form``), for the exact per-node
+    sets to slice and the reductions to compress.
     """
 
     def __init__(self, poset: Poset, n, m, r, A, B, C, D, x0=None):
@@ -69,24 +70,29 @@ class PosetCausalSystem:
         vars(self).update(poset=poset, n=n, m=m, r=r, A=A, B=B, C=C, D=D, x0=x0)
 
     @cached_property
-    def _integers(self) -> tuple:
-        """(Ia, Ib, Ic): A, B and C as integer matrices, cleared once on first use and kept.
+    def _integer_form(self) -> tuple:
+        """((Ia, Ib, Ic), (d, e, f)): A, B and C as integer matrices, cleared once on first use and kept.
 
-        Ia is A over one common denominator d, Ib is B with each column times
-        its common denominator, and Ic is C with each row times its own. The
-        per-node sets read sub-blocks of them (``model_integers``) instead of
-        deriving each model and clearing it again. ``cached_property`` writes
-        the instance dictionary directly, past the frozen ``__setattr__``; the
-        arrays are read-only, as the system is.
+        Ia is A over one common denominator d, so A = Ia / d. Ib is B with
+        column j times its common denominator e[j], and Ic is C with row i
+        times its own, f[i]. The per-node sets read sub-blocks of them
+        (``model_integers``) instead of deriving each model and clearing it
+        again; ``reduction`` compresses with them and the denominators.
+        ``cached_property`` writes the instance dictionary directly, past the
+        frozen ``__setattr__``; the arrays are read-only, as the system is.
         """
-        ints = (
-            la._cleared(self.A.entries)[0],
-            la.cleared_rows(self.B.entries.T).T,
-            la.cleared_rows(self.C.entries),
-        )
+        ia, d = la._cleared(self.A.entries)
+        ib, e = la._cleared_by_rows(self.B.entries.T)
+        ic, f = la._cleared_by_rows(self.C.entries)
+        ints = (ia, ib.T, ic)
         for m in ints:
             m.flags.writeable = False
-        return ints
+        return ints, (d, e, f)
+
+    @property
+    def _integers(self) -> tuple:
+        """(Ia, Ib, Ic) of ``_integer_form``."""
+        return self._integer_form[0]
 
     def _frozen(self, name, *value):
         raise AttributeError(f"a PosetCausalSystem is immutable: cannot change {name!r}")
@@ -220,9 +226,10 @@ def model_integers(sys: PosetCausalSystem, kind: str, i: int | None = None) -> t
 
     Not in ``__all__``, as ``model_nodes``.
     """
-    x, u, y = model_coordinates(sys, kind, i)
+    x, u, y = (np.array(k, dtype=np.intp) for k in model_coordinates(sys, kind, i))
     ia, ib, ic = sys._integers
-    return ia[np.ix_(x, x)], ib[np.ix_(x, u)], ic[np.ix_(y, x)]
+    rows = x[:, None]
+    return ia[rows, x], ib[rows, u], ic[y[:, None], x]
 
 
 def _coordinates(sys: PosetCausalSystem, nodes) -> tuple:

@@ -18,7 +18,7 @@ from posetsys.errors import IncompatibleShapes
 from posetsys.poset import Poset, build_poset
 from posetsys.reachability import ctrb_matrix
 from posetsys.subspace import Subspace
-from posetsys.system import PosetCausalSystem
+from posetsys.system import PosetCausalSystem, model_coordinates
 
 NAMED_POSETS = {name: corpus._POSETS[name] for name in ("p1", "p2", "p3", "p4", "p5", "p6")}
 named_poset = corpus.corpus_poset
@@ -278,6 +278,62 @@ def eliminated_invariant_span(a, b):
         if grown.shape[1] == span.shape[1]:
             return span
         span = grown
+
+
+# The Kalman projection and the compression as they ran on Fractions, before
+# they solved their normal equations on the integer bases.
+
+
+def fraction_project_onto(space, target) -> Subspace:
+    """``Subspace.project_onto``: the Fraction normal equations of the pivot-1 bases, then their span."""
+    if target.is_zero() or space.is_zero():
+        return Subspace.zero(space.ambient)
+    basis = target.basis
+    coords = la.solve(la.mdot(basis.T, basis), la.mdot(basis.T, space.basis))
+    return Subspace(space.ambient, la.mdot(basis, coords))
+
+
+def fraction_compress(sys, subspace) -> tuple:
+    """(A', B', C') of ``reduction._compress``: the five-``mdot`` Gram formula on the pivot-1 basis."""
+    basis = subspace.basis
+    lift = la.solve(la.mdot(basis.T, basis), basis.T)
+    a = la.mdot(lift, la.mdot(sys.A.entries, basis))
+    b = la.mdot(lift, sys.B.entries)
+    c = la.mdot(sys.C.entries, basis)
+    return a, b, c
+
+
+# The structure tables as they were read before ``Poset.cones``, ranges
+# extended from ``Partition.starts`` and intp slices.
+
+
+def scanned_derived_set(poset, nodes, kind: str) -> frozenset:
+    """``poset.derived_set`` as a scan of every node against the relation."""
+    kinds = ("down", "up", "strict_down", "strict_up")
+    if kind not in kinds:
+        raise ValueError(f"kind must be one of {kinds}")
+    members = frozenset(nodes)
+    for i in members:
+        poset.check_node(i)
+    if kind in ("down", "strict_down"):
+        hit = frozenset(i for i in poset.nodes if any(poset.geq(j, i) for j in members))
+    else:
+        hit = frozenset(i for i in poset.nodes if any(poset.geq(i, j) for j in members))
+    if kind.startswith("strict"):
+        hit -= members
+    return hit
+
+
+def listed_indices(partition, nodes) -> list:
+    """``Partition.indices`` as one comprehension over ``block_range``."""
+    return [k for j in sorted(set(nodes)) for k in partition.block_range(j)]
+
+
+def ix_model_integers(sys, kind: str, i=None) -> tuple:
+    """``system.model_integers`` as ``np.ix_`` slices at the coordinate lists."""
+    x, u, y = model_coordinates(sys, kind, i)
+    ia, ib, ic = sys._integers
+    return ia[np.ix_(x, x)], ib[np.ix_(x, u)], ic[np.ix_(y, x)]
 
 
 def closure_oracle(p: int, edges) -> set:

@@ -239,13 +239,15 @@ def test_solve_matches_the_fraction_inverse_product(drawn):
 
 @SETTINGS
 @given(st.integers(0, 5).flatmap(lambda n: st.tuples(matrices(rows=n), matrices(rows=n))))
-def test_solve_gram_matches_the_fraction_normal_equations(drawn):
+def test_project_onto_matches_the_fraction_normal_equations(drawn):
     m, rhs = drawn
-    basis = Subspace(m.shape[0], m).basis  # independent columns
+    target = Subspace(m.shape[0], m)
+    basis = target.basis  # independent columns
     k = basis.shape[1]
     r, _ = oracle_rref(np.hstack([oracle_mdot(basis.T, basis), la.eye(k)]))
-    want = oracle_mdot(r[:, k:], oracle_mdot(basis.T, rhs))
-    assert_identical(la.solve_gram(basis, rhs), want)
+    coords = oracle_mdot(r[:, k:], oracle_mdot(basis.T, rhs))
+    got = Subspace(m.shape[0], rhs).project_onto(target)
+    assert_identical(got.basis, oracle_column_echelon(oracle_mdot(basis, coords)))
 
 
 def test_edge_shapes_match_oracle():
