@@ -17,35 +17,42 @@ Matrices are 2-D numpy arrays of dtype=object, of two kinds:
   tall matrix of full rank, such as a Krylov matrix or a sum of subspaces,
   leaves its last rows, which hold its largest integers, unread.
 
+The crossing between the two kinds is decided here alone, in three boundary
+routines. ``cleared`` takes a matrix to integers over one common denominator,
+which keeps a square matrix's invariant subspaces, and ``cleared_rows`` row by
+row, which keeps the row space and the kernel (columns: clear the transpose).
+Each returns its denominators and takes an integer matrix as it is. Any
+other entry goes through ``exact_entry``: a Fraction, an int or a numpy
+integer is exact; a bool, a float or anything else raises TypeError.
+``exact_over`` is the way back: it forms the exact matrix
+ints[i, j] / (rows[i] cols[j]), and every Fraction that a product, power,
+solve or polynomial of matrices yields, and that ``subspace`` and
+``reduction`` yield, is formed there. ``exact_entry``, ``exact_matrix``, the
+three boundary routines, ``solve`` (under ``inverse``) and
+``normal_equations`` are not in ``__all__``, so the benchmark's tracer, which
+wraps every listed function, does not count them. Everything here is exact;
+nothing ever rounds.
+
 The power and kernel loops ``krylov``, ``invariant_span``,
 ``invariant_kernel`` and ``certified_kernel`` run on integer matrices. The
 per-node sets pass them integer slices of the system, cleared once
 (``system.model_integers``), and they take those as they are. A caller with
 an exact matrix is cleared once, at the top of the same routine: ``a`` to
-one common denominator, which keeps its invariant subspaces, and ``b`` by
-columns or ``c`` by rows, which keeps their spans and kernels. ``krylov``
-gives an integer matrix for integer operands and an exact one otherwise,
-each block formed as Fractions once.
+one common denominator and ``b`` by columns or ``c`` by rows. ``krylov``
+gives an integer matrix for integer operands and an exact one otherwise.
+That dispatch is needed: an exact matrix read as integers by
+``certified_kernel`` is reduced modulo p to nonsense, and its walk of primes
+never finds a certificate.
 
-This module alone decides what an exact entry is (``exact_entry``): a
-Fraction, an int or a numpy integer; a bool, a float or anything else raises
-TypeError. ``cleared_rows`` turns an exact matrix into an integer one by
-scaling each row by its common denominator, which keeps the row space and
-the kernel. ``exact_entry``, ``exact_matrix``, ``cleared_rows``,
-``integer_columns``, ``solve`` (under ``inverse``) and ``normal_equations``
-are not in ``__all__``, so the benchmark's tracer, which wraps every listed
-function, does not count them. Everything here is exact; nothing ever
-rounds.
-
-Products of exact matrices run on ints too: ``mdot`` clears each row of both
-factors on the way in and forms Fractions only on the way out. The
-projections and compressions form no such product: ``normal_equations``
-solves the Gram system of an integer basis in one ``rref``, and its callers
-(``Subspace.project_onto``, ``reduction``) form each Fraction once, at the
-end. ``krylov`` is the power loop of ``ctrb_matrix``, which the per-node
-downstream and local models and the test oracles use. The global sets form
-no power matrix: ``invariant_span`` saturates the reachable set (for
-``reachable`` and the moment check) and ``invariant_kernel`` the
+Products of exact matrices run on ints too: ``mdot`` clears the rows of
+``a`` and the columns of ``b`` on the way in and forms Fractions only on the
+way out. The projections and compressions form no such product:
+``normal_equations`` solves the Gram system of an integer basis in one
+``rref``, and ``reduction`` turns its integer solution into Fractions once,
+through ``exact_over``. ``krylov`` is the power loop of ``ctrb_matrix``,
+which the per-node downstream and local models and the test oracles use. The
+global sets form no power matrix: ``invariant_span`` saturates the reachable
+set (for ``reachable`` and the moment check) and ``invariant_kernel`` the
 unobservable set (for ``unobservable``). ``certified_kernel`` finds each
 per-node unobservable set (for ``upstream_indistinguishable``) from the rows
 of the observability matrix that stay independent modulo a prime, and
@@ -152,8 +159,35 @@ def eye(n: int) -> np.ndarray:
     return out
 
 
-def _int_rows(m: np.ndarray) -> tuple[list[list[int]], list[int]]:
-    """Row i of ``m`` as integers ``rows[i]`` over the common denominator ``dens[i]``."""
+def _is_integer(m: np.ndarray) -> bool:
+    """Whether ``m`` is an integer matrix: an object array whose every entry is an int."""
+    return m.dtype == object and all(type(x) is int for x in m.flat)
+
+
+def cleared(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """(Im, d) with m = Im / d: ``m`` as an integer matrix over one common denominator.
+
+    This keeps the invariant subspaces of a square ``m``. An integer matrix
+    is taken as it is, with d = 1. Any other goes through ``exact_matrix``
+    first, so a float or bool entry raises ``exact_entry``'s TypeError.
+    """
+    if _is_integer(m):
+        return m, 1
+    m = exact_matrix(m)
+    d = lcm(*map(_DENOMINATOR, m.flat))
+    rows = [[x.numerator * (d // x.denominator) for x in row] for row in m.tolist()]
+    return np.array(rows, dtype=object).reshape(m.shape), d  # reshape: [] loses a 0 x n shape
+
+
+def cleared_rows(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """(Im, dens): row i of ``m`` is row i of the integer matrix Im over its denominator dens[i].
+
+    This keeps the row space and the kernel; ``cleared_rows(m.T)`` clears by
+    columns, which keeps the column space. Entries are taken as in ``cleared``.
+    """
+    if _is_integer(m):
+        return m, [1] * m.shape[0]
+    m = exact_matrix(m)
     rows, dens = [], []
     for row in m.tolist():
         row_dens = [x.denominator for x in row]
@@ -163,58 +197,20 @@ def _int_rows(m: np.ndarray) -> tuple[list[list[int]], list[int]]:
         else:
             rows.append([x.numerator * (d // e) for x, e in zip(row, row_dens)])
         dens.append(d)
-    return rows, dens
+    return np.array(rows, dtype=object).reshape(m.shape), dens
 
 
-def _int_matrix(rows: list, shape: tuple) -> np.ndarray:
-    out = np.empty(shape, dtype=object)  # not from a nested list: a 0 x n matrix would lose a dimension
-    for i, row in enumerate(rows):
-        out[i, :] = row
-    return out
+def exact_over(ints: np.ndarray, rows, cols) -> np.ndarray:
+    """The exact matrix whose entry (i, j) is ints[i, j] / (rows[i] cols[j]), for an integer ``ints``.
 
-
-def cleared_rows(m: np.ndarray) -> np.ndarray:
-    """The integer matrix whose row i is row i of the exact matrix ``m`` times its common denominator."""
-    return _cleared_by_rows(m)[0]
-
-
-def _cleared_by_rows(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """``cleared_rows(m)`` and the common denominator of each row of ``m``."""
-    rows, dens = _int_rows(m)
-    return _int_matrix(rows, m.shape), dens
-
-
-def _cleared(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """``m`` as an integer matrix over one common denominator."""
-    d = lcm(*(x.denominator for x in m.flat))
-    rows = [[x.numerator * (d // x.denominator) for x in row] for row in m.tolist()]
-    return _int_matrix(rows, m.shape), d
-
-
-def _is_integer(m: np.ndarray) -> bool:
-    """Whether ``m`` is an integer matrix: an object array whose every entry is an int."""
-    return m.dtype == object and all(type(x) is int for x in m.flat)
-
-
-def _integer_map(a: np.ndarray) -> np.ndarray:
-    """An integer ``a`` as it is; an exact one over one common denominator, which keeps its invariant subspaces."""
-    return a if _is_integer(a) else _cleared(a)[0]
-
-
-def _integer_rows(m: np.ndarray) -> np.ndarray:
-    """An integer ``m`` as it is; an exact one cleared row by row, which keeps its row space and kernel."""
-    return m if _is_integer(m) else cleared_rows(m)
-
-
-def integer_columns(m) -> np.ndarray:
-    """An exact matrix (array or rows) with each column times its common denominator; an integer one as it is.
-
-    Either way the column space is kept. Entries go through ``exact_matrix``
-    unless the matrix is integer already.
+    The one place where a result leaves the integers: each Fraction is formed
+    here, once, and every zero is the same Fraction(0).
     """
-    if isinstance(m, np.ndarray) and _is_integer(m):
-        return m
-    return cleared_rows(exact_matrix(m).T).T
+    out = [
+        [Fraction(x, r * c) if x else _ZERO for x, c in zip(row, cols)]
+        for row, r in zip(ints.tolist(), rows)
+    ]
+    return np.array(out, dtype=object).reshape(ints.shape)
 
 
 def mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -227,13 +223,9 @@ def mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise IncompatibleShapes(f"cannot multiply {a.shape} by {b.shape}")
     if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
         return zeros(a.shape[0], b.shape[1])
-    a_ints, a_dens = _int_rows(a)
-    b_ints, b_dens = _int_rows(b.T)
-    prod = np.dot(np.array(a_ints, dtype=object), np.array(b_ints, dtype=object).T)
-    out = np.empty(prod.shape, dtype=object)
-    for i, (row, da) in enumerate(zip(prod.tolist(), a_dens)):
-        out[i, :] = [Fraction(x, da * db) if x else _ZERO for x, db in zip(row, b_dens)]
-    return out
+    a_ints, a_dens = cleared_rows(a)
+    b_ints, b_dens = cleared_rows(b.T)
+    return exact_over(a_ints.dot(b_ints.T), a_dens, b_dens)
 
 
 def krylov(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
@@ -241,24 +233,17 @@ def krylov(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
 
     Integer ``a`` and ``b`` give the integer matrix, with no clearing pass.
     Otherwise ``a`` is cleared once, to Ia / d, and ``b`` to Ib / e, so a^j b
-    is the integer product Ia^j Ib over d^j e, and each block of the exact
-    result forms its Fractions once.
+    is the integer product Ia^j Ib over d^j e, made exact once.
     """
     n, cols = b.shape
     if a.shape != (n, n):
         raise IncompatibleShapes(f"cannot take powers of {a.shape} against {b.shape}")
     if _is_integer(a) and _is_integer(b):
         return _powers(a, b, k)
-    a_ints, d = _cleared(a)
-    b_ints, den = _cleared(b)
-    ints = _powers(a_ints, b_ints, k)
-    out = np.empty(ints.shape, dtype=object)
-    for j in range(k):
-        block = slice(j * cols, (j + 1) * cols)
-        for i, row in enumerate(ints[:, block].tolist()):
-            out[i, block] = [Fraction(x, den) if x else _ZERO for x in row]
-        den *= d
-    return out
+    a_ints, d = cleared(a)
+    b_ints, e = cleared(b)
+    dens = [e * d**j for j in range(k) for _ in range(cols)]  # block j is over e d^j
+    return exact_over(_powers(a_ints, b_ints, k), [1] * n, dens)
 
 
 def _powers(a_ints: np.ndarray, b_ints: np.ndarray, k: int) -> np.ndarray:
@@ -285,8 +270,8 @@ def invariant_span(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cleared once, to Ia / d, which keeps its invariant subspaces; clearing it
     row by row would change the map.
     """
-    a_ints = _integer_map(a)
-    span = column_echelon(_integer_rows(b.T).T)
+    a_ints = cleared(a)[0]
+    span = column_echelon(cleared_rows(b.T)[0].T)
     while 0 < span.shape[1] < a.shape[0]:
         grown = column_echelon(np.hstack([span, a_ints.dot(span)]))
         if grown.shape[1] == span.shape[1]:
@@ -304,8 +289,8 @@ def invariant_kernel(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     of ``c`` and stops when the dimension stops shrinking or reaches 0. An
     exact ``a`` is cleared once, to Ia / d, as in ``invariant_span``.
     """
-    a_ints = _integer_map(a)
-    kern = kernel_basis(_integer_rows(c))
+    a_ints = cleared(a)[0]
+    kern = kernel_basis(cleared_rows(c)[0])
     while kern.shape[1]:
         perp = kernel_basis(kern.T)
         shrunk = kern.dot(kernel_basis(perp.T.dot(a_ints.dot(kern))))
@@ -333,8 +318,8 @@ def certified_kernel(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     the walk ends, and the result never depends on the prime.
     """
     n = a.shape[0]
-    a_ints = _integer_map(a)
-    c_ints = _integer_rows(c)
+    a_ints = cleared(a)[0]
+    c_ints = cleared_rows(c)[0]
     p = START_PRIME
     while True:
         picks, rank = _rows_mod(a_ints, c_ints, p)
@@ -507,7 +492,7 @@ def kernel_basis(m: np.ndarray) -> np.ndarray:
 
 def rank(m: np.ndarray) -> int:
     """Rank of an exact or integer matrix."""
-    return len(rref(_integer_rows(m))[1])
+    return len(rref(cleared_rows(m)[0])[1])
 
 
 def inverse(m: np.ndarray) -> np.ndarray:
@@ -518,18 +503,17 @@ def inverse(m: np.ndarray) -> np.ndarray:
     return solve(m, eye(n))
 
 
-def normal_equations(basis: np.ndarray, rhs: np.ndarray) -> tuple[list[int], list[list[int]]]:
+def normal_equations(basis: np.ndarray, rhs: np.ndarray) -> tuple[list[int], np.ndarray]:
     """The normal equations G x = basis^T rhs, G = basis^T basis, on integers: (q, rows).
 
     ``basis`` and ``rhs`` are integer matrices and the k columns of ``basis``
     are independent, so G is invertible. One ``rref`` of [G, basis^T rhs]
-    gives pivot row i as q_i e_i, q_i > 0, followed by ``rows[i]``: row i of
-    x is ``rows[i]`` over q_i.
+    gives pivot row i as q_i e_i, q_i > 0, followed by row i of the integer
+    matrix ``rows``: row i of x is that row over q_i.
     """
     k = basis.shape[1]
     r, _ = rref(np.hstack([basis.T.dot(basis), basis.T.dot(rhs)]))
-    out = r.tolist()
-    return [row[i] for i, row in enumerate(out)], [row[k:] for row in out]
+    return r.diagonal().tolist(), r[:, k:]
 
 
 def solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -539,13 +523,10 @@ def solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     i; the rest of the row over that pivot is row i of x.
     """
     n = m.shape[0]
-    r, pivots = rref(cleared_rows(np.hstack([m, rhs])))
+    r, pivots = rref(cleared_rows(np.hstack([m, rhs]))[0])
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    out = np.empty((n, rhs.shape[1]), dtype=object)
-    for i, row in enumerate(r.tolist()):
-        out[i, :] = [Fraction(x, row[i]) if x else _ZERO for x in row[n:]]
-    return out
+    return exact_over(r[:, n:], r.diagonal(), [1] * rhs.shape[1])
 
 
 def char_poly(m: np.ndarray) -> list[Fraction]:
@@ -561,7 +542,7 @@ def char_poly(m: np.ndarray) -> list[Fraction]:
     n, nc = m.shape
     if n != nc:
         raise IncompatibleShapes("characteristic polynomial of a non-square matrix")
-    a_ints, d = _cleared(m)
+    a_ints, d = cleared(m)
     coeffs = [0] * n + [1]
     diagonal = np.arange(n)
     prod = a_ints.copy()  # Ia M_1
@@ -601,7 +582,7 @@ def poly_eval_matrix(p: list[Fraction], m: np.ndarray) -> np.ndarray:
     n = m.shape[0]
     if not p:
         return zeros(n, n)
-    a_ints, d = _cleared(m)
+    a_ints, d = cleared(m)
     den = lcm(*(c.denominator for c in p))
     deg = len(p) - 1
     diagonal = np.arange(n)
@@ -610,11 +591,7 @@ def poly_eval_matrix(p: list[Fraction], m: np.ndarray) -> np.ndarray:
         if j < deg:
             acc = a_ints.dot(acc)
         acc[diagonal, diagonal] += p[j].numerator * (den // p[j].denominator) * d ** (deg - j)
-    den *= d**deg
-    out = np.empty((n, n), dtype=object)
-    for i, row in enumerate(acc.tolist()):
-        out[i, :] = [Fraction(x, den) if x else _ZERO for x in row]
-    return out
+    return exact_over(acc, [den * d**deg] * n, [1] * n)
 
 
 def mat_to_float(m: np.ndarray) -> np.ndarray:

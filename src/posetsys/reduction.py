@@ -5,13 +5,15 @@ for a sandwich compression, over the one-element order. One step compresses
 with the Gram formula A' = (V^T V)^-1 V^T A V for a rational basis V (an
 orthonormal basis would generally need irrational entries), solved on the
 integers of V and of the system, checks the result's pattern and verifies
-its moments on a joint reachable subspace.
+its moments on a joint reachable subspace, built from both systems' integer
+forms. It forms no Fraction and clears no matrix itself: the systems'
+integer forms are cleared, and the results made exact (``exact_over``), by
+``_linalg``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -38,8 +40,6 @@ __all__ = [
 ]
 
 REDUCTION_VARIANTS = ("primal", "dual_tilde", "dual_circ")
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -99,23 +99,22 @@ def _compress(sys: PosetCausalSystem, subspace: Subspace, poset, n, m, r) -> Pos
 
     One elimination of [G, Vi^T Ia Vi, Vi^T Ib] (``_linalg.normal_equations``)
     gives row i of G^-1 [Vi^T Ia Vi, Vi^T Ib] as an integer row over its
-    pivot q_i, so every entry is an integer over a product of known scales,
-    made a Fraction once. At these sizes one elimination of the whole Gram
-    matrix is faster than one per block of a block-diagonal ``poset_reduce``
-    basis.
+    pivot q_i. With X those rows times diag(p), every entry is an integer
+    over a row scale times a column scale: A' is X over (q_i d, p_j), B' is
+    X over (q_i, e_j) and C' is Ic Vi over (f_i, p_j), each made exact once
+    by ``_linalg.exact_over``. At these sizes one elimination of the whole
+    Gram matrix is faster than one per block of a block-diagonal
+    ``poset_reduce`` basis.
     """
     (ia, ib, ic), (d, e, f) = sys._integer_form
     vi = subspace.integer_basis
     p = [next(x for x in col if x) for col in vi.T.tolist()]
     k = len(p)
     q, rows = la.normal_equations(vi, np.hstack([ia.dot(vi), ib]))
-    a, b = np.empty((k, k), dtype=object), np.empty((k, len(e)), dtype=object)
-    for i, (pi, qi, row) in enumerate(zip(p, q, rows)):
-        a[i, :] = [Fraction(pi * x, qi * d * pj) if x else _ZERO for x, pj in zip(row[:k], p)]
-        b[i, :] = [Fraction(pi * x, qi * ej) if x else _ZERO for x, ej in zip(row[k:], e)]
-    c = np.empty((len(f), k), dtype=object)
-    for i, (fi, row) in enumerate(zip(f, ic.dot(vi).tolist())):
-        c[i, :] = [Fraction(x, fi * pj) if x else _ZERO for x, pj in zip(row, p)]
+    rows = rows * np.array(p, dtype=object)[:, None]  # X = diag(p) diag(q) G^-1 [Vi^T Ia Vi, Vi^T Ib]
+    a = la.exact_over(rows[:, :k], [qi * d for qi in q], p)
+    b = la.exact_over(rows[:, k:], q, e)
+    c = la.exact_over(ic.dot(vi), f, p)
     reduced = PosetCausalSystem(poset, n, m, r, a, b, c, sys.D.entries)
     if not moments_equal(sys, reduced):
         raise StructureViolation("compression failed to preserve the moments (internal bug)")
@@ -240,13 +239,26 @@ def moments_equal(sys1: PosetCausalSystem, sys2: PosetCausalSystem) -> bool:
     With A = diag(A1, A2), B = [B1; B2] and C = [C1, -C2], the moments agree
     for every k exactly when C vanishes on the reachable subspace of (A, B),
     the smallest A-invariant subspace containing im B (Wonham, *Linear
-    Multivariable Control*). No power of A is formed; the test runs on integers.
+    Multivariable Control*). No power of A is formed, and the joint matrices
+    are built on the two systems' integer forms (A = Ia / d, B = Ib diag(1/e),
+    C = diag(1/f) Ic), never as Fractions:
+
+        A = diag(Ia1 d2, Ia2 d1),  B = [Ib1 diag(e2); Ib2 diag(e1)],
+        C = [diag(f2) Ic1, -diag(f1) Ic2].
+
+    These are d1 d2 times the joint A, the joint B with column j times
+    e1[j] e2[j] and the joint C with row i times f1[i] f2[i]: positive
+    rescalings, which keep the invariant subspaces, the reachable span and
+    the kernel of C.
     """
     if sys1.input_dim != sys2.input_dim or sys1.output_dim != sys2.output_dim:
         raise DimensionMismatch("systems must share input and output dimensions")
+    (ia1, ib1, ic1), (d1, e1, f1) = sys1._integer_form
+    (ia2, ib2, ic2), (d2, e2, f2) = sys2._integer_form
+    e1, e2, f1, f2 = (np.array(s, dtype=object) for s in (e1, e2, f1, f2))
     n1, n = sys1.state_dim, sys1.state_dim + sys2.state_dim
-    a = la.zeros(n, n)
-    a[:n1, :n1], a[n1:, n1:] = sys1.A.entries, sys2.A.entries
-    b = np.vstack([sys1.B.entries, sys2.B.entries])
-    c = np.hstack([sys1.C.entries, -sys2.C.entries])
-    return la.is_zero_matrix(la.cleared_rows(c).dot(la.invariant_span(a, b)))
+    a = np.zeros((n, n), dtype=object)
+    a[:n1, :n1], a[n1:, n1:] = ia1 * d2, ia2 * d1
+    b = np.vstack([ib1 * e2, ib2 * e1])
+    c = np.hstack([f2[:, None] * ic1, -f1[:, None] * ic2])
+    return la.is_zero_matrix(c.dot(la.invariant_span(a, b)))

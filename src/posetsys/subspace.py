@@ -23,13 +23,15 @@ Each is a lattice identity, and canonical bases are unique, so each result
 equals, by ``==``, the one the elimination gives. Every other operand is
 eliminated.
 
-Fractions appear only at the boundary: ``Subspace(ambient, basis)`` takes any
-exact matrix and clears each column of its denominators (an integer matrix,
-such as a Krylov matrix of integer slices, is taken as it is), and
+Fractions appear only at the boundary, and ``_linalg`` crosses it both ways:
+``Subspace(ambient, basis)`` takes any exact matrix and clears each column
+of its denominators (``_linalg.cleared_rows`` of the transpose; an integer
+matrix, such as a Krylov matrix of integer slices, is taken as it is), and
 ``basis``, the pivot-1 form that ``vectors()`` and ``contains_vector`` read,
-divides each integer column by its pivot on first use. ``project_onto`` and
-the reductions solve their normal equations on the integer bases
-(``_linalg.normal_equations``) and never read ``basis``.
+is each integer column over its pivot (``_linalg.exact_over``), formed on
+first use. ``project_onto`` and the reductions solve their normal equations
+on the integer bases (``_linalg.normal_equations``) and never read
+``basis``.
 """
 
 from __future__ import annotations
@@ -46,16 +48,16 @@ from .errors import AmbientMismatch
 
 __all__ = ["Subspace", "image", "kernel", "direct_sum"]
 
-_ZERO = Fraction(0)
-
 
 class Subspace:
     """A linear subspace of Q^ambient with a canonical integer basis."""
 
     def __init__(self, ambient: int, basis: np.ndarray):
         """Span of the columns of an exact matrix (array or rows) or of an integer matrix."""
+        if not isinstance(basis, np.ndarray):
+            basis = la.exact_matrix(basis)
         # a column times its common denominator spans the same line
-        basis = la.integer_columns(basis)
+        basis = la.cleared_rows(basis.T)[0].T
         if basis.shape[0] != ambient:
             raise AmbientMismatch(f"basis rows {basis.shape[0]} != ambient {ambient}")
         self._hold(ambient, la.column_echelon(basis))
@@ -80,10 +82,8 @@ class Subspace:
     @cached_property
     def basis(self) -> np.ndarray:
         """The canonical basis with pivots 1, in Fractions: each integer column over its pivot."""
-        out = np.empty(self.integer_basis.shape, dtype=object)
-        for k, col in enumerate(self.integer_basis.T.tolist()):
-            pivot = next(x for x in col if x)
-            out[:, k] = [Fraction(x, pivot) if x else _ZERO for x in col]
+        pivots = [next(x for x in col if x) for col in self.integer_basis.T.tolist()]
+        out = la.exact_over(self.integer_basis, [1] * self.ambient, pivots)
         out.flags.writeable = False
         return out
 
@@ -209,9 +209,7 @@ class Subspace:
             return Subspace.zero(self.ambient)
         pivots, rows = la.normal_equations(target.integer_basis, self.integer_basis)
         scale = lcm(*pivots)
-        coords = np.empty((len(rows), self.dim), dtype=object)
-        for i, (piv, row) in enumerate(zip(pivots, rows)):
-            coords[i, :] = [x * (scale // piv) for x in row] if piv != scale else row
+        coords = rows * np.array([[scale // piv] for piv in pivots], dtype=object)
         return Subspace._span(self.ambient, target.integer_basis.dot(coords))
 
     def _rows(self, partition: Partition, nodes) -> list:
@@ -270,7 +268,7 @@ def image(matrix: np.ndarray) -> Subspace:
 
 def kernel(matrix: np.ndarray) -> Subspace:
     """Exact null space; a row times its common denominator has the same null space."""
-    return Subspace._span(matrix.shape[1], la.kernel_basis(la.cleared_rows(la.exact_matrix(matrix))))
+    return Subspace._span(matrix.shape[1], la.kernel_basis(la.cleared_rows(matrix)[0]))
 
 
 def direct_sum(*spaces: Subspace) -> Subspace:

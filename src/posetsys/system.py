@@ -77,13 +77,16 @@ class PosetCausalSystem:
         column j times its common denominator e[j], and Ic is C with row i
         times its own, f[i]. The per-node sets read sub-blocks of them
         (``model_integers``) instead of deriving each model and clearing it
-        again; ``reduction`` compresses with them and the denominators.
-        ``cached_property`` writes the instance dictionary directly, past the
-        frozen ``__setattr__``; the arrays are read-only, as the system is.
+        again; ``reduction`` compresses with them and the denominators and
+        checks moments on them. The clearing is ``_linalg``'s (``cleared``,
+        ``cleared_rows``), and ``dual_system`` gives a dual this form
+        transposed instead of clearing it again. ``cached_property`` writes
+        the instance dictionary directly, past the frozen ``__setattr__``;
+        the arrays are read-only, as the system is.
         """
-        ia, d = la._cleared(self.A.entries)
-        ib, e = la._cleared_by_rows(self.B.entries.T)
-        ic, f = la._cleared_by_rows(self.C.entries)
+        ia, d = la.cleared(self.A.entries)
+        ib, e = la.cleared_rows(self.B.entries.T)
+        ic, f = la.cleared_rows(self.C.entries)
         ints = (ia, ib.T, ic)
         for m in ints:
             m.flags.writeable = False
@@ -160,9 +163,14 @@ def validate(sys: PosetCausalSystem) -> ValidationReport:
 def dual_system(sys: PosetCausalSystem) -> PosetCausalSystem:
     """Transpose all matrices and reverse the order; inputs and outputs swap.
 
-    No pattern check: the paper shows poset-causal systems are closed under duality.
+    No pattern check: the paper shows poset-causal systems are closed under
+    duality. Nor is the dual cleared again: its integer form is the system's,
+    transposed, ((Ia^T, Ic^T, Ib^T), (d, f, e)), as read-only views. A^T is
+    Ia^T over the same d; column j of C^T is row j of C, so Ic^T clears the
+    dual's B by columns with f, and likewise Ib^T its C by rows with e.
     """
-    return PosetCausalSystem._unchecked(
+    (ia, ib, ic), (d, e, f) = sys._integer_form
+    dual = PosetCausalSystem._unchecked(
         poset=dual_poset(sys.poset),
         n=sys.n,
         m=sys.r,
@@ -173,6 +181,8 @@ def dual_system(sys: PosetCausalSystem) -> PosetCausalSystem:
         D=sys.D.transpose(),
         x0=sys.x0,
     )
+    vars(dual)["_integer_form"] = (ia.T, ic.T, ib.T), (d, f, e)  # what the cached_property would hold
+    return dual
 
 
 def model_nodes(poset: Poset, kind: str, i: int | None = None) -> tuple:

@@ -7,14 +7,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 
 from posetsys import _linalg as la
 from posetsys import corpus
-from posetsys.errors import IncompatibleShapes
+from posetsys.errors import IncompatibleShapes, SingularMatrix
 from posetsys.poset import Poset, build_poset
 from posetsys.reachability import ctrb_matrix
 from posetsys.subspace import Subspace
@@ -236,7 +236,7 @@ def gauss_jordan_rref(m: np.ndarray):
         content = gcd(*rows[i]) if rows[i][col] > 0 else -gcd(*rows[i])
         if content != 1:
             rows[i] = [x // content for x in rows[i]]
-    return la._int_matrix(rows, (nrows, ncols)), pivots
+    return np.array(rows, dtype=object).reshape(nrows, ncols), pivots
 
 
 # The lattice operations as every operand took them before zero and full
@@ -271,8 +271,8 @@ def eliminated_section(space, partition, nodes) -> Subspace:
 
 def eliminated_invariant_span(a, b):
     """``_linalg.invariant_span`` saturated until an elimination shows the span stopped growing."""
-    a_ints = la._cleared(a)[0]
-    span = la.column_echelon(la.cleared_rows(b.T).T)
+    a_ints = la.cleared(a)[0]
+    span = la.column_echelon(la.cleared_rows(b.T)[0].T)
     while True:
         grown = la.column_echelon(np.hstack([span, a_ints.dot(span)]))
         if grown.shape[1] == span.shape[1]:
@@ -301,6 +301,79 @@ def fraction_compress(sys, subspace) -> tuple:
     b = la.mdot(lift, sys.B.entries)
     c = la.mdot(sys.C.entries, basis)
     return a, b, c
+
+
+# The Fraction-forming loops each routine ran on its own integer result before
+# ``_linalg.exact_over`` formed every exact result in one place.
+
+
+def looped_mdot(a, b) -> np.ndarray:
+    """``_linalg.mdot``: Ia Ib^T over the row denominators of ``a`` and the column ones of ``b``."""
+    if a.shape[0] == 0 or b.shape[1] == 0 or a.shape[1] == 0:
+        return la.zeros(a.shape[0], b.shape[1])
+    a_ints, a_dens = la.cleared_rows(a)
+    b_ints, b_dens = la.cleared_rows(b.T)
+    prod = a_ints.dot(b_ints.T)
+    out = np.empty(prod.shape, dtype=object)
+    for i, (row, da) in enumerate(zip(prod.tolist(), a_dens)):
+        out[i, :] = [Fraction(x, da * db) if x else Fraction(0) for x, db in zip(row, b_dens)]
+    return out
+
+
+def looped_krylov(a, b, k) -> np.ndarray:
+    """``_linalg.krylov`` of exact operands: block j of the integer powers over e d^j."""
+    a_ints, d = la.cleared(a)
+    cur, den = la.cleared(b)
+    cols = b.shape[1]
+    out = np.empty((b.shape[0], k * cols), dtype=object)
+    for j in range(k):
+        if j:
+            cur, den = a_ints.dot(cur), den * d
+        for i, row in enumerate(cur.tolist()):
+            out[i, j * cols : (j + 1) * cols] = [Fraction(x, den) if x else Fraction(0) for x in row]
+    return out
+
+
+def looped_solve(m, rhs) -> np.ndarray:
+    """``_linalg.solve``: each pivot row of the integer Gauss-Jordan result over its pivot."""
+    n = m.shape[0]
+    r, pivots = la.rref(la.cleared_rows(np.hstack([m, rhs]))[0])
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrix("matrix is singular")
+    out = np.empty((n, rhs.shape[1]), dtype=object)
+    for i, row in enumerate(r.tolist()):
+        out[i, :] = [Fraction(x, row[i]) if x else Fraction(0) for x in row[n:]]
+    return out
+
+
+def looped_poly_eval_matrix(p, m) -> np.ndarray:
+    """``_linalg.poly_eval_matrix``: Horner's rule on the cleared ``m`` and ``p``, each entry over D d^deg."""
+    n = m.shape[0]
+    if not p:
+        return la.zeros(n, n)
+    a_ints, d = la.cleared(m)
+    den = lcm(*(c.denominator for c in p))
+    deg = len(p) - 1
+    acc = np.zeros((n, n), dtype=object)
+    for j in range(deg, -1, -1):
+        if j < deg:
+            acc = a_ints.dot(acc)
+        for i in range(n):
+            acc[i, i] += p[j].numerator * (den // p[j].denominator) * d ** (deg - j)
+    den *= d**deg
+    out = np.empty((n, n), dtype=object)
+    for i, row in enumerate(acc.tolist()):
+        out[i, :] = [Fraction(x, den) if x else Fraction(0) for x in row]
+    return out
+
+
+def looped_basis(space) -> np.ndarray:
+    """``Subspace.basis``: each canonical integer column over its pivot."""
+    out = np.empty(space.integer_basis.shape, dtype=object)
+    for k, col in enumerate(space.integer_basis.T.tolist()):
+        pivot = next(x for x in col if x)
+        out[:, k] = [Fraction(x, pivot) if x else Fraction(0) for x in col]
+    return out
 
 
 # The structure tables as they were read before ``Poset.cones``, ranges

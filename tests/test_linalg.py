@@ -9,41 +9,41 @@ from posetsys.errors import SingularMatrix
 
 
 def test_rref_identity():
-    r, pivots = la.rref(la.cleared_rows(la.eye(3)))
+    r, pivots = la.rref(la.cleared_rows(la.eye(3))[0])
     assert pivots == [0, 1, 2]
     assert np.array_equal(r, la.eye(3))
 
 
 def test_rref_rank_deficient():
     m = la.fmat([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
-    r, pivots = la.rref(la.cleared_rows(m))
+    r, pivots = la.rref(la.cleared_rows(m)[0])
     assert pivots == [0, 1]
     assert la.rank(m) == 2
 
 
 def test_kernel_basis_annihilates():
     m = la.fmat([[1, 2, 3], [4, 5, 6]])
-    k = la.kernel_basis(la.cleared_rows(m))
+    k = la.kernel_basis(la.cleared_rows(m)[0])
     assert k.shape == (3, 1)
     assert la.is_zero_matrix(la.mdot(m, k))
 
 
 def test_eliminations_run_on_ints_in_primitive_form():
     # rows and columns are primitive with a positive pivot; nothing is a Fraction
-    m = la.cleared_rows(la.fmat([[F(-1, 2), -1, 0], [0, 2, 6]]))
+    m = la.cleared_rows(la.fmat([[F(-1, 2), -1, 0], [0, 2, 6]]))[0]
     assert m.tolist() == [[-1, -2, 0], [0, 2, 6]]
     r, pivots = la.rref(m)
     assert pivots == [0, 1] and r.tolist() == [[1, 0, -6], [0, 1, 3]]
     assert la.column_echelon(m).tolist() == [[1, 0], [0, 1]]
     assert la.kernel_basis(m).tolist() == [[6], [-3], [1]]
-    r, pivots = la.rref(la.cleared_rows(la.fmat([[-2, 4, 6], [F(1, 3), 0, F(-1, 6)]])))
+    r, pivots = la.rref(la.cleared_rows(la.fmat([[-2, 4, 6], [F(1, 3), 0, F(-1, 6)]]))[0])
     assert pivots == [0, 1] and r.tolist() == [[2, 0, -1], [0, 4, 5]]
     assert la.kernel_basis(r).tolist() == [[2], [-5], [4]]
     assert la.column_echelon(np.array([[0, 0], [-4, 6]], dtype=object)).tolist() == [[0], [1]]
 
 
 def test_kernel_of_zero_matrix_is_everything():
-    k = la.kernel_basis(la.cleared_rows(la.zeros(2, 3)))
+    k = la.kernel_basis(la.cleared_rows(la.zeros(2, 3))[0])
     assert k.shape == (3, 3)
 
 

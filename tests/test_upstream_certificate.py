@@ -140,7 +140,7 @@ def test_the_certificate_rejects_a_prime_that_drops_the_rank(monkeypatch, name):
     rows_a, rows_c, want = WRONG_PRIME_CASES[name]
     a, c = la.fmat(rows_a), la.fmat(rows_c)
     n = a.shape[0]
-    assert la._rows_mod(la.cleared_rows(a), la.cleared_rows(c), 5)[1] == 1
+    assert la._rows_mod(la.cleared_rows(a)[0], la.cleared_rows(c)[0], 5)[1] == 1
     guess = Subspace.from_columns(n, np.identity(n, dtype=int)[:, 1:].T.tolist())
     assert la.rank(obsv_matrix(c, a)) == 2 and guess != kernel(obsv_matrix(c, a))
     walked = []
