@@ -130,7 +130,7 @@ class BlockMatrix:
 
     @classmethod
     def _owning(cls, entries: np.ndarray, row_partition: Partition, col_partition: Partition) -> "BlockMatrix":
-        """The block matrix of ``entries``, an exact matrix no one else holds, of the partitions' shape.
+        """The block matrix of ``entries``, an exact matrix no one else writes, of the partitions' shape.
 
         Nothing is checked or copied; ``entries`` becomes read-only.
         """
@@ -148,7 +148,8 @@ class BlockMatrix:
         return self.entries[rows.start : rows.stop, cols.start : cols.stop]
 
     def transpose(self) -> "BlockMatrix":
-        return BlockMatrix(self.entries.T, self.col_partition, self.row_partition)
+        """The transpose, as a read-only view of these entries, which are exact already."""
+        return BlockMatrix._owning(self.entries.T, self.col_partition, self.row_partition)
 
     def equals(self, other: "BlockMatrix") -> bool:
         return (

@@ -55,9 +55,9 @@ def unobservable(sys: PosetCausalSystem) -> Subspace:
 
     That is the kernel of the observability matrix (Wonham, *Linear
     Multivariable Control*); it is saturated on integers, with no power of A,
-    from the system's integer form.
+    from the system's integer form, read whole: the global model is the system.
     """
-    ia, _, ic = model_integers(sys, "global")
+    ia, _, ic = sys._integer_form[0]
     return Subspace._span(sys.state_dim, la.invariant_kernel(ia, ic))
 
 

@@ -59,9 +59,9 @@ def reachable(sys: PosetCausalSystem) -> Subspace:
 
     That is the column space of the controllability matrix (Wonham, *Linear
     Multivariable Control*); it is saturated on integers, with no power of A,
-    from the system's integer form.
+    from the system's integer form, read whole: the global model is the system.
     """
-    ia, ib, _ = model_integers(sys, "global")
+    ia, ib, _ = sys._integer_form[0]
     return Subspace._canonical(sys.state_dim, la.invariant_span(ia, ib))
 
 

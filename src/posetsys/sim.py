@@ -7,10 +7,11 @@ TAC 23, 1978); no ODE-solver truncation error enters the identity checks. Exact
 rational matrices become doubles at this boundary only; what does not fit a
 double raises ``NonFinite``. Derived models are poset-causal systems too, so one
 ``simulate`` serves them all. The decomposition check converts the system's
-matrices to doubles once and runs each derived model on slices of them, at the
-model's coordinates (``system.model_coordinates``). Each trajectory stays at
-its model's width: the check compares it with the global one at those
-coordinates.
+matrices to doubles once and runs each derived model on cuts of them by
+``system.model_slices``, the one slicer that also cuts ``derived``'s exact
+matrices and the integer slices of the exact sets, at the model's coordinates
+(``system.model_coordinates``). Each trajectory stays at its model's width:
+the check compares it with the global one at those coordinates.
 
 ``simulate`` runs the recurrence over K steps in blocks of L = isqrt(K) steps,
 so each Python-level pass is one product vectorised over all ceil(K/L) blocks.
@@ -51,7 +52,7 @@ import numpy as np
 from . import _linalg as la
 from .errors import DimensionMismatch, NonFinite
 from .poset import derived_set
-from .system import PosetCausalSystem, model_coordinates
+from .system import PosetCausalSystem, model_coordinates, model_slices
 
 __all__ = [
     "expm",
@@ -329,17 +330,6 @@ class DecompositionReport:
         return "\n".join(lines)
 
 
-def _slices(floats, coords) -> tuple:
-    """A, B, C, D of the model at ``coords`` (its state, input and output indices) as slices of ``floats``."""
-    (a, b, c, d), (states, inputs, outputs) = floats, coords
-    return (
-        a[np.ix_(states, states)],
-        b[np.ix_(states, inputs)],
-        c[np.ix_(outputs, states)],
-        d[np.ix_(outputs, inputs)],
-    )
-
-
 def _nanmax(values) -> float:
     """Largest value, 0.0 if there is none; unlike ``max``, a NaN anywhere gives NaN."""
     return float(np.max(values, initial=0.0))
@@ -395,7 +385,7 @@ def verify_trajectory_decomposition(
     def run(kind, i, seeded_nodes):
         # the derived model started from x0 on seeded_nodes (zero elsewhere), in its own coordinates
         states, inputs, _ = coords[kind, i]
-        model_a, model_b, model_c, model_d = _slices(floats, coords[kind, i])
+        model_a, model_b, model_c, model_d = model_slices(floats, coords[kind, i])
         key = shared(kind, i)
         if key not in forced:
             ui = u.restrict(inputs)

@@ -92,11 +92,6 @@ class PosetCausalSystem:
             m.flags.writeable = False
         return ints, (d, e, f)
 
-    @property
-    def _integers(self) -> tuple:
-        """(Ia, Ib, Ic) of ``_integer_form``."""
-        return self._integer_form[0]
-
     def _frozen(self, name, *value):
         raise AttributeError(f"a PosetCausalSystem is immutable: cannot change {name!r}")
 
@@ -164,10 +159,12 @@ def dual_system(sys: PosetCausalSystem) -> PosetCausalSystem:
     """Transpose all matrices and reverse the order; inputs and outputs swap.
 
     No pattern check: the paper shows poset-causal systems are closed under
-    duality. Nor is the dual cleared again: its integer form is the system's,
-    transposed, ((Ia^T, Ic^T, Ib^T), (d, f, e)), as read-only views. A^T is
-    Ia^T over the same d; column j of C^T is row j of C, so Ic^T clears the
-    dual's B by columns with f, and likewise Ib^T its C by rows with e.
+    duality. Nor is anything copied or cleared again: its exact matrices are
+    the system's transposed (``BlockMatrix.transpose``) and its integer form
+    is the system's, transposed, ((Ia^T, Ic^T, Ib^T), (d, f, e)), all as
+    read-only views. A^T is Ia^T over the same d; column j of C^T is row j of
+    C, so Ic^T clears the dual's B by columns with f, and likewise Ib^T its C
+    by rows with e.
     """
     (ia, ib, ic), (d, e, f) = sys._integer_form
     dual = PosetCausalSystem._unchecked(
@@ -188,10 +185,14 @@ def dual_system(sys: PosetCausalSystem) -> PosetCausalSystem:
 def model_nodes(poset: Poset, kind: str, i: int | None = None) -> tuple:
     """State, input and output nodes of the global, local(i), downstream(i) or upstream(i) model.
 
-    ``derived`` builds the model on them; ``model_coordinates`` lists their coordinates.
-    Not in ``__all__``, so the benchmark's tracer, which wraps every listed function, does not
-    count it as a call of its own.
+    The kind is checked first, so an unknown kind raises ``ValueError`` with or
+    without a node index. ``derived`` restricts the partitions to them;
+    ``model_coordinates`` lists their coordinates. Not in ``__all__``, so the
+    benchmark's tracer, which wraps every listed function, does not count it as
+    a call of its own.
     """
+    if kind not in ("global", "local", "downstream", "upstream"):
+        raise ValueError(f"unknown derived kind {kind!r}")
     if kind == "global":
         return poset.nodes, poset.nodes, poset.nodes
     if i is None:
@@ -203,23 +204,36 @@ def model_nodes(poset: Poset, kind: str, i: int | None = None) -> tuple:
     if kind == "downstream":
         down = derived_set(poset, {i}, "down")
         return down, own, down
-    if kind == "upstream":
-        up = derived_set(poset, {i}, "up")
-        return up, up, own
-    raise ValueError(f"unknown derived kind {kind!r}")
+    up = derived_set(poset, {i}, "up")
+    return up, up, own
 
 
 def model_coordinates(sys: PosetCausalSystem, kind: str, i: int | None = None) -> tuple:
-    """State, input and output coordinates (``Partition.indices``) of the nodes of the model.
+    """State, input and output coordinates (``Partition.indices``) of the model's nodes, as intp arrays.
 
-    ``derived`` slices the system's exact matrices at them; ``sim`` slices their doubles.
-    A node's empty block adds none. Not in ``__all__``, as ``model_nodes``.
+    ``model_slices`` cuts every model at them, from any representation of the
+    system's matrices: ``derived`` the exact entries, ``model_integers`` the
+    integer form and ``sim``'s decomposition check the doubles. A node's empty
+    block adds none. Not in ``__all__``, as ``model_nodes``.
     """
-    return _coordinates(sys, model_nodes(sys.poset, kind, i))
+    nodes = model_nodes(sys.poset, kind, i)
+    return tuple(np.array(part.indices(k), dtype=np.intp) for part, k in zip((sys.n, sys.m, sys.r), nodes))
+
+
+def model_slices(mats, coords) -> tuple:
+    """A, B, C, and D when it is given, of the model at ``coords`` (``model_coordinates``), cut from ``mats``.
+
+    ``mats`` holds the system's matrices in any representation (exact,
+    integer or double); each cut is a copy of the same dtype. This is the one
+    place a model is cut from its system. Not in ``__all__``, as ``model_nodes``.
+    """
+    (x, u, y), (a, b, c, *d) = coords, mats
+    rows, outputs = x[:, None], y[:, None]
+    return (a[rows, x], b[rows, u], c[outputs, x], *(m[outputs, u] for m in d))
 
 
 def model_integers(sys: PosetCausalSystem, kind: str, i: int | None = None) -> tuple:
-    """The model's A, B and C as slices of the system's integer form, at ``model_coordinates``.
+    """The model's A, B and C cut from the system's integer form by ``model_slices``.
 
     The per-node sets read these in place of the derived model's own cleared
     matrices. Slicing is exact, so every set comes out equal:
@@ -234,17 +248,10 @@ def model_integers(sys: PosetCausalSystem, kind: str, i: int | None = None) -> t
       up-set of j, so sliced to the upstream model at j it is that model's
       row cleared by its own common denominator.
 
-    Not in ``__all__``, as ``model_nodes``.
+    The global model is the system itself, so the global sets read
+    ``_integer_form`` whole, with no cut. Not in ``__all__``, as ``model_nodes``.
     """
-    x, u, y = (np.array(k, dtype=np.intp) for k in model_coordinates(sys, kind, i))
-    ia, ib, ic = sys._integers
-    rows = x[:, None]
-    return ia[rows, x], ib[rows, u], ic[y[:, None], x]
-
-
-def _coordinates(sys: PosetCausalSystem, nodes) -> tuple:
-    """Global coordinates of ``nodes``, a (state, input, output) triple of node sets."""
-    return tuple(part.indices(k) for part, k in zip((sys.n, sys.m, sys.r), nodes))
+    return model_slices(sys._integer_form[0], model_coordinates(sys, kind, i))
 
 
 def derived(sys: PosetCausalSystem, kind: str, i: int | None = None) -> PosetCausalSystem:
@@ -253,24 +260,25 @@ def derived(sys: PosetCausalSystem, kind: str, i: int | None = None) -> PosetCau
     The model is again a poset-causal system over ``sys.poset``. Its partitions
     are the system's, restricted to the model's state, input and output nodes
     (``model_nodes``; the other blocks have size 0), so block j of the model is
-    block j of the system. The four matrices are sliced at the model's global
-    coordinates (``model_coordinates``). No pattern check: a restriction of a
-    system keeps its pattern. The exact per-node sets build no model: they
-    read integer slices of the system (``model_integers``).
+    block j of the system. Its four matrices are ``model_slices`` of the
+    system's exact entries. No pattern check: a restriction of a system keeps
+    its pattern. The exact per-node sets build no model: they read integer
+    slices of the system (``model_integers``).
     """
     nodes = model_nodes(sys.poset, kind, i)
     n, m, r = (part.restrict(k) for part, k in zip((sys.n, sys.m, sys.r), nodes))
-    x, u, y = _coordinates(sys, nodes)
-    # fancy indexing copies, and the system's entries are already exact
+    # the cuts are copies, and the system's entries are already exact
+    mats = (sys.A.entries, sys.B.entries, sys.C.entries, sys.D.entries)
+    a, b, c, d = model_slices(mats, model_coordinates(sys, kind, i))
     return PosetCausalSystem._unchecked(
         poset=sys.poset,
         n=n,
         m=m,
         r=r,
-        A=BlockMatrix._owning(sys.A.entries[np.ix_(x, x)], n, n),
-        B=BlockMatrix._owning(sys.B.entries[np.ix_(x, u)], n, m),
-        C=BlockMatrix._owning(sys.C.entries[np.ix_(y, x)], r, n),
-        D=BlockMatrix._owning(sys.D.entries[np.ix_(y, u)], r, m),
+        A=BlockMatrix._owning(a, n, n),
+        B=BlockMatrix._owning(b, n, m),
+        C=BlockMatrix._owning(c, r, n),
+        D=BlockMatrix._owning(d, r, m),
     )
 
 

@@ -18,7 +18,7 @@ from posetsys.errors import IncompatibleShapes, SingularMatrix
 from posetsys.poset import Poset, build_poset
 from posetsys.reachability import ctrb_matrix
 from posetsys.subspace import Subspace
-from posetsys.system import PosetCausalSystem, model_coordinates
+from posetsys.system import PosetCausalSystem, model_nodes
 
 NAMED_POSETS = {name: corpus._POSETS[name] for name in ("p1", "p2", "p3", "p4", "p5", "p6")}
 named_poset = corpus.corpus_poset
@@ -402,11 +402,15 @@ def listed_indices(partition, nodes) -> list:
     return [k for j in sorted(set(nodes)) for k in partition.block_range(j)]
 
 
-def ix_model_integers(sys, kind: str, i=None) -> tuple:
-    """``system.model_integers`` as ``np.ix_`` slices at the coordinate lists."""
-    x, u, y = model_coordinates(sys, kind, i)
-    ia, ib, ic = sys._integers
-    return ia[np.ix_(x, x)], ib[np.ix_(x, u)], ic[np.ix_(y, x)]
+def ix_model_slices(sys, mats, kind: str, i=None) -> tuple:
+    """``system.model_slices`` as ``np.ix_`` cuts at the ``Partition.indices`` lists of the model's nodes.
+
+    ``mats`` is (A, B, C) or (A, B, C, D) of ``sys`` in any representation:
+    exact entries, the integer form or doubles.
+    """
+    x, u, y = (part.indices(k) for part, k in zip((sys.n, sys.m, sys.r), model_nodes(sys.poset, kind, i)))
+    a, b, c, *d = mats
+    return (a[np.ix_(x, x)], b[np.ix_(x, u)], c[np.ix_(y, x)], *(m[np.ix_(y, u)] for m in d))
 
 
 def closure_oracle(p: int, edges) -> set:

@@ -1,6 +1,6 @@
 """The per-node sets on integer slices of the system cleared once.
 
-A system keeps A, B and C cleared once (``PosetCausalSystem._integers``), and
+A system keeps A, B and C cleared once (``PosetCausalSystem._integer_form``), and
 the per-node routines read sub-blocks of them at the model's coordinates
 (``system.model_integers``) instead of deriving each model and clearing it
 again. Each slice must equal the derived model's own cleared matrix: A up to
@@ -115,11 +115,11 @@ def test_ladder_sets_match_the_derived_models(ladder_seed_1, k):  # noqa: F811
 
 def test_the_integer_form_is_cleared_once_and_the_system_stays_frozen():
     sys = load_system(SHIPPED[0])
-    first = sys._integers
-    assert sys._integers is first
+    first = sys._integer_form[0]
+    assert sys._integer_form[0] is first
     assert all(type(x) is int for m in first for x in m.flat)
     with pytest.raises(AttributeError):
-        sys._integers = None
+        sys._integer_form = None
     with pytest.raises(AttributeError):
         sys.A = None
     with pytest.raises(ValueError):

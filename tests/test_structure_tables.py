@@ -4,7 +4,7 @@
 and ``derived_set`` is a union of them; ``Partition.indices`` extends ranges
 from ``Partition.starts``; ``system.model_integers`` slices with intp arrays.
 Each must equal the route it replaced (``conftest.scanned_derived_set``,
-``conftest.listed_indices``, ``conftest.ix_model_integers``) and raise the
+``conftest.listed_indices``, ``conftest.ix_model_slices``) and raise the
 same errors in the same order.
 """
 
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ix_model_integers, listed_indices, random_poset, random_system, scanned_derived_set
+from conftest import ix_model_slices, listed_indices, random_poset, random_system, scanned_derived_set
 from posetsys.blockmat import Partition
 from posetsys.errors import IndexOutOfRange, PartitionMismatch
 from posetsys.fileio import load_system
@@ -108,7 +108,8 @@ def test_partition_indices_match_the_comprehension(sizes, data):
 def assert_model_integers_match(sys):
     kinds = [("global", None)] + [(k, i) for k in ("local", "downstream", "upstream") for i in sys.poset.nodes]
     for kind, i in kinds:
-        for got, want in zip(model_integers(sys, kind, i), ix_model_integers(sys, kind, i)):
+        oracle = ix_model_slices(sys, sys._integer_form[0], kind, i)
+        for got, want in zip(model_integers(sys, kind, i), oracle):
             assert got.dtype == object and got.shape == want.shape, (kind, i)
             assert got.tolist() == want.tolist(), (kind, i)
 

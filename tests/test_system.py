@@ -137,6 +137,15 @@ def test_derived_index_errors():
         derived(sys, "downstream", None)
 
 
+def test_an_unknown_kind_is_a_value_error_with_or_without_a_node():
+    sys = load_corpus_system("two-node-local-gap")
+    for args in (("bogus",), ("bogus", 1), ("bogus", 3)):
+        with pytest.raises(ValueError, match="unknown derived kind 'bogus'"):
+            derived(sys, *args)
+    with pytest.raises(IndexOutOfRange, match="needs a node index"):
+        derived(sys, "local")
+
+
 def test_partition_blocks_vanish_around_derived_sets(rng):
     # everything below a down-set (and left of an up-set) is structurally zero
     for _ in range(10):
