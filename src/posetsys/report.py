@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
+from math import gcd
 
 from .duality import DualityReport, verify_duality
 from .errors import StructureViolation
-from .fileio import format_rational
 from .observability import profile as obs_profile
 from .observability import profile_via_duality
 from .reachability import profile as reach_profile
@@ -23,10 +23,19 @@ from .system import PosetCausalSystem
 __all__ = ["analyze", "render_json", "render_text"]
 
 
+def _over(x: int, pivot: int):
+    """x / pivot in lowest terms, as ``fileio.format_rational`` writes it: an int, or "a/b"."""
+    g = gcd(x, pivot)
+    return x // g if g == pivot else f"{x // g}/{pivot // g}"
+
+
 def _space(sub: Subspace) -> dict:
+    """The canonical basis (pivots 1), each entry its integer column's entry over the column's pivot."""
+    columns = sub.integer_basis.T.tolist()
+    pivots = [next(x for x in col if x) for col in columns]
     return {
         "dim": sub.dim,
-        "basis": [[format_rational(x) for x in vec] for vec in sub.vectors()],
+        "basis": [[_over(x, pivot) for x in col] for col, pivot in zip(columns, pivots)],
     }
 
 

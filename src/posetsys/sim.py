@@ -13,22 +13,24 @@ matrices and the integer slices of the exact sets, at the model's coordinates
 (``system.model_coordinates``). Each trajectory stays at its model's width:
 the check compares it with the global one at those coordinates.
 
-``simulate`` runs the recurrence over K steps in blocks of L = isqrt(K) steps,
-so each Python-level pass is one product vectorised over all ceil(K/L) blocks.
-Within block b, x[bL + l] = Phi^l x[bL] + c[b, l], where the zero-state part
-c[b, l] = Phi c[b, l-1] + Gamma u[bL + l-1] starts from c[b, 0] = 0. A
-simulation has two stages. ``_forced`` does what does not depend on x[0]: the
-exponential, the powers Phi^1 .. Phi^L (L - 1 products) and, in L - 1 passes,
-every block's c. ``_respond`` chains the block starts x[(b+1)L] = Phi^L x[bL] +
-c[b, L] in ceil(K/L) passes, then forms every block start's free response
-Phi^l x[bL], l < L, in one product with the stacked powers, and the outputs in
-one more. So a model's first run makes about 2 isqrt(K) passes over the
-blocks, and a further run of the same model isqrt(K) + 2; the L - 1 products
-that form the powers are n x n. Expanding either form gives the same
-sum of powers of Phi times x[0] and the drives, so this is the step-by-step
-map; only the rounding of its sums differs. L is cut back to the last power of
-Phi that is still finite: an overflowed Phi^L times an exact zero of the state
-would give NaN where the step-by-step loop stays finite.
+``simulate`` runs the recurrence over K steps in O(log K) Python-level
+passes, each one product vectorised over many grid rows. The state is a
+prefix scan, x[k] = Phi x[k-1] + Gamma u[k-1] from x[0], run as a
+work-efficient Brent-Kung scan (Brent and Kung 1982; Blelloch 1990) over the
+squares Phi^(2^s) for 2^s <= K (``_squares``). A simulation has two stages.
+``_forced`` does what does not depend on x[0]: the exponential, the squares
+and the scan's up-sweep, which leaves in each step that is a multiple of 2^j
+the response to its last 2^j drives: about 2 log2(K) passes, half of them the
+n x n products that form the squares. ``_respond`` puts x[0] in row 0 and
+runs the down-sweep, which completes every step from the top level down,
+then forms the outputs: about log2(K) + 5 passes. Expanding the scan gives
+the same sum of powers of Phi times x[0] and the drives, so this is the
+step-by-step map; only the rounding of its sums differs. The squares stop
+before the first one that is not finite: an overflowed power times an exact
+zero of the state would give NaN where the step-by-step loop stays finite.
+With q squares left, the scan runs in windows of W = 2^q steps, and each
+window's last step adds the one W steps before it, carried by two products
+with the largest square; without an overflow the whole grid is one window.
 
 The check runs 4p + 1 simulations for p nodes, but fewer distinct models: the
 downstream model runs from two seeds, and a node with no strict down-set
@@ -205,42 +207,46 @@ def _initial_state(x0, n: int) -> np.ndarray:
     return state
 
 
-def _powers(stepper_t: np.ndarray, steps: int) -> np.ndarray:
-    """The stacked powers ``(Phi^T)^1 .. (Phi^T)^L`` as an (n, L, n) array; ``[:, l - 1]`` is the l-th.
+def _squares(stepper_t: np.ndarray, steps: int) -> np.ndarray:
+    """The squares ``(Phi^T)^(2^s)`` for 2^s <= max(1, steps) as a (q, n, n) array; ``[s]`` is the s-th.
 
-    L is ``max(1, isqrt(steps))``, or the last finite power: an overflowed power
-    times an exact zero state entry would give NaN where the step-by-step
-    recurrence stays finite, so the stack stops before it.
+    The stack stops before the first square that is not finite: an overflowed
+    power times an exact zero state entry would give NaN where the step-by-step
+    recurrence stays finite.
     """
-    n, span = stepper_t.shape[0], max(1, math.isqrt(steps))
-    powers = np.empty((n, span, n))
-    powers[:, 0] = stepper_t
+    squares = np.empty((max(1, steps).bit_length(),) + stepper_t.shape)
+    squares[0] = stepper_t
     with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(1, span):
-            np.matmul(powers[:, l - 1], stepper_t, out=powers[:, l])
-    finite = np.isfinite(powers).all(axis=(0, 2))
-    return powers if finite.all() else powers[:, : finite.argmin()].copy()
+        for s in range(1, len(squares)):
+            np.matmul(squares[s - 1], squares[s - 1], out=squares[s])
+    finite = np.isfinite(squares).all(axis=(1, 2))
+    return squares if finite.all() else squares[: finite.argmin()]
 
 
 @dataclass(frozen=True)
 class _Forced:
-    """What a simulation computes before it sees x0.
+    """What a simulation computes before it sees x0: the squares and the scan's up-sweep.
 
-    ``powers`` is ``_powers`` of Phi^T; row bL + l of ``zero`` is the zero-state
-    response c[b, l], and row 0 is zero.
+    ``squares`` is ``_squares`` of Phi^T. Row k of ``gathered`` is the state
+    at step k from a zero state min(2^j, W) steps before, where 2^j is the
+    largest power of two that divides k and W = 2^q is the window of the q
+    squares: the response to those last drives. An odd row holds its own drive
+    alone, and row 0 is zero.
     """
 
-    powers: np.ndarray
-    zero: np.ndarray
+    squares: np.ndarray
+    gathered: np.ndarray
 
 
 def _forced(a, b, u: InputSignal) -> _Forced:
     """The x0-free part of the zero-order-hold response to ``u`` of the model with float a, b.
 
-    One matrix exponential gives Phi and Gamma; the drive ``u Gamma^T`` is
-    written into the rows it feeds (row k + 1 holds ``Gamma u[k]``), and L - 1
-    passes vectorised over the blocks accumulate each block's zero-state response
-    in place.
+    One matrix exponential gives Phi and Gamma, and the drive ``u Gamma^T`` is
+    written into the rows it feeds (row k + 1 holds ``Gamma u[k]``). The
+    up-sweep then gathers in place: at level s, each row at a multiple of
+    2^(s+1) adds the row 2^s before it, carried 2^s steps by Phi^(2^s). Level
+    0 carries the inputs by ``Gamma^T Phi^T`` instead, m columns where a drive
+    has n.
     """
     n, m = b.shape
     if u.width != m:
@@ -248,49 +254,52 @@ def _forced(a, b, u: InputSignal) -> _Forced:
     augmented = np.zeros((n + m, n + m))
     augmented[:n, :n], augmented[:n, n:] = a, b
     big = expm(augmented * u.step)
-    zero = np.empty((u.steps + 1, n))
-    zero[0] = 0.0
+    squares, drive_t = _squares(big[:n, :n].T, u.steps), big[:n, n:].T
+    gathered = np.empty((u.steps + 1, n))
+    gathered[0] = 0.0
+    buffer = np.empty((u.steps // 4, n))
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = _powers(big[:n, :n].T, u.steps)
-        span, stepper_t = powers.shape[1], powers[:, 0]
-        np.matmul(u.values, big[:n, n:].T, out=zero[1:])
-        # offset[l] views row bL + l of every block b; the last block may end early
-        offset = [zero[l::span] for l in range(span + 1)]
-        for l in range(2, span + 1):
-            offset[l] += offset[l - 1][: len(offset[l])] @ stepper_t
-    return _Forced(powers=powers, zero=zero)
+        np.matmul(u.values, drive_t, out=gathered[1:])
+        evens = gathered[2::2]
+        evens += u.values[0::2][: len(evens)] @ (drive_t @ squares[0])
+        # a level whose 2h exceeds the steps has nothing to gather
+        for s in range(1, min(len(squares), u.steps.bit_length() - 1)):
+            h = 1 << s
+            ends = gathered[2 * h :: 2 * h]
+            ends += np.matmul(gathered[h :: 2 * h][: len(ends)], squares[s], out=buffer[: len(ends)])
+    return _Forced(squares=squares, gathered=gathered)
 
 
 def _respond(forced: _Forced, c, d, x0, u: InputSignal) -> Trajectory:
     """The trajectory from ``x0`` of a model whose x0-free part is ``forced``, with float c, d.
 
-    The block starts x[bL] are chained by ``Phi^L``; one product with the
-    stacked powers ``[Phi^T^1 .. Phi^T^(L-1)]`` then gives every block start's
-    free response, which is added to the zero-state response. The outputs are
-    ``x C^T + u_held D^T`` (``u_held`` holds the last input at the final grid
-    point). A finite ``x0`` whose trajectory leaves double precision raises
-    ``NonFinite``; a NaN in ``x0`` propagates.
+    Row 0 of the states is x0. Each window's last row, at a multiple of
+    W = 2^q, is its gathered row plus the state W steps before it, carried by
+    two products with the largest square (Phi^W itself may overflow). The
+    down-sweep then fills the rest from the top level down: at level s, each
+    row at an odd multiple of 2^s is its gathered row plus the completed state
+    2^s steps before it, carried by Phi^(2^s), so x0 enters through row 0 at
+    every level. Without an overflowed square, W > K: the grid is one window
+    and nothing is chained.
+
+    The outputs are ``x C^T + u_held D^T`` (``u_held`` holds the last input at
+    the final grid point). A finite ``x0`` whose trajectory leaves double
+    precision raises ``NonFinite``; a NaN in ``x0`` propagates.
     """
-    powers, zero = forced.powers, forced.zero
-    n, span, steps = powers.shape[0], powers.shape[1], u.steps
-    starts = zero[::span].copy()
-    starts[0] = _initial_state(x0, n)
-    states = np.empty_like(zero)
-    whole = len(starts) - 1  # blocks that hold all L steps; the last start's block is shorter
+    squares, gathered = forced.squares, forced.gathered
+    steps, n = len(gathered) - 1, gathered.shape[1]
+    states = np.empty_like(gathered)
+    states[0] = _initial_state(x0, n)
     held = np.vstack([u.values, u.values[-1:] if steps else np.zeros((1, u.width))])
-    leap_t = powers[:, -1]
+    width = 1 << len(squares)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, len(starts)):
-            starts[k] += starts[k - 1] @ leap_t
-        states[::span] = starts
-        stacked = powers[:, : span - 1].reshape(n, (span - 1) * n)
-        # row b of body is x[bL + 1 .. bL + L - 1] side by side, row 0 of tail the last block's
-        body = states[: whole * span].reshape(whole, span * n)[:, n:]
-        tail = states[whole * span + 1 :].reshape(1, -1)
-        np.matmul(starts[:whole], stacked, out=body)
-        np.matmul(starts[whole:], stacked[:, : tail.shape[1]], out=tail)
-        body += zero[: whole * span].reshape(whole, span * n)[:, n:]
-        tail += zero[whole * span + 1 :].reshape(tail.shape)
+        for k in range(width, steps + 1, width):
+            states[k] = states[k - width] @ squares[-1] @ squares[-1] + gathered[k]
+        for s in reversed(range(len(squares))):
+            h = 1 << s
+            middles = states[h :: 2 * h]
+            np.matmul(states[:: 2 * h][: len(middles)], squares[s], out=middles)
+            middles += gathered[h :: 2 * h]
         outputs = states @ c.T
         outputs += held @ d.T
     finite = np.isfinite(states).all() and np.isfinite(outputs).all()

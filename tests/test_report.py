@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from posetsys import _linalg as la
 from posetsys import report
-from posetsys.fileio import load_system
+from posetsys.fileio import format_rational, load_system
+from posetsys.subspace import Subspace
 from test_global_sets_oracle import LADDER_SYSTEMS, ladder_seed_1  # noqa: F401
 
 GOLDENS = json.loads(
@@ -42,3 +44,19 @@ def test_reference_ladder_n37_analyze_json_is_pinned(ladder_seed_1):  # noqa: F8
     assert system.state_dim == 37
     text = report.render_json(report.analyze(system))
     assert hashlib.sha256(text.encode()).hexdigest() == N37_ANALYZE_SHA256
+
+
+@pytest.mark.parametrize("columns", [
+    [[2, 0], [-3, 4], [6, -6]],
+    [[0], [5], [-10], [7]],
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[4, 2], [6, 9], [-8, 1], [0, 3]],
+])
+def test_a_space_renders_its_integer_basis_as_the_fraction_route_does(columns):
+    # each entry over its column's pivot, in lowest terms: the same ints and "a/b" strings as
+    # format_rational gives on the Fraction basis that Subspace.vectors() forms
+    sub = Subspace(len(columns), la.fmat(columns))
+    assert report._space(sub) == {
+        "dim": sub.dim,
+        "basis": [[format_rational(x) for x in vec] for vec in sub.vectors()],
+    }

@@ -1,12 +1,15 @@
-"""The blocked state recurrence of ``simulate`` against the per-step oracle.
+"""The Brent-Kung scan of ``simulate`` against the per-step oracle.
 
-``simulate`` steps the grid in blocks of L = isqrt(K) steps, with L cut back
-to the last power of the stepper that is still finite; ``_powers`` stacks the
-powers 1..L that the blocks use. These tests cover the block boundaries (K at,
-just below and just above a perfect square, and K that L does not divide, so
-the last block is short), the power cap, the stacked powers, and the overflow
-and NaN behaviour of the per-step loop. ``stepwise_simulate`` in ``test_sim_oracle``
-is the oracle, with its 1e-12 bound.
+``simulate`` forms the squares ``Phi^(2^s)`` for 2^s <= K (``_squares``),
+stopping before the first one that is not finite, and runs the state
+recurrence as a Brent-Kung prefix scan over them: the up-sweep in
+``_forced``, the down-sweep from x0 in ``_respond``. An overflowed square
+leaves the scan in windows of 2^(number of squares) steps, each chained to
+the one before. These tests cover the scan's edges (K at, just below and
+just above a power of two, and K = 0), the squares and their overflow cut,
+chained windows, and the overflow and NaN behaviour of the per-step loop.
+``stepwise_simulate`` in ``test_sim_oracle`` is the oracle, with its 1e-12
+bound.
 """
 
 import math
@@ -26,11 +29,17 @@ from posetsys.errors import NonFinite
 from posetsys.poset import build_poset
 from posetsys.sim import InputSignal, expm, simulate
 from posetsys.system import PosetCausalSystem, derived
-from test_sim_oracle import _assert_same_trajectory, _signal, _without_inputs, stepwise_simulate
+from test_sim_oracle import (
+    _assert_close,
+    _assert_same_trajectory,
+    _signal,
+    _without_inputs,
+    stepwise_simulate,
+)
 
 SHIPPED = sorted({Path(f).stem for f in corpus._SYSTEM_FILES.values()})
 PROPERTIES = settings(max_examples=25, deadline=None, derandomize=True)
-STEPS = (1, 2, 3, 7, 24, 25, 26, 48, 499, 501, 1000)
+STEPS = (0, 1, 2, 3, 7, 24, 25, 26, 48, 255, 256, 257, 499, 501, 1000, 1023, 1024, 1025)
 
 
 def _diagonal(entries, b=None):
@@ -52,13 +61,13 @@ def _stateless():
     )
 
 
-def _assert_stacked_powers(powers, stepper_t):
-    """``powers[:, l - 1]`` is finite and equals ``(Phi^T)^l`` for every l up to the span."""
+def _assert_squares(squares, stepper_t):
+    """``squares[s]`` is finite and equals ``(Phi^T)^(2^s)`` for every s in the stack."""
     n = stepper_t.shape[0]
-    assert powers.shape == (n, powers.shape[1], n)
-    for l in range(1, powers.shape[1] + 1):
-        assert np.isfinite(powers[:, l - 1]).all(), l
-        assert powers[:, l - 1] == pytest.approx(np.linalg.matrix_power(stepper_t, l), rel=1e-12), l
+    assert squares.shape == (len(squares), n, n)
+    for s in range(len(squares)):
+        assert np.isfinite(squares[s]).all(), s
+        assert squares[s] == pytest.approx(np.linalg.matrix_power(stepper_t, 2**s), rel=1e-12), s
 
 
 @pytest.mark.parametrize("steps", STEPS)
@@ -101,12 +110,11 @@ def test_an_overflowing_power_cuts_the_span_and_the_trajectory_stays_finite():
     # Phi = diag(e^100, e^-1): Phi^8 overflows, and inf times the exact zero x[0] would be NaN
     sys = _diagonal([100, -1])
     stepper_t = expm(np.diag([100.0, -1.0])).T
+    squares = sim._squares(stepper_t, 500)
     with np.errstate(over="ignore"):
-        powers = sim._powers(stepper_t, 500)
         assert not np.isfinite(np.linalg.matrix_power(stepper_t, 8)).all()
-    span, leap_t = powers.shape[1], powers[:, -1]
-    assert span == 7 and np.isfinite(leap_t).all()
-    _assert_stacked_powers(powers, stepper_t)
+    assert len(squares) == 3  # Phi, Phi^2 and Phi^4, the last finite square
+    _assert_squares(squares, stepper_t)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = simulate(sys, [0, 1], InputSignal(step=1.0, values=np.zeros((500, 2))))
@@ -118,18 +126,34 @@ def test_an_overflowing_power_cuts_the_span_and_the_trajectory_stays_finite():
     assert traj.states[:, 1] == pytest.approx(want.states[:, 1], rel=1e-12)
 
 
-@pytest.mark.parametrize("steps", [0, 1, 3, 4, 99, 100])
-def test_the_span_is_the_square_root_of_the_steps(steps):
+@pytest.mark.parametrize("steps", [5, 8, 9, 16, 17, 100, 500])
+def test_an_input_into_the_stable_mode_runs_over_chained_windows(steps):
+    # Phi = diag(e^100, e^-1) stops the squares at Phi^4, so the scan runs in windows of 8 steps;
+    # each window's last step is chained to the one 8 steps before by two products with Phi^4
+    sys = _diagonal([100, -1], b=[[0, 0], [0, 1]])
+    u = _signal(np.random.default_rng(steps), 2, steps, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = simulate(sys, [0, 1], u)
+    assert np.isfinite(traj.states).all() and np.isfinite(traj.outputs).all()
+    want = stepwise_simulate(sys, [0, 1], u)
+    assert np.array_equal(traj.states[:, 0], want.states[:, 0])
+    _assert_close(traj.states, want.states)
+    _assert_close(traj.outputs, want.outputs)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 3, 4, 99, 100, 255, 256, 1024, 1025])
+def test_the_squares_stop_at_the_steps(steps):
     stepper_t = expm(np.array([[-1.0, 2.0], [0.0, 0.5]]) * 0.1).T
-    powers = sim._powers(stepper_t, steps)
-    span, leap_t = powers.shape[1], powers[:, -1]
-    assert span == max(1, math.isqrt(steps))
-    assert leap_t == pytest.approx(np.linalg.matrix_power(stepper_t, span), rel=1e-12)
-    _assert_stacked_powers(powers, stepper_t)
+    squares = sim._squares(stepper_t, steps)
+    # every square with 2^s <= max(1, steps), and no further one
+    assert 2 ** (len(squares) - 1) <= max(1, steps) < 2 ** len(squares)
+    _assert_squares(squares, stepper_t)
 
 
 def test_a_state_that_overflows_in_a_later_block_raises_nonfinite():
-    # x[k] = e^(5k) leaves double precision at k = 142, in the fifth block of 31 steps
+    # x[k] = e^(5k) leaves double precision at k = 142; Phi^256 = e^1280 overflows as well, so the
+    # squares stop at Phi^128 and the scan runs in windows of 256 rows
     sys = _diagonal([50])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -138,7 +162,8 @@ def test_a_state_that_overflows_in_a_later_block_raises_nonfinite():
 
 
 def test_a_short_last_block_stops_at_the_last_step():
-    # 141 steps run as 12 blocks of 11 and one of 9; x[141] = e^705 is finite, x[143] would not be
+    # the top level of the down-sweep carries x0 to step 128 by Phi^128, and the lower levels fill
+    # steps 129 to 141; x[141] = e^705 is finite, x[143] would not be
     sys = _diagonal([50], b=[[1]])
     u = InputSignal(step=0.1, values=np.ones((141, 1)))
     traj = simulate(sys, [1], u)

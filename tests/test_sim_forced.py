@@ -1,8 +1,8 @@
 """One forced response per distinct model in the trajectory-decomposition check.
 
-A simulation splits into ``_forced`` (the matrix exponential, the stacked powers
-of the stepper and the zero-state response, none of which depends on x0) and
-``_respond`` (the trajectory from x0). The decomposition check runs 4p + 1
+A simulation splits into ``_forced`` (the matrix exponential, the squares of
+the stepper and the up-sweep of the scan over the drives, none of which
+depends on x0) and ``_respond`` (the down-sweep from x0, and the outputs). The decomposition check runs 4p + 1
 simulations for p nodes, but derived models that share their state and input
 coordinates share one forced part: the downstream model runs twice, and a node
 with no strict down-set (up-set) has a downstream (upstream) model on the local
