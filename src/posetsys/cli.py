@@ -58,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--check-lemma", action="store_true",
                        help="also verify the trajectory decomposition identities")
     p_sim.add_argument("--tol", type=float, default=1e-8,
-                       help="tolerance for --check-lemma (default 1e-8)")
+                       help="relative tolerance for --check-lemma: each deviation may be at most "
+                            "T x max(1, largest |global state or output|) (default 1e-8)")
 
     p_demo = sub.add_parser("demo", help="recompute the built-in corpus against its known values")
     p_demo.add_argument("name", nargs="?", default=None,

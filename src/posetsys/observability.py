@@ -12,8 +12,12 @@ only output i is watched. Structured bounds:
 
 ``profile`` computes these directly; ``profile_via_duality`` recomputes them
 from the reachability profile of the dual system. The two must agree exactly,
-which is the strongest self-check this package has. Three independent
-algorithms meet in these checks:
+which is the strongest self-check this package has. Both profiles are
+assembled by one construction, ``reachability._cuts``: it cuts each per-node
+set at every block of its cone and folds the cuts block by block. Here the
+cones are up-sets and the fold is the intersection, where reachability has
+down-sets and the sum, the reversed order and the complement of duality.
+One assembly meets three independent kernel and span algorithms:
 
 * the per-node upstream sets are certified kernels
   (``_linalg.certified_kernel``): rows of the observability matrix chosen
@@ -33,8 +37,7 @@ from functools import reduce
 
 from . import _linalg as la
 from .errors import StructureViolation
-from .poset import derived_set
-from .reachability import BlockProfile
+from .reachability import BlockProfile, _cuts
 from .reachability import profile as reach_profile
 from .subspace import Subspace
 from .system import PosetCausalSystem, dual_system, model_integers
@@ -131,36 +134,23 @@ DUAL_SPACES = {
 
 def profile(sys: PosetCausalSystem) -> ObservabilityProfile:
     """Compute every observability subspace and flag by direct kernel computations."""
-    poset = sys.poset
     n = sys.n
+    nodes = sys.poset.nodes
     unobs = unobservable(sys)
-    upstream = {i: upstream_indistinguishable(sys, i) for i in poset.nodes}
-
-    confined = {}
-    projected = {}
-    seen = []
-    for i in poset.nodes:
-        above = derived_set(poset, {i}, "up")
-        part = n.restrict(above)
-        for j in sorted(above):
-            confined[(i, j)] = upstream[i].section(part, (j,))
-            projected[(i, j)] = upstream[i].project(part, (j,))
-        seen.append(upstream[i].complement().embed(n, above))
-
-    node_floor = {}
-    node_independent = {}
-    node_ceiling = {}
-    for j in poset.nodes:
-        downs = sorted(derived_set(poset, {j}, "down"))
-        node_floor[j] = reduce(Subspace.intersect, (confined[(i, j)] for i in downs))
-        node_independent[j] = reduce(Subspace.intersect, (projected[(i, j)] for i in downs))
-        node_ceiling[j] = unobs.project(n, (j,))
+    upstream = {i: upstream_indistinguishable(sys, i) for i in nodes}
+    confined, projected, node_floor, node_independent = _cuts(
+        sys, upstream, "up", lambda *spaces: reduce(Subspace.intersect, spaces)
+    )
+    node_ceiling = {j: unobs.project(n, (j,)) for j in nodes}
+    for j in nodes:
         if not node_floor[j].equals(unobs.section(n, (j,))):
             raise StructureViolation(
                 f"floor at node {j} disagrees with the confined unobservable set (internal bug)"
             )
 
     # the complement of an intersection of embedded upstream sets sums their complements
+    ups = sys.poset.cones[1]
+    seen = [upstream[i].complement().embed(n, ups[i - 1]) for i in nodes]
     if not Subspace.sum(*seen).equals(unobs.complement()):
         raise StructureViolation(
             "unobservable set is not the intersection of the embedded upstream sets (internal bug)"

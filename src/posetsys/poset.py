@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 from .errors import CycleError, IndexOutOfRange
 
@@ -167,25 +168,17 @@ def hasse_edges(poset: Poset) -> frozenset:
 def ultra_transitivity(poset: Poset) -> tuple[bool, bool]:
     """(is_in_ultra, is_out_ultra).
 
-    In-ultra: two nodes above a common node are comparable (up-sets are chains);
-    out-ultra is the mirror condition on down-sets.
+    In-ultra: two nodes above a common node are comparable, so every up-set
+    is a chain; out-ultra is the mirror condition, every down-set a chain.
+    Each cone (``Poset.cones``) is tested pair by pair against the relation.
     """
     rel = poset.relation
 
-    def comparable(a, b):
-        return (a, b) in rel or (b, a) in rel
+    def chain(cone):
+        return all((a, b) in rel or (b, a) in rel for a, b in combinations(cone, 2))
 
-    in_ultra = True
-    out_ultra = True
-    for i, j in rel:
-        for k, l in rel:
-            if l == j and not comparable(i, k):
-                in_ultra = False
-            if k == i and not comparable(j, l):
-                out_ultra = False
-        if not in_ultra and not out_ultra:
-            break
-    return in_ultra, out_ultra
+    downs, ups = poset.cones
+    return all(map(chain, ups)), all(map(chain, downs))
 
 
 def level_sets(poset: Poset) -> tuple[list[frozenset], list[frozenset]]:

@@ -8,6 +8,10 @@ approximations of the global reachable space:
   the other downstream blocks (independently controllable <=> equals X),
 * ``floor``        - the largest structured subspace inside the reachable set,
 * ``ceiling``      - the smallest structured subspace containing it.
+
+``profile`` builds the pair spaces, ``independent`` and ``ceiling`` by
+``_cuts``, the one cut-and-fold construction that the observability profile
+runs on up-sets with intersections; ``floor`` is the reachable set's own cut.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .errors import (
     ShapeMismatch,
     StructureViolation,
 )
-from .poset import Poset, derived_set
+from .poset import Poset
 from .subspace import Subspace, direct_sum, image
 from .system import PosetCausalSystem, model_integers
 
@@ -77,7 +81,15 @@ def downstream_reachable(sys: PosetCausalSystem, i: int) -> Subspace:
 
 
 class BlockProfile:
-    """Both profiles' aggregates (direct sums of the ``node_*`` spaces) and global placement."""
+    """What both profiles share: aggregates, global placement, and one cut-and-fold construction.
+
+    Both profiles build their pair and per-block spaces by ``_cuts``: the
+    reachability side from the downstream sets, on down-sets, folded by sums;
+    the observability side from the upstream sets, on up-sets, folded by
+    intersections, as the paper's duality pairs them under the reversed
+    order. The aggregates are the direct sums of the ``node_*`` spaces, and
+    ``embedded`` places any per-node, per-pair or per-model field globally.
+    """
 
     def __post_init__(self):
         for name in ("independent", "floor", "ceiling"):
@@ -93,10 +105,41 @@ class BlockProfile:
             if isinstance(key, tuple):
                 return (key[self._PAIR_BLOCK],)
             if name in ("downstream", "upstream"):
-                return derived_set(sys.poset, {key}, name.removesuffix("stream"))
+                return sys.poset.cones[0 if name == "downstream" else 1][key - 1]
             return (key,)
 
         return {key: space.embed(sys.n, nodes(key)) for key, space in getattr(self, name).items()}
+
+
+def _cuts(sys: PosetCausalSystem, sets: dict, cone: str, fold) -> tuple:
+    """Cut every node's set at each block of its cone, and fold the cuts block by block.
+
+    ``sets[k]`` lives in the coordinates of node k's ``cone``, its down-set
+    ("down") or up-set ("up") as ``Poset.cones`` lists it. It is cut at each
+    block b of that cone by ``section`` and ``project``. A pair is keyed with
+    the lower node first: (b, k) on the down side, (k, b) on the up side. For
+    each block b, ``fold`` then combines the cuts at b over the nodes whose
+    cone holds b, which form b's other cone, in sorted order.
+
+    Returns (sections, projections, folded sections, folded projections).
+    """
+    nodes = sys.poset.nodes
+    own, other = sys.poset.cones[:: 1 if cone == "down" else -1]
+
+    def key(b, k):
+        return (b, k) if cone == "down" else (k, b)
+
+    sections, projections = {}, {}
+    for k, blocks in zip(nodes, own):
+        part = sys.n.restrict(blocks)
+        for b in blocks:
+            sections[key(b, k)] = sets[k].section(part, (b,))
+            projections[key(b, k)] = sets[k].project(part, (b,))
+
+    def folded(cuts):
+        return {b: fold(*(cuts[key(b, k)] for k in holders)) for b, holders in zip(nodes, other)}
+
+    return sections, projections, folded(sections), folded(projections)
 
 
 @dataclass(frozen=True)
@@ -140,28 +183,12 @@ class ReachabilityProfile(BlockProfile):
 
 def profile(sys: PosetCausalSystem) -> ReachabilityProfile:
     """Compute every reachability subspace and classification flag at once."""
-    poset = sys.poset
     n = sys.n
     reach = reachable(sys)
-    down = {j: downstream_reachable(sys, j) for j in poset.nodes}
-
-    exclusive = {}
-    projected = {}
-    for j in poset.nodes:
-        below = derived_set(poset, {j}, "down")
-        part = n.restrict(below)
-        for i in sorted(below):
-            exclusive[(i, j)] = down[j].section(part, (i,))
-            projected[(i, j)] = down[j].project(part, (i,))
-
-    node_independent = {}
-    node_ceiling = {}
-    node_floor = {}
-    for j in poset.nodes:
-        ups = sorted(derived_set(poset, {j}, "up"))
-        node_independent[j] = Subspace.sum(*(exclusive[(j, i)] for i in ups))
-        node_ceiling[j] = Subspace.sum(*(projected[(j, i)] for i in ups))
-        node_floor[j] = reach.section(n, (j,))
+    down = {j: downstream_reachable(sys, j) for j in sys.poset.nodes}
+    exclusive, projected, node_independent, node_ceiling = _cuts(sys, down, "down", Subspace.sum)
+    node_floor = {j: reach.section(n, (j,)) for j in sys.poset.nodes}
+    for j in sys.poset.nodes:
         if not node_ceiling[j].equals(reach.project(n, (j,))):
             raise StructureViolation(
                 f"ceiling at node {j} disagrees with the projected reachable set (internal bug)"

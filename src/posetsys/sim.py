@@ -40,7 +40,10 @@ part, kept only until the last of them, so ``simulate`` and the check run the
 same arithmetic on each model. The check is one pass in node order after every
 local run: each downstream trajectory is added into the global sums and into
 the splits of the nodes below it as it arrives, then dropped, so the check's
-peak memory does not grow with the depth of the poset.
+peak memory does not grow with the depth of the poset. Its tolerance is
+relative to the largest absolute entry M of the global states and outputs:
+each deviation, reported absolute, is held to the tolerance times max(1, M),
+so a bound is never smaller than the tolerance, and a NaN anywhere fails.
 """
 
 from __future__ import annotations
@@ -321,21 +324,36 @@ def simulate(model: PosetCausalSystem, x0, u: InputSignal) -> Trajectory:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    """Max deviations of the trajectory-decomposition identities on the grid."""
+    """Max deviations of the trajectory-decomposition identities on the grid.
+
+    Deviations are absolute. The tolerance is relative: each deviation is
+    held to ``bound``, the tolerance times max(1, M), where ``magnitude`` M is
+    the largest absolute entry of the global states and outputs. Where M <= 1
+    the bound is the tolerance itself; a NaN magnitude gives a NaN bound,
+    which no deviation meets.
+    """
 
     deviations: dict = field(default_factory=dict)
     tolerance: float = 0.0
+    magnitude: float = 0.0
+
+    @property
+    def bound(self) -> float:
+        return self.tolerance * float(np.maximum(1.0, self.magnitude))
 
     @property
     def ok(self) -> bool:
-        return all(v <= self.tolerance for v in self.deviations.values())
+        return all(v <= self.bound for v in self.deviations.values())
 
     def describe(self) -> str:
+        bound = self.bound
         lines = [
-            f"{name}: max deviation {value:.3e} ({'ok' if value <= self.tolerance else 'FAIL'})"
+            f"{name}: max deviation {value:.3e} ({'ok' if value <= bound else 'FAIL'})"
             for name, value in sorted(self.deviations.items())
         ]
-        lines.append(f"tolerance {self.tolerance:.3e}")
+        lines.append(
+            f"bound {bound:.3e} (tolerance {self.tolerance:.3e} x max(1, {self.magnitude:.3e}))"
+        )
         return "\n".join(lines)
 
 
@@ -362,7 +380,9 @@ def verify_trajectory_decomposition(
     each downstream trajectory's own-node component with the local model, and
     the per-node split of the global trajectory into the local contribution
     plus strictly-upstream downstream contributions. Upstream models are also
-    checked to be restrictions of the global trajectory.
+    checked to be restrictions of the global trajectory. ``tolerance`` is
+    relative (``DecompositionReport.bound``), since the rounding of a sum
+    grows with the size of its terms.
 
     One pass in node order after every local run: node i's split starts from
     its local trajectory, and the downstream trajectory seeded at node j is
@@ -456,4 +476,5 @@ def verify_trajectory_decomposition(
     return DecompositionReport(
         deviations={name: _nanmax(devs) for name, devs in families.items()},
         tolerance=tolerance,
+        magnitude=float(np.maximum(_nanmax(np.abs(gx)), _nanmax(np.abs(gy)))),
     )

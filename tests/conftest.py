@@ -397,6 +397,24 @@ def scanned_derived_set(poset, nodes, kind: str) -> frozenset:
     return hit
 
 
+def looped_ultra_transitivity(poset) -> tuple[bool, bool]:
+    """``poset.ultra_transitivity`` as a double loop over the relation's pairs."""
+    rel = poset.relation
+
+    def comparable(a, b):
+        return (a, b) in rel or (b, a) in rel
+
+    in_ultra = True
+    out_ultra = True
+    for i, j in rel:
+        for k, l in rel:
+            if l == j and not comparable(i, k):
+                in_ultra = False
+            if k == i and not comparable(j, l):
+                out_ultra = False
+    return in_ultra, out_ultra
+
+
 def listed_indices(partition, nodes) -> list:
     """``Partition.indices`` as one comprehension over ``block_range``."""
     return [k for j in sorted(set(nodes)) for k in partition.block_range(j)]

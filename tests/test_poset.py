@@ -1,6 +1,12 @@
 import pytest
 
-from conftest import NAMED_POSETS, closure_oracle, named_poset, random_poset
+from conftest import (
+    NAMED_POSETS,
+    closure_oracle,
+    looped_ultra_transitivity,
+    named_poset,
+    random_poset,
+)
 from posetsys.errors import CycleError, IndexOutOfRange
 from posetsys.poset import (
     block_triangular_relabel,
@@ -89,6 +95,23 @@ def test_hasse_round_trip(rng):
     for _ in range(25):
         poset = random_poset(rng, rng.randint(1, 7))
         assert build_poset(poset.p, hasse_edges(poset)) == poset
+
+
+def test_ultra_transitivity_matches_the_relation_loop_on_random_posets(rng):
+    seen = set()
+    for _ in range(1500):
+        poset = random_poset(rng, rng.randint(1, 8))
+        flags = ultra_transitivity(poset)
+        assert flags == looped_ultra_transitivity(poset), sorted(hasse_edges(poset))
+        seen.add(flags)
+    # every combination of the two flags occurs, so neither side can be a constant
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_POSETS))
+def test_ultra_transitivity_matches_the_relation_loop_on_named_posets(name):
+    for poset in (named_poset(name), dual_poset(named_poset(name))):
+        assert ultra_transitivity(poset) == looped_ultra_transitivity(poset)
 
 
 def test_ultra_transitivity_named_cases():

@@ -12,6 +12,7 @@ from posetsys.corpus import load_corpus_system
 from posetsys.errors import DimensionMismatch, NonFinite
 from posetsys.reachability import reachable
 from posetsys.sim import (
+    DecompositionReport,
     InputSignal,
     expm,
     simulate,
@@ -181,6 +182,38 @@ def test_trajectory_decomposition_nan_input_fails_every_family():
     rep = verify_trajectory_decomposition(sys, x0, u)
     assert len(rep.deviations) == 7
     assert all(math.isnan(v) for v in rep.deviations.values()), rep.deviations
+    assert not rep.ok
+    assert "(ok)" not in rep.describe()
+
+
+def test_trajectory_decomposition_tolerance_scales_with_the_trajectory():
+    # states reach 2e10 here, so rounding alone leaves deviations near 4e-6, a relative 2e-16
+    sys = load_corpus_system("exLargeEx")
+    u = InputSignal(step=0.1, values=np.random.default_rng(0).uniform(-1, 1, (200, 7)))
+    rep = verify_trajectory_decomposition(sys, None, u, tolerance=1e-8)
+    assert rep.magnitude > 1e10
+    assert max(rep.deviations.values()) > 1e-8
+    assert rep.ok, rep.describe()
+    assert "FAIL" not in rep.describe()
+
+
+@pytest.mark.parametrize("magnitude", [0.0, 0.5, 1.0, 3.0, 2.5e10])
+def test_decomposition_bound_is_the_tolerance_times_max_one_and_magnitude(magnitude):
+    tolerance = 1e-8
+    bound = tolerance * max(1.0, magnitude)
+    for deviation, ok in ((bound * (1 - 1e-9), True), (bound, True), (bound * (1 + 1e-9), False)):
+        rep = DecompositionReport(
+            deviations={"family": deviation}, tolerance=tolerance, magnitude=magnitude
+        )
+        assert rep.bound == bound
+        assert rep.ok is ok
+        assert ("(ok)" if ok else "(FAIL)") in rep.describe()
+        assert f"bound {bound:.3e}" in rep.describe()
+
+
+def test_decomposition_nan_magnitude_fails_every_deviation():
+    rep = DecompositionReport(deviations={"family": 0.0}, tolerance=1e-8, magnitude=math.nan)
+    assert math.isnan(rep.bound)
     assert not rep.ok
     assert "(ok)" not in rep.describe()
 
