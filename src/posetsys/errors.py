@@ -79,7 +79,7 @@ class NonFinite(PosetSysError):
 
 
 class ParseError(PosetSysError):
-    """A system or signal file could not be parsed."""
+    """A system or signal file could not be parsed, or a system file could not be written."""
 
 
 class ValidationError(PosetSysError):

@@ -9,8 +9,11 @@ A system file is a UTF-8 JSON document::
 
 An edge [j, i] asserts that node j is above node i. Matrix entries may be
 integers, decimal strings, or "a/b" rational strings; everything is parsed
-exactly. Signal files are whitespace-separated columns: time followed by the
-input components, one grid point per line.
+exactly, and an entry whose numerator or denominator has more digits than
+``sys.get_int_max_str_digits()`` allows is refused, so every loaded system can
+be written back. Signal files are whitespace-separated columns: time followed
+by the input components (none for a system without inputs), one grid point per
+line.
 """
 
 from __future__ import annotations
@@ -41,16 +44,27 @@ __all__ = [
 
 
 def parse_rational(value) -> Fraction:
-    """Exact parse of a decimal or 'a/b' string; other values go to ``_linalg.exact_entry``."""
+    """Exact parse of a decimal or 'a/b' string; other values go to ``_linalg.exact_entry``.
+
+    A value is refused when its numerator or denominator has more digits than
+    ``sys.get_int_max_str_digits()`` allows (0 allows any), since it could not
+    be written back as decimal text.
+    """
+    limit = get_int_max_str_digits() or math.inf
     try:
         if not isinstance(value, str):
             return la.exact_entry(value)
         text = value.strip()
         # Fraction expands the power, so "1e1000000000" would never finish
         _, marker, exponent = text.lower().partition("e")
-        if marker and abs(int(exponent)) > (get_int_max_str_digits() or math.inf):
-            raise ValueError(f"exponent exceeds {get_int_max_str_digits()}")
-        return Fraction(text)
+        if marker and abs(int(exponent)) > limit:
+            raise ValueError(f"exponent exceeds {limit}")
+        out = Fraction(text)
+        # below 2 ** (3 * limit) a number has at most `limit` digits, so most entries skip the power
+        big = max(abs(out.numerator), out.denominator)
+        if big.bit_length() > 3 * limit and big >= 10**limit:
+            raise ValueError(f"more than {limit} digits")
+        return out
     except TypeError as exc:
         raise ParseError(f"bad rational entry {value!r}: {exc}; write a non-integer "
                          "as a decimal or 'a/b' string") from exc
@@ -164,13 +178,21 @@ def load_system(path) -> PosetCausalSystem:
 
 
 def save_system(sys: PosetCausalSystem, path) -> None:
+    """Write the system file; the whole document is rendered first, so a failure writes no file.
+
+    An entry too long for decimal text (``sys.get_int_max_str_digits()``)
+    raises ``ParseError``.
+    """
+    try:
+        text = json.dumps(system_to_dict(sys), indent=2) + "\n"
+    except ValueError as exc:  # an integer over the digit limit
+        raise ParseError(f"cannot write {path}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(system_to_dict(sys), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def read_signal(path, step: float | None = None) -> InputSignal:
-    """Columnar signal file: time column followed by input components."""
+    """Columnar signal file: time column followed by input components, if any."""
     rows = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -190,7 +212,7 @@ def read_signal(path, step: float | None = None) -> InputSignal:
     if not rows:
         raise ParseError(f"{path}: signal file is empty")
     width = len(rows[0])
-    if width < 2 or any(len(r) != width for r in rows):
+    if any(len(r) != width for r in rows):
         raise ParseError(f"{path}: expected uniform columns (time plus components)")
     times = np.array([r[0] for r in rows])
     values = np.array([r[1:] for r in rows])

@@ -31,7 +31,10 @@ class Poset:
     """A finite poset on {1..p}; ``relation`` holds all closed pairs (j, i) with j >= i.
 
     Each node's down-set and up-set are read off ``relation`` once, on first
-    use (``cones``); equality and hashing read ``p`` and ``relation`` alone.
+    use (``cones``), and every node-set question of the package reads them
+    there: derived sets, model nodes, covering edges, level sets and the
+    relabeling. ``dual_poset`` hands its dual these cones swapped instead of
+    deriving them again. Equality and hashing read ``p`` and ``relation`` alone.
     """
 
     p: int
@@ -75,8 +78,10 @@ class Poset:
 def build_poset(p: int, edges) -> Poset:
     """Close an edge list reflexively and transitively and verify anti-symmetry.
 
-    Raises CycleError (with a witness cycle) if the closure relates two
-    distinct nodes in both directions.
+    Each node's set of nodes below it is closed by Warshall's loop: for each
+    node k in turn, every set that holds k takes in k's set. Raises
+    CycleError (with a witness cycle) if the closure relates two distinct
+    nodes in both directions.
     """
     if p < 1:
         raise IndexOutOfRange("a poset needs at least one element")
@@ -86,16 +91,10 @@ def build_poset(p: int, edges) -> Poset:
         if not (1 <= j <= p and 1 <= i <= p):
             raise IndexOutOfRange(f"edge ({j},{i}) outside 1..{p}")
         succ[j].add(i)
-    changed = True
-    while changed:
-        changed = False
-        for j in succ:
-            reach = set(succ[j])
-            for k in list(reach):
-                reach |= succ[k]
-            if reach != succ[j]:
-                succ[j] = reach
-                changed = True
+    for k, below in succ.items():
+        for reach in succ.values():
+            if k in reach:
+                reach |= below
     for j in range(1, p + 1):
         for i in succ[j]:
             if i != j and j in succ[i]:
@@ -149,19 +148,27 @@ def derived_set(poset: Poset, nodes, kind: str) -> frozenset:
 
 
 def dual_poset(poset: Poset) -> Poset:
-    """Reverse the order; downstream and upstream sets swap roles."""
-    return Poset(p=poset.p, relation=frozenset((i, j) for (j, i) in poset.relation))
+    """Reverse the order; downstream and upstream sets swap roles.
+
+    The dual's cones are the poset's, swapped: its down-sets are the poset's
+    up-sets and its up-sets the down-sets, so nothing is derived again.
+    """
+    dual = Poset(p=poset.p, relation=frozenset((i, j) for (j, i) in poset.relation))
+    vars(dual)["cones"] = poset.cones[::-1]  # what the cached_property would hold
+    return dual
 
 
 def hasse_edges(poset: Poset) -> frozenset:
-    """Covering pairs (i, j) with i > j and nothing strictly between."""
+    """Covering pairs (i, j) with i > j and nothing strictly between.
+
+    Node i covers j when j lies in i's strict down-set but in the strict
+    down-set of no other node of it (``Poset.cones``).
+    """
+    downs = poset.cones[0]
     out = set()
-    for i, j in poset.relation:
-        if i == j:
-            continue
-        if any(poset.gt(i, k) and poset.gt(k, j) for k in poset.nodes):
-            continue
-        out.add((i, j))
+    for i, down in zip(poset.nodes, downs):
+        between = {j for k in down if k != i for j in downs[k - 1] if j != k}
+        out.update((i, j) for j in down if j != i and j not in between)
     return frozenset(out)
 
 
@@ -187,8 +194,8 @@ def level_sets(poset: Poset) -> tuple[list[frozenset], list[frozenset]]:
     Returns (L, R) with L[k-1] = {j : |up-set of j| <= k} for k = 1..p and
     R[k-1] = L[k] minus L[k-1], with R[p-1] empty.
     """
-    upsizes = {j: len(derived_set(poset, {j}, "up")) for j in poset.nodes}
-    levels = [frozenset(j for j in poset.nodes if upsizes[j] <= k) for k in range(1, poset.p + 1)]
+    ups = poset.cones[1]
+    levels = [frozenset(j for j in poset.nodes if len(ups[j - 1]) <= k) for k in range(1, poset.p + 1)]
     rings = [levels[k + 1] - levels[k] for k in range(poset.p - 1)] + [frozenset()]
     return levels, rings
 
@@ -200,12 +207,11 @@ def block_triangular_relabel(poset: Poset) -> dict[int, int]:
     original label first; hence j >= i implies new(j) <= new(i), and permuting
     the blocks of any pattern-respecting matrix gives a block lower triangle.
     """
+    ups = poset.cones[1]
     remaining = set(poset.nodes)
     order: list[int] = []
     while remaining:
-        ready = sorted(
-            j for j in remaining if not any(poset.gt(k, j) for k in remaining if k != j)
-        )
-        order.append(ready[0])
-        remaining.remove(ready[0])
+        # a node is ready when its up-set meets the unplaced nodes in itself alone
+        order.append(min(j for j in remaining if remaining.intersection(ups[j - 1]) == {j}))
+        remaining.remove(order[-1])
     return {old: new for new, old in enumerate(order, start=1)}

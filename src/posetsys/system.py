@@ -17,7 +17,7 @@ from .errors import (
     StructureViolation,
     ValidationError,
 )
-from .poset import Poset, derived_set, dual_poset
+from .poset import Poset, dual_poset
 
 __all__ = [
     "PosetCausalSystem",
@@ -186,7 +186,8 @@ def model_nodes(poset: Poset, kind: str, i: int | None = None) -> tuple:
     """State, input and output nodes of the global, local(i), downstream(i) or upstream(i) model.
 
     The kind is checked first, so an unknown kind raises ``ValueError`` with or
-    without a node index. ``derived`` restricts the partitions to them;
+    without a node index. The down-set and up-set are the node's cones
+    (``Poset.cones``), sorted tuples. ``derived`` restricts the partitions to them;
     ``model_coordinates`` lists their coordinates. Not in ``__all__``, so the
     benchmark's tracer, which wraps every listed function, does not count it as
     a call of its own.
@@ -201,11 +202,10 @@ def model_nodes(poset: Poset, kind: str, i: int | None = None) -> tuple:
     own = (i,)
     if kind == "local":
         return own, own, own
+    downs, ups = poset.cones
     if kind == "downstream":
-        down = derived_set(poset, {i}, "down")
-        return down, own, down
-    up = derived_set(poset, {i}, "up")
-    return up, up, own
+        return downs[i - 1], own, downs[i - 1]
+    return ups[i - 1], ups[i - 1], own
 
 
 def model_coordinates(sys: PosetCausalSystem, kind: str, i: int | None = None) -> tuple:

@@ -14,8 +14,8 @@ import pytest
 
 from posetsys import _linalg as la
 from posetsys import corpus
-from posetsys.errors import IncompatibleShapes, SingularMatrix
-from posetsys.poset import Poset, build_poset
+from posetsys.errors import CycleError, IncompatibleShapes, IndexOutOfRange, SingularMatrix
+from posetsys.poset import Poset, _witness_cycle, build_poset
 from posetsys.reachability import ctrb_matrix
 from posetsys.subspace import Subspace
 from posetsys.system import PosetCausalSystem, model_nodes
@@ -413,6 +413,52 @@ def looped_ultra_transitivity(poset) -> tuple[bool, bool]:
             if k == i and not comparable(j, l):
                 out_ultra = False
     return in_ultra, out_ultra
+
+
+def fixpoint_poset(p: int, edges) -> Poset:
+    """``poset.build_poset`` closing each node's set below it by a fixpoint loop, not Warshall's."""
+    if p < 1:
+        raise IndexOutOfRange("a poset needs at least one element")
+    succ: dict[int, set[int]] = {i: {i} for i in range(1, p + 1)}
+    edges = list(edges)
+    for j, i in edges:
+        if not (1 <= j <= p and 1 <= i <= p):
+            raise IndexOutOfRange(f"edge ({j},{i}) outside 1..{p}")
+        succ[j].add(i)
+    changed = True
+    while changed:
+        changed = False
+        for j in succ:
+            reach = set(succ[j])
+            for k in list(reach):
+                reach |= succ[k]
+            if reach != succ[j]:
+                succ[j] = reach
+                changed = True
+    for j in range(1, p + 1):
+        for i in succ[j]:
+            if i != j and j in succ[i]:
+                raise CycleError(_witness_cycle(j, i, edges))
+    return Poset(p=p, relation=frozenset((j, i) for j in succ for i in succ[j]))
+
+
+def scanned_hasse_edges(poset) -> frozenset:
+    """``poset.hasse_edges`` as a scan of every node between each related pair (``Poset.gt``)."""
+    return frozenset(
+        (i, j) for i, j in poset.relation
+        if i != j and not any(poset.gt(i, k) and poset.gt(k, j) for k in poset.nodes)
+    )
+
+
+def scanned_block_triangular_relabel(poset) -> dict[int, int]:
+    """``poset.block_triangular_relabel`` scanning the unplaced nodes pairwise (``Poset.gt``)."""
+    remaining = set(poset.nodes)
+    order: list[int] = []
+    while remaining:
+        ready = sorted(j for j in remaining if not any(poset.gt(k, j) for k in remaining if k != j))
+        order.append(ready[0])
+        remaining.remove(ready[0])
+    return {old: new for new, old in enumerate(order, start=1)}
 
 
 def listed_indices(partition, nodes) -> list:

@@ -312,7 +312,7 @@ def test_simulate_beyond_double_precision_exits_1(tmp_path, capsys, breakage, na
     assert out == "" and err.startswith("error:") and named in err
 
 
-@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("width", [0, 1, 3])
 def test_simulate_signal_of_the_wrong_width_exits_2(tmp_path, capsys, width):
     sig = tmp_path / "sig.txt"
     sig.write_text("".join(f"{t}" + " 1" * width + "\n" for t in (0, 0.1)))
@@ -340,3 +340,60 @@ def test_simulate_rejects_bad_steps_and_tolerance(tmp_path, capsys, flags):
     code0, out0, _ = _run(capsys, "simulate", src, str(sig), "--steps", "0", "--tol", "0")
     assert code0 == 0
     assert len(out0.strip().splitlines()) == 1
+
+
+def _one_node_file(tmp_path, name, A, B, C):
+    doc = {"poset": {"p": 1, "edges": []}, "partitions": {"n": [len(A)], "m": [len(B[0])], "r": [len(C)]},
+           "A": A, "B": B, "C": C, "D": [[0] * len(B[0]) for _ in C]}
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_an_entry_over_the_digit_limit_is_refused_and_nothing_is_written(tmp_path, capsys):
+    # 10^4300 has 4301 digits, one past the default limit of integer string conversion
+    src = _one_node_file(tmp_path, "big.json", [["1e4300"]], [[1]], [[1]])
+    out = tmp_path / "out.json"
+    for argv in (["validate", str(src)], ["dual", str(src), str(out)], ["reduce", str(src), str(out)]):
+        code, stdout, err = _run(capsys, *argv)
+        assert code == 2, argv
+        assert stdout == "" and err.startswith("error: A: bad rational entry '1e4300'"), (argv, err)
+        assert not out.exists()
+
+
+def test_an_entry_at_the_digit_limit_round_trips_through_dual(tmp_path, capsys):
+    src = _one_node_file(tmp_path, "edge.json", [["1e4299"]], [[1]], [[1]])
+    d1, d2 = tmp_path / "dual.json", tmp_path / "double.json"
+    assert _run(capsys, "dual", str(src), str(d1))[0] == 0
+    assert _run(capsys, "dual", str(d1), str(d2))[0] == 0
+    assert json.loads(d2.read_text()) == system_to_dict(load_system(src))
+    assert load_system(d2).A.entries[0, 0] == 10**4299
+
+
+def test_a_reduction_too_long_to_write_exits_2_and_writes_nothing(tmp_path, capsys):
+    # every entry is within the limit, but the reduced entry 1/a + 1/b needs about 4400 digits
+    a, b = 10**2199 + 7, 10**2199 + 9
+    src = _one_node_file(tmp_path, "sum.json", [[f"1/{a}", f"1/{b}"], [f"1/{b}", f"1/{a}"]],
+                         [[1], [1]], [[1, 1]])
+    assert _run(capsys, "validate", str(src))[0] == 0
+    out = tmp_path / "reduced.json"
+    code, stdout, err = _run(capsys, "reduce", str(src), str(out))
+    assert code == 2
+    assert stdout == "" and err.startswith(f"error: cannot write {out}:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_simulate_a_system_without_inputs(tmp_path, capsys):
+    # a 2-state oscillator from x0 = (1, 0); its signal file holds the time column alone
+    doc = {"poset": {"p": 1, "edges": []}, "partitions": {"n": [2], "m": [0], "r": [1]},
+           "A": [[0, 1], [-1, 0]], "B": [[], []], "C": [[1, 0]], "D": [[]], "x0": [1, 0]}
+    src = tmp_path / "oscillator.json"
+    src.write_text(json.dumps(doc))
+    sig = tmp_path / "sig.txt"
+    sig.write_text("".join(f"{k / 10}\n" for k in range(20)))
+    out = tmp_path / "traj.txt"
+    code, _, err = _run(capsys, "simulate", str(src), str(sig), "--out", str(out), "--check-lemma")
+    assert code == 0, err
+    rows = np.loadtxt(out)
+    assert rows.shape == (21, 1 + 2 + 1)
+    assert np.allclose(rows[:, 1], np.cos(rows[:, 0])) and np.allclose(rows[:, 2], -np.sin(rows[:, 0]))

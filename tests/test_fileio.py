@@ -42,6 +42,12 @@ def test_parse_rational_rejects_bad_values():
     for huge in ("1e1000000000", "-2.5E-1000000000"):
         with pytest.raises(ParseError, match="exponent"):
             parse_rational(huge)
+    # a numerator or denominator of 4301 digits could not be written back
+    for long in ("1e4300", "-1e-4300", "10e4299", "0.1e-4299", "1" + "0" * 4300):
+        with pytest.raises(ParseError):
+            parse_rational(long)
+    assert parse_rational("-1e4299") == -(10**4299)
+    assert parse_rational("1e-4299") == F(1, 10**4299)
 
 
 def test_format_rational_round_trip():
@@ -187,6 +193,16 @@ def test_signal_round_trip(tmp_path):
     assert sig.values[1, 1] == 4
     override = read_signal(path, step=0.25)
     assert override.step == 0.25
+
+
+def test_signal_of_the_time_column_alone(tmp_path):
+    path = tmp_path / "sig.txt"
+    path.write_text("0\n0.5\n1.0\n")
+    sig = read_signal(path)
+    assert sig.step == 0.5 and sig.values.shape == (3, 0)
+    path.write_text("0\n0.5 1\n")
+    with pytest.raises(ParseError, match="uniform columns"):
+        read_signal(path)
 
 
 def test_signal_errors(tmp_path):

@@ -3,12 +3,17 @@ import pytest
 from conftest import (
     NAMED_POSETS,
     closure_oracle,
+    fixpoint_poset,
     looped_ultra_transitivity,
     named_poset,
     random_poset,
+    scanned_block_triangular_relabel,
+    scanned_derived_set,
+    scanned_hasse_edges,
 )
 from posetsys.errors import CycleError, IndexOutOfRange
 from posetsys.poset import (
+    Poset,
     block_triangular_relabel,
     build_poset,
     derived_set,
@@ -205,3 +210,75 @@ def test_relabel_permutation_triangularizes_patterns(rng):
                 for a in range(noff[bi], noff[bi + 1]):
                     for b in range(noff[bj], noff[bj + 1]):
                         assert relabeled[a][b] == 0
+
+
+def _scanned_level_sets(poset):
+    sizes = {j: len(scanned_derived_set(poset, {j}, "up")) for j in poset.nodes}
+    levels = [frozenset(j for j in poset.nodes if sizes[j] <= k) for k in range(1, poset.p + 1)]
+    return levels, [levels[k + 1] - levels[k] for k in range(poset.p - 1)] + [frozenset()]
+
+
+def _assert_readings_match_the_scans(poset):
+    # every reading of the cones equals the scan of the relation it replaced, on the poset and its dual
+    for q in (poset, dual_poset(poset)):
+        assert q.cones == Poset(q.p, q.relation).cones  # a dual's cones are the ones its relation gives
+        assert hasse_edges(q) == scanned_hasse_edges(q)
+        assert block_triangular_relabel(q) == scanned_block_triangular_relabel(q)
+        assert level_sets(q) == _scanned_level_sets(q)
+
+
+def _random_edges(rng, p):
+    # random downward edges, as random_poset draws them, under a random relabeling of the nodes
+    labels = list(range(1, p + 1))
+    rng.shuffle(labels)
+    return [(labels[j], labels[i]) for j in range(p) for i in range(j + 1, p) if rng.random() < 0.4]
+
+
+def test_order_readings_match_the_scans_on_random_posets(rng):
+    relabeled = 0
+    for _ in range(1500):
+        p = rng.randint(1, 8)
+        edges = _random_edges(rng, p)
+        poset = build_poset(p, edges)
+        assert poset == fixpoint_poset(p, edges)
+        _assert_readings_match_the_scans(poset)
+        relabeled += block_triangular_relabel(poset) != {j: j for j in poset.nodes}
+    # the labels are no linear extension most of the time, so the relabeling has work to do
+    assert relabeled > 800
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_POSETS))
+def test_order_readings_match_the_scans_on_named_posets(name):
+    poset = named_poset(name)
+    assert fixpoint_poset(poset.p, poset.relation) == poset
+    _assert_readings_match_the_scans(poset)
+
+
+def test_dual_poset_is_handed_the_cones_swapped(rng):
+    for _ in range(50):
+        poset = random_poset(rng, rng.randint(1, 8))
+        dual = dual_poset(poset)
+        assert vars(dual)["cones"] == poset.cones[::-1]
+        assert dual_poset(dual).cones == poset.cones
+        assert dual.cones == Poset(dual.p, dual.relation).cones
+
+
+def test_cycles_are_refused_as_the_fixpoint_closure_refuses_them(rng):
+    # the witness may leave through another node than the fixpoint's (the first met in a set's
+    # iteration order), but it starts at the same, smallest node on a cycle and walks the raw edges
+    cyclic = 0
+    for _ in range(1500):
+        p = rng.randint(1, 10)
+        edges = [(rng.randint(1, p), rng.randint(1, p)) for _ in range(rng.randint(0, 2 * p))]
+        try:
+            expected = fixpoint_poset(p, edges)
+        except CycleError as exc:
+            with pytest.raises(CycleError) as info:
+                build_poset(p, edges)
+            cycle = info.value.cycle
+            assert cycle[0] == cycle[-1] == exc.cycle[0] and len(cycle) > 2
+            assert all(step in edges for step in zip(cycle, cycle[1:])), (edges, cycle)
+            cyclic += 1
+        else:
+            assert build_poset(p, edges) == expected
+    assert 300 < cyclic < 1200
