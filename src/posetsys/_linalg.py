@@ -12,10 +12,11 @@ Matrices are 2-D numpy arrays of dtype=object, of two kinds:
   pivot, which is as unique for the row space as the pivot-1 form (fraction
   free in the sense of Bareiss, Math. Comp. 22, 1968). It is the one
   elimination core: ``column_echelon``, ``kernel_basis``, ``solve``,
-  ``normal_equations`` and ``rank`` all call it. It takes the rows one at a
-  time and stops reading them once the rank is the number of columns, so a
-  tall matrix of full rank, such as a Krylov matrix or a sum of subspaces,
-  leaves its last rows, which hold its largest integers, unread.
+  ``normal_equations`` and ``rank`` all call it, and ``invariant_span``
+  reduces its vectors by its row step (``_reduce_into``). It takes the rows
+  one at a time and stops reading them once the rank is the number of
+  columns, so a tall matrix of full rank, such as a Krylov matrix or a sum
+  of subspaces, leaves its last rows, which hold its largest integers, unread.
 
 The crossing between the two kinds is decided here alone, in three boundary
 routines. ``cleared`` takes a matrix to integers over one common denominator,
@@ -51,12 +52,13 @@ way out. The projections and compressions form no such product:
 ``rref``, and ``reduction`` turns its integer solution into Fractions once,
 through ``exact_over``. ``krylov`` is the power loop of ``ctrb_matrix``,
 which the per-node downstream and local models and the test oracles use. The
-global sets form no power matrix: ``invariant_span`` saturates the reachable
-set (for ``reachable`` and the moment check) and ``invariant_kernel`` the
-unobservable set (for ``unobservable``). ``certified_kernel`` finds each
-per-node unobservable set (for ``upstream_indistinguishable``) from the rows
-of the observability matrix that stay independent modulo a prime, and
-certifies it exactly. ``char_poly`` (Faddeev-LeVerrier on the cleared
+global sets form no power matrix: ``invariant_span`` grows the reachable set
+by a span chain (for ``reachable`` and the moment check), which multiplies by
+Ia only the vectors its last step added and canonicalizes once, and
+``invariant_kernel`` shrinks the unobservable set (for ``unobservable``).
+``certified_kernel`` finds each per-node unobservable set (for
+``upstream_indistinguishable``) from the rows of the observability matrix
+that stay independent modulo a prime, and certifies it exactly. ``char_poly`` (Faddeev-LeVerrier on the cleared
 matrix) and ``poly_eval_matrix`` (Horner's rule on the cleared matrix and
 coefficients) clear ``m`` once and multiply Python ints: neither calls
 ``mdot``, and each forms its Fractions once, at the end.
@@ -263,21 +265,34 @@ def invariant_span(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     It is the column space of [b, ab, ..., a^(n-1) b]: the reachable set of
     the pair (a, b), which ``reachability.reachable`` and the moment check
-    read from here. V <- column_echelon([V, Ia V]) from the cleared columns
-    of ``b`` until the dimension stops growing, or at once when V is {0} or
-    the whole space, which every map keeps: then no elimination is run just
-    to see nothing grow. An integer ``a`` is taken as it is and an exact one
-    cleared once, to Ia / d, which keeps its invariant subspaces; clearing it
-    row by row would change the map.
+    read from here. A span chain grows it on integers, with no power of
+    ``a``: the cleared columns of ``b`` enter a forward-reduced echelon by
+    ``rref``'s own row step (``_reduce_into``), and each step multiplies by
+    Ia only the vectors the step before it added and reduces the products
+    into the echelon. The chain stops when a step adds nothing, since then
+    Ia maps every vector of the echelon into its span, or as soon as the
+    dimension is n. The full space is the identity and {0} has no columns,
+    so neither runs an elimination; any other span is canonicalized once,
+    by a ``column_echelon`` that only back-substitutes, because each vector
+    of the echelon is zero at the pivots of those before it. An integer
+    ``a`` is taken as it is and an exact one cleared once, to Ia / d, which
+    keeps its invariant subspaces; clearing it row by row would change the map.
     """
+    n = a.shape[0]
     a_ints = cleared(a)[0]
-    span = column_echelon(cleared_rows(b.T)[0].T)
-    while 0 < span.shape[1] < a.shape[0]:
-        grown = column_echelon(np.hstack([span, a_ints.dot(span)]))
-        if grown.shape[1] == span.shape[1]:
-            break
-        span = grown
-    return span
+    pivots: list[int] = []
+    rows: list[list] = []  # the echelon's vectors, as lists
+    new = cleared_rows(b.T)[0].tolist()
+    while new:
+        known = len(rows)
+        for vec in new:
+            if _reduce_into(pivots, rows, vec) and len(rows) == n:
+                return np.identity(n, dtype=object)
+        added = rows[known:]
+        new = a_ints.dot(np.array(added, dtype=object).T).T.tolist() if added else []
+    if not rows:
+        return np.zeros((n, 0), dtype=object)
+    return column_echelon(np.array(rows, dtype=object).T)
 
 
 def invariant_kernel(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -416,17 +431,7 @@ def rref(m: np.ndarray):
     pivots: list[int] = []
     rows: list[list] = []
     for row in m.tolist():
-        for col, prow in zip(pivots, rows):
-            if row[col]:
-                row = _eliminate(row, prow, col)
-        for col, x in enumerate(row):
-            if x:
-                break
-        else:
-            continue
-        pivots.append(col)
-        rows.append(row)
-        if len(pivots) == ncols:
+        if _reduce_into(pivots, rows, row) and len(pivots) == ncols:
             out = np.zeros((nrows, ncols), dtype=object)
             np.fill_diagonal(out, 1)
             return out, list(range(ncols))
@@ -443,6 +448,26 @@ def rref(m: np.ndarray):
         content = gcd(*row) if row[col] > 0 else -gcd(*row)
         out[i, :] = [x // content for x in row] if content != 1 else row
     return out, pivots
+
+
+def _reduce_into(pivots: list[int], rows: list[list], row: list) -> bool:
+    """Reduce ``row`` against a forward echelon and keep what is left; whether it was kept.
+
+    ``rows`` are the pivot rows in the order they were found and ``pivots``
+    their pivot columns. Each clears its column of ``row`` by ``_eliminate``,
+    in that order; a later pivot row is zero at the earlier pivots, so the
+    cleared entries stay zero. A nonzero remainder joins the echelon with
+    its first nonzero entry as its pivot.
+    """
+    for col, prow in zip(pivots, rows):
+        if row[col]:
+            row = _eliminate(row, prow, col)
+    for col, x in enumerate(row):
+        if x:
+            pivots.append(col)
+            rows.append(row)
+            return True
+    return False
 
 
 def _eliminate(row: list, prow: list, col: int) -> list:

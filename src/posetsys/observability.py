@@ -27,7 +27,8 @@ One assembly meets three independent kernel and span algorithms:
   intersection of the embedded upstream sets;
 * the dual route takes every space as the complement of a span of the dual
   system: the Krylov span of each downstream model (``ctrb_matrix``) and the
-  growing span chain from im C^T (``_linalg.invariant_span``).
+  span chain from im C^T (``_linalg.invariant_span``), which multiplies by
+  A^T only the vectors its last step added and canonicalizes once.
 """
 
 from __future__ import annotations

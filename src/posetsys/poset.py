@@ -81,7 +81,8 @@ def build_poset(p: int, edges) -> Poset:
     Each node's set of nodes below it is closed by Warshall's loop: for each
     node k in turn, every set that holds k takes in k's set. Raises
     CycleError (with a witness cycle) if the closure relates two distinct
-    nodes in both directions.
+    nodes in both directions: the smallest node j on a cycle and the
+    smallest other node above j and below it, walked on the raw edges.
     """
     if p < 1:
         raise IndexOutOfRange("a poset needs at least one element")
@@ -96,7 +97,7 @@ def build_poset(p: int, edges) -> Poset:
             if k in reach:
                 reach |= below
     for j in range(1, p + 1):
-        for i in succ[j]:
+        for i in sorted(succ[j]):  # not set order, so the witness depends on the edges alone
             if i != j and j in succ[i]:
                 raise CycleError(_witness_cycle(j, i, edges))
     relation = frozenset((j, i) for j in succ for i in succ[j])

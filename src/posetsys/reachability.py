@@ -62,8 +62,9 @@ def reachable(sys: PosetCausalSystem) -> Subspace:
     """Reachable set of the global model: the smallest A-invariant subspace containing im B.
 
     That is the column space of the controllability matrix (Wonham, *Linear
-    Multivariable Control*); it is saturated on integers, with no power of A,
-    from the system's integer form, read whole: the global model is the system.
+    Multivariable Control*); the span chain of ``_linalg.invariant_span``
+    grows it on integers, with no power of A, from the system's integer form,
+    read whole: the global model is the system.
     """
     ia, ib, _ = sys._integer_form[0]
     return Subspace._canonical(sys.state_dim, la.invariant_span(ia, ib))

@@ -436,7 +436,7 @@ def fixpoint_poset(p: int, edges) -> Poset:
                 succ[j] = reach
                 changed = True
     for j in range(1, p + 1):
-        for i in succ[j]:
+        for i in sorted(succ[j]):
             if i != j and j in succ[i]:
                 raise CycleError(_witness_cycle(j, i, edges))
     return Poset(p=p, relation=frozenset((j, i) for j in succ for i in succ[j]))

@@ -43,6 +43,24 @@ def test_build_rejects_cycle_with_witness():
     assert set(info.value.cycle) == {1, 2}
 
 
+@pytest.mark.parametrize(
+    "p, edges, witness",
+    [
+        # a fixpoint closure once met 8 first in the set below 1 (8 hashes to slot 0)
+        (8, [(5, 1), (1, 8), (6, 1), (7, 5), (1, 6), (8, 1), (1, 2)], [1, 6, 1]),
+        # Warshall's closure met 16 first in the set below 6 and gave [6, 15, 16, 6]
+        (19, [(10, 7), (3, 19), (14, 7), (15, 16), (6, 19), (13, 8), (11, 2), (6, 15), (15, 6), (16, 6)],
+         [6, 15, 6]),
+    ],
+)
+def test_the_cycle_witness_does_not_depend_on_set_order(p, edges, witness):
+    # the smallest node on a cycle leaves through the smallest node above it and below it
+    for order in (edges, edges[::-1], sorted(edges)):
+        with pytest.raises(CycleError) as info:
+            build_poset(p, order)
+        assert info.value.cycle == witness
+
+
 def test_build_rejects_bad_labels():
     with pytest.raises(IndexOutOfRange):
         build_poset(2, [(1, 3)])
@@ -264,8 +282,8 @@ def test_dual_poset_is_handed_the_cones_swapped(rng):
 
 
 def test_cycles_are_refused_as_the_fixpoint_closure_refuses_them(rng):
-    # the witness may leave through another node than the fixpoint's (the first met in a set's
-    # iteration order), but it starts at the same, smallest node on a cycle and walks the raw edges
+    # both closures read each node's set in sorted order, so they give the same witness: it starts
+    # at the smallest node on a cycle and walks the raw edges
     cyclic = 0
     for _ in range(1500):
         p = rng.randint(1, 10)
@@ -276,7 +294,7 @@ def test_cycles_are_refused_as_the_fixpoint_closure_refuses_them(rng):
             with pytest.raises(CycleError) as info:
                 build_poset(p, edges)
             cycle = info.value.cycle
-            assert cycle[0] == cycle[-1] == exc.cycle[0] and len(cycle) > 2
+            assert cycle == exc.cycle and cycle[0] == cycle[-1] and len(cycle) > 2
             assert all(step in edges for step in zip(cycle, cycle[1:])), (edges, cycle)
             cyclic += 1
         else:

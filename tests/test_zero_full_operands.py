@@ -2,12 +2,16 @@
 
 The canonical basis of {0} has no columns and that of the full space is the
 identity. So ``sum``, ``intersect``, ``complement``, ``section`` and
-``project`` read a zero or full operand's result off its dimension, and
-``_linalg.invariant_span`` stops once the span is {0} or the whole space.
-Each result must equal, by ``==``, the one elimination every operand took
-before (``eliminated_*`` in ``conftest``): on hypothesis operands that are
-zero, full or random, in ambients 0 to 6, and on every space of the seed-1
-ladder profiles. With a zero or full operand no elimination may run at all.
+``project`` read a zero or full operand's result off its dimension, and the
+span chain of ``_linalg.invariant_span`` stops as soon as its span is the
+whole space, or when {0} gives it nothing to multiply. Each result must
+equal, by ``==``, the one elimination every operand took before
+(``eliminated_*`` in ``conftest``): on hypothesis operands that are zero,
+full or random, in ambients 0 to 6, and on every space of the seed-1 ladder
+profiles. With a zero or full operand no elimination may run at all. The
+chain is counted by its products with Ia: none follows the step that fills
+the space, a full or zero ``b`` forms none, and only a proper span is
+canonicalized, by one ``column_echelon``.
 """
 
 import dataclasses
@@ -72,9 +76,14 @@ def _refuse(*args, **kwargs):
 
 @contextmanager
 def no_elimination():
-    """Every exact elimination in ``_linalg`` (each goes through ``rref``) raises inside the block."""
+    """Every exact elimination in ``_linalg`` raises inside the block.
+
+    Each goes through ``rref`` or, in the span chain, through the row step it
+    shares with ``rref`` (``_eliminate``).
+    """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(la, "rref", _refuse)
+        mp.setattr(la, "_eliminate", _refuse)
         yield
 
 
@@ -161,7 +170,24 @@ def test_trivial_sections_and_projections_run_no_elimination(case):
         u.project(partition, nodes)
 
 
-def test_a_full_span_stops_the_saturation_at_once(monkeypatch):
+class _CountedProducts(np.ndarray):
+    """An integer matrix that records, for each product ``dot`` forms with it, how many vectors it took."""
+
+    def dot(self, other):
+        self.products.append(other.shape[1])
+        return np.asarray(self).dot(other)
+
+
+def _counted(rows) -> _CountedProducts:
+    """``rows`` as an integer matrix that ``invariant_span`` takes as it is and counts the products of."""
+    m = np.array(rows, dtype=object).view(_CountedProducts)
+    m.products = []
+    return m
+
+
+@pytest.fixture
+def echelon_calls(monkeypatch):
+    """The shape of every matrix ``invariant_span`` hands to ``column_echelon``."""
     original, calls = la.column_echelon, []
 
     def counted(m):
@@ -169,14 +195,34 @@ def test_a_full_span_stops_the_saturation_at_once(monkeypatch):
         return original(m)
 
     monkeypatch.setattr(la, "column_echelon", counted)
-    a = la.fmat([[1, 2, 0], [0, 1, 3], [5, 0, 1]])
-    b = la.fmat([[1], [0], [0]])
-    assert np.array_equal(la.invariant_span(a, b), np.identity(3, dtype=object))
-    # e1, then e1 and A e1, then all three: no fourth elimination to see nothing grow
-    assert len(calls) == 3
-    calls.clear()
-    la.invariant_span(a, la.eye(3))
-    assert len(calls) == 1
+    return calls
+
+
+def test_a_full_span_stops_the_saturation_at_once(echelon_calls):
+    a = _counted([[1, 2, 0], [0, 1, 3], [5, 0, 1]])
+    identity = np.identity(3, dtype=object)
+    e1 = np.array([[1], [0], [0]], dtype=object)
+    assert np.array_equal(la.invariant_span(a, e1), identity)
+    # e1, then Ia e1, then Ia^2 e1 fills the space: each step multiplies the one vector the step
+    # before it added, no product follows the fill and nothing is canonicalized
+    assert a.products == [1, 1] and echelon_calls == []
+    # b = I fills the space and a zero b spans {0} before any product, with no elimination at all
+    for b, want in ((identity, identity), (np.zeros((3, 1), dtype=object), np.zeros((3, 0), dtype=object))):
+        a.products.clear()
+        with no_elimination():
+            got = la.invariant_span(a, b)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert a.products == [] and echelon_calls == []
+
+
+def test_a_proper_span_multiplies_only_new_vectors_and_is_canonicalized_once(echelon_calls):
+    # Ia maps e1 to e2, e2 to 0 and e3 to itself, so the span of e1 and e3 grows to e1, e2, e3 and stops
+    a = _counted([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
+    b = np.array([[2, 0], [0, 0], [0, 3], [0, 0]], dtype=object)
+    got = la.invariant_span(a, b)
+    assert np.array_equal(got, np.identity(4, dtype=object)[:, :3])
+    # e1 and e3, then e2 alone (Ia e3 = e3 adds nothing), then nothing: one canonicalization
+    assert a.products == [2, 1] and echelon_calls == [(4, 3)]
 
 
 # the seed-1 ladder profiles -------------------------------------------------
