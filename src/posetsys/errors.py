@@ -8,7 +8,9 @@ class PosetSysError(Exception):
 class CycleError(PosetSysError):
     """The transitive closure of the given edges contains a nontrivial cycle.
 
-    Carries a witness cycle as a list of node labels.
+    Carries a witness cycle as a list of node labels, first and last equal:
+    the shortest cycle of the given edges through the smallest node on one.
+    No other node repeats, and a self-loop is never the witness.
     """
 
     def __init__(self, cycle):

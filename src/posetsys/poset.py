@@ -80,9 +80,9 @@ def build_poset(p: int, edges) -> Poset:
 
     Each node's set of nodes below it is closed by Warshall's loop: for each
     node k in turn, every set that holds k takes in k's set. Raises
-    CycleError (with a witness cycle) if the closure relates two distinct
-    nodes in both directions: the smallest node j on a cycle and the
-    smallest other node above j and below it, walked on the raw edges.
+    CycleError if the closure relates two distinct nodes in both directions;
+    its witness is the shortest cycle of raw edges through the smallest node
+    that lies on a cycle (``_witness_cycle``).
     """
     if p < 1:
         raise IndexOutOfRange("a poset needs at least one element")
@@ -97,35 +97,32 @@ def build_poset(p: int, edges) -> Poset:
             if k in reach:
                 reach |= below
     for j in range(1, p + 1):
-        for i in sorted(succ[j]):  # not set order, so the witness depends on the edges alone
+        for i in succ[j]:  # any order: the witness depends on j alone
             if i != j and j in succ[i]:
-                raise CycleError(_witness_cycle(j, i, edges))
+                raise CycleError(_witness_cycle(j, edges))
     relation = frozenset((j, i) for j in succ for i in succ[j])
     return Poset(p=p, relation=relation)
 
 
-def _witness_cycle(a: int, b: int, edges) -> list[int]:
-    """A path a -> ... -> b -> ... -> a through the raw edges (BFS both legs)."""
+def _witness_cycle(a: int, edges) -> list[int]:
+    """The shortest cycle a -> ... -> a through the raw edges, by one BFS from a.
+
+    Each node's successors are taken in increasing order, so the cycle depends
+    on the edge set alone. A self-loop at a is skipped. A shortest closed walk
+    through a repeats no node, so the result is a cycle; a must lie on one.
+    """
     adj: dict[int, list[int]] = {}
-    for j, i in edges:
+    for j, i in sorted({(j, i) for j, i in edges}):
         adj.setdefault(j, []).append(i)
-
-    def path(src, dst):
-        frontier = [[src]]
-        seen = {src}
-        while frontier:
-            trail = frontier.pop(0)
-            if trail[-1] == dst:
-                return trail
-            for nxt in adj.get(trail[-1], []):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(trail + [nxt])
-        return [src, dst]
-
-    first = path(a, b)
-    second = path(b, a)
-    return first + second[1:]
+    trails = [[a]]
+    seen = {a}
+    for trail in trails:  # the list grows as it is read: the BFS queue
+        for nxt in adj.get(trail[-1], []):
+            if nxt == a and len(trail) > 1:
+                return trail + [a]
+            if nxt not in seen:
+                seen.add(nxt)
+                trails.append(trail + [nxt])
 
 
 _KINDS = ("down", "up", "strict_down", "strict_up")

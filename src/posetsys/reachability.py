@@ -27,6 +27,7 @@ from .blockmat import BlockMatrix
 from .errors import (
     NotWeaklyLocallyControllable,
     ShapeMismatch,
+    SingularMatrix,
     StructureViolation,
 )
 from .poset import Poset
@@ -253,13 +254,15 @@ def char_poly_factored(a: BlockMatrix, poset: Poset) -> CharPolyFactorization:
 
 
 def _ackermann(a: np.ndarray, b: np.ndarray, target: list) -> np.ndarray:
-    """Single-input feedback row f with char(A + b f) = target (b is n x 1)."""
+    """Single-input feedback row f with char(A + b f) = target (b is n x 1).
+
+    f = -e_n^T K^-1 target(A) with K = [b, Ab, ..., A^(n-1) b]; the row
+    e_n^T K^-1 is one solve with K^T. Raises SingularMatrix if (A, b) is not
+    controllable.
+    """
     n = a.shape[0]
-    ctrb = ctrb_matrix(a, b)
-    inv = la.inverse(ctrb)
-    last = inv[n - 1 : n, :]
-    poly_a = la.poly_eval_matrix(target, a)
-    return -la.mdot(last, poly_a)
+    last = la.solve(ctrb_matrix(a, b).T, la.eye(n)[:, n - 1 :]).T
+    return -la.mdot(last, la.poly_eval_matrix(target, a))
 
 
 def _check_target(target, size: int):
@@ -313,18 +316,16 @@ def _place_block(a: np.ndarray, b: np.ndarray, target: list, rng: random.Random)
     if m == 1:
         block = _ackermann(a, b, target)
     else:
-        block = None
         for _ in range(200):
             pre = la.fmat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
             mix = la.fmat([[rng.randint(-3, 3)] for _ in range(m)])
-            shifted = a + la.mdot(b, pre)
-            single = la.mdot(b, mix)
-            if la.rank(ctrb_matrix(shifted, single)) != n:
+            try:  # a candidate whose single input does not control the shifted block is refused
+                row = _ackermann(a + la.mdot(b, pre), la.mdot(b, mix), target)
+            except SingularMatrix:
                 continue
-            row = _ackermann(shifted, single, target)
             block = pre + la.mdot(mix, row)
             break
-        if block is None:
+        else:
             raise StructureViolation("single-input reduction failed to converge (internal bug)")
     if la.char_poly(a + la.mdot(b, block)) != target:
         raise StructureViolation("local placement verification failed (internal bug)")

@@ -283,13 +283,13 @@ def derived(sys: PosetCausalSystem, kind: str, i: int | None = None) -> PosetCau
 
 
 def transfer_eval(sys: PosetCausalSystem, s) -> BlockMatrix:
-    """Exact D + C (sI - A)^-1 B; the result respects the poset pattern."""
+    """Exact D + C X with (sI - A) X = B, one solve; the result respects the poset pattern."""
     s = la.exact_entry(s)
     try:
-        res = la.inverse(s * la.eye(sys.state_dim) - sys.A.entries)
+        x = la.solve(s * la.eye(sys.state_dim) - sys.A.entries, sys.B.entries)
     except SingularMatrix as exc:
         raise SingularResolvent(f"{s} is an eigenvalue of A") from exc
-    f = sys.D.entries + la.mdot(sys.C.entries, la.mdot(res, sys.B.entries))
+    f = sys.D.entries + la.mdot(sys.C.entries, x)
     out = BlockMatrix(f, sys.r, sys.m)
     if not is_incident(out, sys.poset):
         raise StructureViolation("transfer function left the incidence space (internal bug)")

@@ -438,7 +438,7 @@ def fixpoint_poset(p: int, edges) -> Poset:
     for j in range(1, p + 1):
         for i in sorted(succ[j]):
             if i != j and j in succ[i]:
-                raise CycleError(_witness_cycle(j, i, edges))
+                raise CycleError(_witness_cycle(j, edges))
     return Poset(p=p, relation=frozenset((j, i) for j in succ for i in succ[j]))
 
 
@@ -475,6 +475,34 @@ def ix_model_slices(sys, mats, kind: str, i=None) -> tuple:
     x, u, y = (part.indices(k) for part, k in zip((sys.n, sys.m, sys.r), model_nodes(sys.poset, kind, i)))
     a, b, c, *d = mats
     return (a[np.ix_(x, x)], b[np.ix_(x, u)], c[np.ix_(y, x)], *(m[np.ix_(y, u)] for m in d))
+
+
+def inverted_ackermann(a: np.ndarray, b: np.ndarray, target: list) -> np.ndarray:
+    """``reachability._ackermann`` reading the last row of the Krylov matrix's full inverse."""
+    n = a.shape[0]
+    inv = la.inverse(ctrb_matrix(a, b))
+    return -la.mdot(inv[n - 1 : n, :], la.poly_eval_matrix(target, a))
+
+
+def ranked_place_block(a: np.ndarray, b: np.ndarray, target: list, rng: random.Random):
+    """``reachability._place_block`` testing each candidate by the rank of its Krylov matrix.
+
+    Returns (block, refused): the feedback block and the number of candidates refused before it.
+    """
+    n = a.shape[0]
+    m = b.shape[1]
+    if n == 0:
+        return la.zeros(m, 0), 0
+    if m == 1:
+        return inverted_ackermann(a, b, target), 0
+    for refused in range(200):
+        pre = la.fmat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
+        mix = la.fmat([[rng.randint(-3, 3)] for _ in range(m)])
+        shifted = a + la.mdot(b, pre)
+        single = la.mdot(b, mix)
+        if la.rank(ctrb_matrix(shifted, single)) == n:
+            return pre + la.mdot(mix, inverted_ackermann(shifted, single, target)), refused
+    raise AssertionError("no candidate controls the block")
 
 
 def closure_oracle(p: int, edges) -> set:

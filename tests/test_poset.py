@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from conftest import (
@@ -51,10 +52,16 @@ def test_build_rejects_cycle_with_witness():
         # Warshall's closure met 16 first in the set below 6 and gave [6, 15, 16, 6]
         (19, [(10, 7), (3, 19), (14, 7), (15, 16), (6, 19), (13, 8), (11, 2), (6, 15), (15, 6), (16, 6)],
          [6, 15, 6]),
+        # joining a BFS path 1 -> 2 to a path 2 -> 1 gave the closed walk [1, 3, 2, 3, 1]
+        (3, [(1, 3), (3, 2), (2, 3), (3, 1)], [1, 3, 1]),
+        # and here [1, 11, 4, 11, 16, 1], which passes 11 twice
+        (22, [(16, 1), (19, 18), (19, 21), (20, 19), (9, 6), (9, 5), (11, 4), (14, 4), (9, 4), (11, 16),
+              (14, 7), (3, 3), (1, 11), (3, 12), (4, 11), (13, 2)], [1, 11, 16, 1]),
     ],
 )
 def test_the_cycle_witness_does_not_depend_on_set_order(p, edges, witness):
-    # the smallest node on a cycle leaves through the smallest node above it and below it
+    # the witness is the shortest cycle through the smallest node on a cycle, found by one BFS that
+    # takes each node's successors in increasing order
     for order in (edges, edges[::-1], sorted(edges)):
         with pytest.raises(CycleError) as info:
             build_poset(p, order)
@@ -282,8 +289,8 @@ def test_dual_poset_is_handed_the_cones_swapped(rng):
 
 
 def test_cycles_are_refused_as_the_fixpoint_closure_refuses_them(rng):
-    # both closures read each node's set in sorted order, so they give the same witness: it starts
-    # at the smallest node on a cycle and walks the raw edges
+    # both closures hand the smallest node on a cycle to the same BFS, so they give the same witness:
+    # a cycle of raw edges that starts there
     cyclic = 0
     for _ in range(1500):
         p = rng.randint(1, 10)
@@ -295,8 +302,36 @@ def test_cycles_are_refused_as_the_fixpoint_closure_refuses_them(rng):
                 build_poset(p, edges)
             cycle = info.value.cycle
             assert cycle == exc.cycle and cycle[0] == cycle[-1] and len(cycle) > 2
+            assert len(set(cycle)) == len(cycle) - 1, (edges, cycle)
             assert all(step in edges for step in zip(cycle, cycle[1:])), (edges, cycle)
             cyclic += 1
         else:
             assert build_poset(p, edges) == expected
     assert 300 < cyclic < 1200
+
+
+def test_every_witness_is_a_shortest_cycle_through_the_smallest_node_on_one(rng):
+    # shortest paths over the raw edges (scipy), an oracle independent of the BFS in _witness_cycle
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    cyclic = 0
+    for _ in range(400):
+        p = rng.randint(9, 40)
+        edges = [(rng.randint(1, p), rng.randint(1, p)) for _ in range(rng.randint(p // 2, 3 * p // 2))]
+        adjacency = np.zeros((p + 1, p + 1))
+        for j, i in edges:
+            adjacency[j, i] = 1
+        dist = csgraph.shortest_path(adjacency, unweighted=True)
+        on_cycle = [j for j in range(1, p + 1) if any(
+            i != j and dist[j, i] < np.inf and dist[i, j] < np.inf for i in range(1, p + 1))]
+        if not on_cycle:
+            assert build_poset(p, edges).p == p
+            continue
+        with pytest.raises(CycleError) as info:
+            build_poset(p, edges)
+        cycle = info.value.cycle
+        a = min(on_cycle)
+        assert cycle[0] == cycle[-1] == a and len(set(cycle)) == len(cycle) - 1 > 1, (edges, cycle)
+        assert all(step in edges for step in zip(cycle, cycle[1:])), (edges, cycle)
+        assert len(cycle) - 1 == min(dist[a, u] + 1 for u in range(1, p + 1) if u != a and (u, a) in edges)
+        cyclic += 1
+    assert 100 < cyclic < 350

@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,11 @@ from conftest import (
     random_locally_controllable_system,
     random_poset,
     random_system,
+    ranked_place_block,
 )
 from posetsys import _linalg as la
 from posetsys import corpus
+from posetsys import reachability
 from posetsys.blockmat import BlockMatrix, Partition
 from posetsys.corpus import load_corpus_system
 from posetsys.errors import NotWeaklyLocallyControllable, ShapeMismatch
@@ -240,6 +243,46 @@ def test_pole_place_randomized_multi_input(rng):
         for j in poset.nodes:
             closed = sys.A.block(j, j) + la.mdot(sys.B.block(j, j), f.block(j, j))
             assert la.char_poly(closed) == targets[j]
+
+
+def test_place_block_equals_the_rank_tested_oracle(rng):
+    # one solve with the Krylov matrix per candidate refuses the candidates the rank test refused and
+    # accepts the same one, after the same draws. A repeated input column makes the mixed single input
+    # vanish whenever its two weights cancel, so some multi-input blocks refuse candidates first
+    placed = refusing = 0
+    while placed < 300:
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        a = la.fmat([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        b = la.fmat([[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)])
+        if m > 1 and rng.random() < 0.75:
+            b[:, 1] = b[:, 0]
+        if la.rank(ctrb_matrix(a, b)) != n:
+            continue
+        target = [la.F(rng.randint(-3, 3)) for _ in range(n)] + [la.F(1)]
+        seed = rng.randrange(2**32)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        block = reachability._place_block(a, b, target, ours)
+        expected, refused = ranked_place_block(a, b, target, theirs)
+        assert np.array_equal(block, expected)
+        assert ours.getstate() == theirs.getstate()
+        placed += 1
+        refusing += refused > 0
+    assert refusing >= 10
+
+
+def test_pole_place_equals_the_rank_tested_oracle(rng, monkeypatch):
+    # the same feedback, block by block, as pole_place assembled from the oracle's blocks
+    systems = []
+    for _ in range(20):
+        poset = random_poset(rng, rng.randint(1, 4))
+        sys = random_locally_controllable_system(rng, poset, max_block=3)
+        targets = {j: [la.F(rng.randint(-3, 3)) for _ in range(sys.n.size(j))] + [la.F(1)]
+                   for j in poset.nodes}
+        systems.append((sys, targets, rng.randrange(100)))
+    ours = [pole_place(sys, targets, seed).entries for sys, targets, seed in systems]
+    monkeypatch.setattr(reachability, "_place_block", lambda *args: ranked_place_block(*args)[0])
+    for f, (sys, targets, seed) in zip(ours, systems):
+        assert np.array_equal(f, pole_place(sys, targets, seed).entries)
 
 
 def test_pole_place_rejects_uncontrollable_with_witness():

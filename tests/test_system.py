@@ -15,6 +15,7 @@ from posetsys.errors import (
     IndexOutOfRange,
     PartitionMismatch,
     ShapeMismatch,
+    SingularMatrix,
     SingularResolvent,
     ValidationError,
 )
@@ -202,6 +203,21 @@ def test_transfer_eval_singular_resolvent():
     sys = load_corpus_system("kalman-structured-gap")
     with pytest.raises(SingularResolvent):
         transfer_eval(sys, 1)  # 1 is an eigenvalue of A
+
+
+@pytest.mark.parametrize("name", sorted({Path(f).stem for f in corpus._SYSTEM_FILES.values()}))
+def test_transfer_eval_equals_the_inverse_route_on_the_shipped_systems(name):
+    # one solve (sI - A) X = B against the full inverse of sI - A multiplied into B, then into C
+    sys = load_corpus_system(name)
+    for s in (la.F(0), la.F(1), la.F(-3, 7), la.F(5, 2), la.F(11)):
+        try:
+            res = la.inverse(s * la.eye(sys.state_dim) - sys.A.entries)
+        except SingularMatrix:
+            with pytest.raises(SingularResolvent):
+                transfer_eval(sys, s)
+            continue
+        dense = sys.D.entries + la.mdot(sys.C.entries, la.mdot(res, sys.B.entries))
+        assert np.array_equal(transfer_eval(sys, s).entries, dense)
 
 
 def test_x0_round_trip_and_default():
