@@ -18,7 +18,7 @@ from .blockmat import (
     structured_inverse,
     structured_multiply,
 )
-from .duality import DualityReport, verify_duality
+from .duality import DualityReport, profile_via_duality, verify_duality
 from .errors import (
     AmbientMismatch,
     CycleError,
@@ -41,7 +41,6 @@ from .errors import (
 from .fileio import load_system, save_system, system_from_dict, system_to_dict
 from .observability import (
     ObservabilityProfile,
-    profile_via_duality,
     unobservable,
     upstream_indistinguishable,
 )

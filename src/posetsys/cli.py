@@ -32,9 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ana = sub.add_parser("analyze", help="full reachability/observability/duality/reduction report")
     p_ana.add_argument("path")
-    group = p_ana.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="structured output (default)")
-    group.add_argument("--text", action="store_true", help="human-readable summary")
+    p_ana.add_argument("--text", action="store_true", help="human-readable summary (default: JSON)")
     p_ana.add_argument("--skip-duality", action="store_true",
                        help="omit the duality identity section")
 

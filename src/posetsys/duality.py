@@ -1,23 +1,74 @@
-"""Explicit verification of the reachability/observability duality identities.
+"""The paper's duality: its map of spaces, the dual route, and the check of every identity.
 
-Both sides of every identity are computed independently: reachability and
-observability profiles of the system and of its dual, with no shared
-intermediate results; which spaces pair up is read from
-``observability.DUAL_SPACES``. Failures are collected, never raised; a failing
-entry means an implementation bug somewhere in this package.
+``DUAL_SPACES`` pairs each per-node and per-pair observability space of a
+system with the reachability space of the dual system whose orthogonal
+complement, in its blocks and at the swapped key (``dual_key``), it is. One
+complement map, ``_dual_route``, reads that pairing off a dual reachability
+profile; both users of the dual system's profile read it:
+
+* ``profile_via_duality`` recovers the observability profile from the dual
+  system's reachability, with no kernel computed; ``report.analyze`` requires
+  it to equal the direct ``observability.profile``;
+* ``verify_duality`` checks every identity exactly, with both sides computed
+  independently: reachability and observability profiles of the system and
+  of its dual, with no shared intermediate results. Each per-key identity is
+  the route of one side against the profile of the other, in both
+  directions; each aggregate compares a global complement with a direct sum
+  of blocks, and each flag the verdicts of the two sides. Failures are
+  collected, never raised; a failing entry means an implementation bug
+  somewhere in this package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .observability import DUAL_SPACES, dual_key
+from .fileio import format_rational
+from .observability import ObservabilityProfile
 from .observability import profile as obs_profile
 from .reachability import profile as reach_profile
 from .subspace import Subspace
 from .system import PosetCausalSystem, dual_system
 
-__all__ = ["DualityReport", "IdentityCheck", "verify_duality"]
+__all__ = ["DUAL_SPACES", "DualityReport", "IdentityCheck", "dual_key", "profile_via_duality",
+           "verify_duality"]
+
+
+# The paper's duality map: each per-node and per-pair observability space of a
+# system is the orthogonal complement, in its blocks, of this reachability
+# space of the dual system at the swapped key (``dual_key``).
+DUAL_SPACES = {
+    "upstream": "downstream",
+    "confined": "projected",
+    "projected": "exclusive",
+    "node_floor": "node_ceiling",
+    "node_independent": "node_independent",
+    "node_ceiling": "node_floor",
+}
+
+
+def dual_key(key):
+    """The key of the paired space on the other side: pairs transpose, nodes stay."""
+    return key[::-1] if isinstance(key, tuple) else key
+
+
+def _dual_route(rp) -> dict:
+    """Each ``DUAL_SPACES`` field read off the dual reachability profile ``rp``, by complements."""
+    return {
+        name: {dual_key(key): space.complement() for key, space in getattr(rp, dual_name).items()}
+        for name, dual_name in DUAL_SPACES.items()
+    }
+
+
+def profile_via_duality(sys: PosetCausalSystem) -> ObservabilityProfile:
+    """Recover the observability profile from the dual system's reachability.
+
+    Every space is the orthogonal complement, in its blocks, of the dual
+    reachability space that ``DUAL_SPACES`` pairs it with; no kernel is ever
+    computed.
+    """
+    rp = reach_profile(dual_system(sys))
+    return ObservabilityProfile(unobservable=rp.reachable.complement(), **_dual_route(rp))
 
 
 @dataclass(frozen=True)
@@ -59,8 +110,8 @@ def _check(name: str, scope: str, lhs: Subspace, rhs: Subspace) -> IdentityCheck
         name=name,
         scope=scope,
         ok=False,
-        lhs=[[str(x) for x in v] for v in lhs.vectors()],
-        rhs=[[str(x) for x in v] for v in rhs.vectors()],
+        lhs=[[format_rational(x) for x in v] for v in lhs.vectors()],
+        rhs=[[format_rational(x) for x in v] for v in rhs.vectors()],
     )
 
 
@@ -98,15 +149,13 @@ def verify_duality(sys: PosetCausalSystem) -> DualityReport:
         checks.append(_check(f"dual unobs {name} = {dual_name}^perp", "aggregate",
                              getattr(opd, name), getattr(rp, dual_name).complement()))
 
-    # each space of one system is the complement, in its blocks, of the paired space of the other
+    # each observability space of one system is the dual route, at its key, of the other's reachability
+    sides = (("dual unobs", opd, _dual_route(rp), ""), ("unobs", op, _dual_route(rpd), "dual "))
     for name, dual_name in DUAL_SPACES.items():
-        for key, space in getattr(opd, name).items():
-            rhs = getattr(rp, dual_name)[dual_key(key)].complement()
-            checks.append(_check(f"dual unobs {name} = {dual_name}^perp", _scope(key), space, rhs))
-        for key, space in getattr(op, name).items():
-            lhs = getattr(rpd, dual_name)[dual_key(key)]
-            checks.append(_check(f"dual {dual_name} = unobs {name}^perp", _scope(key),
-                                 lhs, space.complement()))
+        for obs_label, obs, route, reach_label in sides:
+            for key, space in getattr(obs, name).items():
+                checks.append(_check(f"{obs_label} {name} = {reach_label}{dual_name}^perp",
+                                     _scope(key), space, route[name][key]))
 
     for reach_flag, obs_flag, both_ways in _FLAGS:
         checks.append(_flag(f"{reach_flag} <-> dual {obs_flag}", "flags",

@@ -1,4 +1,4 @@
-"""Unobservable subspaces, their structured bounds, and the dual route.
+"""Unobservable subspaces and their structured bounds, by direct kernel computations.
 
 Everything mirrors the reachability side through the dual system: the
 upstream model at node i yields the states indistinguishable from zero when
@@ -10,14 +10,15 @@ only output i is watched. Structured bounds:
   set (weakly downstream observable <=> equals {0}),
 * ``ceiling``     - the smallest structured subspace containing it.
 
-``profile`` computes these directly; ``profile_via_duality`` recomputes them
-from the reachability profile of the dual system. The two must agree exactly,
-which is the strongest self-check this package has. Both profiles are
-assembled by one construction, ``reachability._cuts``: it cuts each per-node
-set at every block of its cone and folds the cuts block by block. Here the
-cones are up-sets and the fold is the intersection, where reachability has
-down-sets and the sum, the reversed order and the complement of duality.
-One assembly meets three independent kernel and span algorithms:
+``profile`` computes these directly. The dual route, which recomputes them
+as complements of the dual system's reachability spaces, lives with the rest
+of the paper's duality in ``duality``; the two must agree exactly, which is
+the strongest self-check this package has. Both profiles are assembled by
+one construction, ``reachability._cuts``: it cuts each per-node set at every
+block of its cone and folds the cuts block by block. Here the cones are
+up-sets and the fold is the intersection, where reachability has down-sets
+and the sum, the reversed order and the complement of duality. One assembly
+meets three independent kernel and span algorithms:
 
 * the per-node upstream sets are certified kernels
   (``_linalg.certified_kernel``): rows of the observability matrix chosen
@@ -39,19 +40,10 @@ from functools import reduce
 from . import _linalg as la
 from .errors import StructureViolation
 from .reachability import BlockProfile, _cuts
-from .reachability import profile as reach_profile
 from .subspace import Subspace
-from .system import PosetCausalSystem, dual_system, model_integers
+from .system import PosetCausalSystem, model_integers
 
-__all__ = [
-    "ObservabilityProfile",
-    "unobservable",
-    "upstream_indistinguishable",
-    "DUAL_SPACES",
-    "dual_key",
-    "profile",
-    "profile_via_duality",
-]
+__all__ = ["ObservabilityProfile", "unobservable", "upstream_indistinguishable", "profile"]
 
 
 def unobservable(sys: PosetCausalSystem) -> Subspace:
@@ -120,19 +112,6 @@ class ObservabilityProfile(BlockProfile):
         yield "weakly_locally_observable", all(space.is_zero() for space in confined)
 
 
-# The paper's duality map: each per-node and per-pair observability space of a
-# system is the orthogonal complement, in its blocks, of this reachability
-# space of the dual system at the swapped key (``dual_key``).
-DUAL_SPACES = {
-    "upstream": "downstream",
-    "confined": "projected",
-    "projected": "exclusive",
-    "node_floor": "node_ceiling",
-    "node_independent": "node_independent",
-    "node_ceiling": "node_floor",
-}
-
-
 def profile(sys: PosetCausalSystem) -> ObservabilityProfile:
     """Compute every observability subspace and flag by direct kernel computations."""
     n = sys.n
@@ -166,23 +145,3 @@ def profile(sys: PosetCausalSystem) -> ObservabilityProfile:
         node_floor=node_floor,
         node_ceiling=node_ceiling,
     )
-
-
-def dual_key(key):
-    """The key of the paired space on the other side: pairs transpose, nodes stay."""
-    return key[::-1] if isinstance(key, tuple) else key
-
-
-def profile_via_duality(sys: PosetCausalSystem) -> ObservabilityProfile:
-    """Recover the observability profile from the dual system's reachability.
-
-    Every space is the orthogonal complement, in its blocks, of the dual
-    reachability space that ``DUAL_SPACES`` pairs it with; no kernel is ever
-    computed.
-    """
-    rp = reach_profile(dual_system(sys))
-    spaces = {
-        name: {dual_key(key): space.complement() for key, space in getattr(rp, dual_name).items()}
-        for name, dual_name in DUAL_SPACES.items()
-    }
-    return ObservabilityProfile(unobservable=rp.reachable.complement(), **spaces)

@@ -108,7 +108,7 @@ def _compress(sys: PosetCausalSystem, subspace: Subspace, poset, n, m, r) -> Pos
     """
     (ia, ib, ic), (d, e, f) = sys._integer_form
     vi = subspace.integer_basis
-    p = [next(x for x in col if x) for col in vi.T.tolist()]
+    p = subspace.pivots
     k = len(p)
     q, rows = la.normal_equations(vi, np.hstack([ia.dot(vi), ib]))
     rows = rows * np.array(p, dtype=object)[:, None]  # X = diag(p) diag(q) G^-1 [Vi^T Ia Vi, Vi^T Ib]

@@ -11,10 +11,9 @@ import json
 from dataclasses import fields
 from math import gcd
 
-from .duality import DualityReport, verify_duality
-from .errors import StructureViolation
+from .duality import DualityReport, profile_via_duality, verify_duality
+from .errors import ParseError, StructureViolation
 from .observability import profile as obs_profile
-from .observability import profile_via_duality
 from .reachability import profile as reach_profile
 from .reduction import REDUCTION_VARIANTS, poset_reduce
 from .subspace import Subspace
@@ -30,13 +29,17 @@ def _over(x: int, pivot: int):
 
 
 def _space(sub: Subspace) -> dict:
-    """The canonical basis (pivots 1), each entry its integer column's entry over the column's pivot."""
+    """The canonical basis (pivots 1), each entry its integer column's entry over the column's pivot.
+
+    A fraction too long for decimal text (``sys.get_int_max_str_digits()``)
+    raises ``ParseError``; an integer that long raises it in ``render_json``.
+    """
     columns = sub.integer_basis.T.tolist()
-    pivots = [next(x for x in col if x) for col in columns]
-    return {
-        "dim": sub.dim,
-        "basis": [[_over(x, pivot) for x in col] for col, pivot in zip(columns, pivots)],
-    }
+    try:
+        basis = [[_over(x, pivot) for x in col] for col, pivot in zip(columns, sub.pivots)]
+    except ValueError as exc:  # a numerator or denominator over the digit limit
+        raise ParseError(f"cannot write the analysis: {exc}") from exc
+    return {"dim": sub.dim, "basis": basis}
 
 
 def _pair_key(key) -> str:
@@ -101,7 +104,11 @@ def analyze(sys: PosetCausalSystem, skip_duality: bool = False) -> dict:
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """The report as indented JSON; an integer too long for decimal text raises ``ParseError``."""
+    try:
+        return json.dumps(report, indent=2) + "\n"
+    except ValueError as exc:  # an integer over the digit limit
+        raise ParseError(f"cannot write the analysis: {exc}") from exc
 
 
 def _chain(dims) -> str:

@@ -80,10 +80,14 @@ class Subspace:
         return cls._canonical(ambient, la.column_echelon(columns))
 
     @cached_property
+    def pivots(self) -> tuple:
+        """The first nonzero entry of each canonical integer column, in column order."""
+        return tuple(next(x for x in col if x) for col in self.integer_basis.T.tolist())
+
+    @cached_property
     def basis(self) -> np.ndarray:
         """The canonical basis with pivots 1, in Fractions: each integer column over its pivot."""
-        pivots = [next(x for x in col if x) for col in self.integer_basis.T.tolist()]
-        out = la.exact_over(self.integer_basis, [1] * self.ambient, pivots)
+        out = la.exact_over(self.integer_basis, [1] * self.ambient, self.pivots)
         out.flags.writeable = False
         return out
 

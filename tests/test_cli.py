@@ -383,6 +383,24 @@ def test_a_reduction_too_long_to_write_exits_2_and_writes_nothing(tmp_path, caps
     assert not out.exists()
 
 
+def test_an_analysis_too_long_to_write_exits_2_with_nothing_on_stdout(tmp_path, capsys):
+    # every entry is within the limit, but ker C, the unobservable set, holds an entry of 10^5000:
+    # over its pivot in the first system, and as an integer over the pivot 1 in the second
+    zero = [[0] * 3 for _ in range(3)]
+    over_pivot = _one_node_file(tmp_path, "over-pivot.json", zero, [[1], [0], [0]],
+                                [["1", "1e2500", "0"], ["0", "1", "1e2500"]])
+    integer = _one_node_file(tmp_path, "integer.json", zero, [[], [], []],
+                             [["1e2500", "-1", "0"], ["0", "1e2500", "-1"]])
+    for src, flags in ((over_pivot, []), (over_pivot, ["--text"]), (integer, [])):
+        assert _run(capsys, "validate", str(src))[0] == 0
+        code, stdout, err = _run(capsys, "analyze", str(src), *flags)
+        assert code == 2, (src, flags)
+        assert stdout == "" and err.startswith("error: cannot write the analysis:"), (src, flags, err)
+        assert err.count("\n") == 1
+    # the summary writes no basis entry, so it has nothing too long to write
+    assert _run(capsys, "analyze", str(integer), "--text")[0] == 0
+
+
 def test_simulate_a_system_without_inputs(tmp_path, capsys):
     # a 2-state oscillator from x0 = (1, 0); its signal file holds the time column alone
     doc = {"poset": {"p": 1, "edges": []}, "partitions": {"n": [2], "m": [0], "r": [1]},

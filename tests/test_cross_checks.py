@@ -12,7 +12,7 @@ import dataclasses
 
 import pytest
 
-from posetsys import observability, reachability, report
+from posetsys import duality, observability, reachability, report
 from posetsys.corpus import load_corpus_system
 from posetsys.errors import StructureViolation
 from posetsys.subspace import Subspace
@@ -77,6 +77,6 @@ def test_a_wrong_dual_floor_fails_the_route_check(sys, monkeypatch):
         floor = {**prof.node_floor, 1: prof.node_floor[1].complement()}
         return dataclasses.replace(prof, node_floor=floor)
 
-    monkeypatch.setattr(observability, "reach_profile", wrong_floor)
+    monkeypatch.setattr(duality, "reach_profile", wrong_floor)
     with pytest.raises(StructureViolation, match="direct and duality observability routes disagree"):
         report.analyze(sys)

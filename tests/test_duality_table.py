@@ -19,8 +19,7 @@ from conftest import coordinate_subspace, random_poset, random_system
 from posetsys import _linalg as la
 from posetsys import duality
 from posetsys.corpus import load_corpus_system
-from posetsys.duality import verify_duality
-from posetsys.observability import DUAL_SPACES, dual_key, profile_via_duality
+from posetsys.duality import DUAL_SPACES, dual_key, profile_via_duality, verify_duality
 from posetsys.observability import profile as obs_profile
 from posetsys.poset import build_poset, derived_set
 from posetsys.reachability import profile as reach_profile
@@ -246,3 +245,20 @@ def test_a_replaced_space_fails_both_routes(monkeypatch, side, field):
     monkeypatch.setattr(duality, attr, patched)
     assert not verify_duality(sys).ok
     assert not all(ok for _, _, ok in hand_verify_duality(sys))
+
+
+def test_a_failing_identity_writes_its_bases_as_every_other_basis(monkeypatch):
+    # an integer entry is an int and any other entry "a/b", as fileio.format_rational writes them
+    sys = load_corpus_system("strict-chain-combined")
+    real = duality.obs_profile
+
+    def patched(s):
+        prof = real(s)
+        return replace(prof, upstream=_replace_one(prof.upstream)) if s is sys else prof
+
+    monkeypatch.setattr(duality, "obs_profile", patched)
+    failures = [c for c in verify_duality(sys).failures if c.scope != "flags"]
+    assert failures
+    entries = [x for c in failures for basis in (c.lhs, c.rhs) for v in basis for x in v]
+    assert 1 in entries
+    assert all(type(x) is int or (type(x) is str and "/" in x) for x in entries)

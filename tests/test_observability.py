@@ -7,11 +7,8 @@ from conftest import (
 )
 from posetsys import _linalg as la
 from posetsys.corpus import load_corpus_system
-from posetsys.observability import (
-    profile,
-    profile_via_duality,
-    upstream_indistinguishable,
-)
+from posetsys.duality import profile_via_duality
+from posetsys.observability import profile, upstream_indistinguishable
 from posetsys.poset import build_poset
 from posetsys.subspace import Subspace
 from posetsys.system import PosetCausalSystem, dual_system

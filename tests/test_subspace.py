@@ -153,6 +153,14 @@ def test_vectors_serialization_round_trip():
     assert again.equals(u)
 
 
+def test_pivots_are_the_first_entries_of_the_canonical_columns():
+    u = Subspace.from_columns(3, [[2, 1, 0], [0, 1, 3]])
+    assert u.integer_basis.T.tolist() == [[2, 0, -3], [0, 1, 3]]
+    assert u.pivots == (2, 1)
+    assert u.vectors() == [[1, 0, F(-3, 2)], [0, 1, 3]]
+    assert Subspace.zero(3).pivots == () and Subspace.full(2).pivots == (1, 1)
+
+
 def test_zero_ambient_space():
     z = Subspace.full(0)
     assert z.dim == 0
