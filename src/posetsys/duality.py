@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fileio import format_rational
+from .fileio import format_basis
 from .observability import ObservabilityProfile
 from .observability import profile as obs_profile
 from .reachability import profile as reach_profile
@@ -110,8 +110,8 @@ def _check(name: str, scope: str, lhs: Subspace, rhs: Subspace) -> IdentityCheck
         name=name,
         scope=scope,
         ok=False,
-        lhs=[[format_rational(x) for x in v] for v in lhs.vectors()],
-        rhs=[[format_rational(x) for x in v] for v in rhs.vectors()],
+        lhs=format_basis(lhs),
+        rhs=format_basis(rhs),
     )
 
 

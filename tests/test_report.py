@@ -9,7 +9,9 @@ import pytest
 
 from posetsys import _linalg as la
 from posetsys import report
-from posetsys.fileio import format_rational, load_system
+from posetsys.corpus import load_corpus_system
+from posetsys.errors import ParseError
+from posetsys.fileio import format_basis, format_rational, load_system
 from posetsys.subspace import Subspace
 from test_global_sets_oracle import LADDER_SYSTEMS, ladder_seed_1  # noqa: F401
 
@@ -56,7 +58,34 @@ def test_a_space_renders_its_integer_basis_as_the_fraction_route_does(columns):
     # each entry over its column's pivot, in lowest terms: the same ints and "a/b" strings as
     # format_rational gives on the Fraction basis that Subspace.vectors() forms
     sub = Subspace(len(columns), la.fmat(columns))
-    assert report._space(sub) == {
-        "dim": sub.dim,
-        "basis": [[format_rational(x) for x in vec] for vec in sub.vectors()],
-    }
+    assert format_basis(sub) == [[format_rational(x) for x in vec] for vec in sub.vectors()]
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_analyze_returns_every_space_as_a_subspace_and_text_formats_none(monkeypatch):
+    doc = report.analyze(load_corpus_system("strict-chain-combined"))
+    # every profile space, global or per key, and every reduction's subspace is a Subspace,
+    # and every other leaf of the report is a plain value
+    spaces = [doc[side][name] for side in ("reachability", "observability") for name in doc[side]
+              if name not in ("flags", "duality_route_agrees")]
+    spaces = [sub for s in spaces for sub in (s.values() if isinstance(s, dict) else [s])]
+    spaces += [info["subspace"] for info in doc["reduction"].values()]
+    assert spaces and all(type(sub) is Subspace for sub in spaces)
+    assert [x for x in _leaves(doc) if type(x) not in (bool, int, str)] == spaces
+
+    def refuse(sub):
+        raise ValueError("a basis was formatted")
+
+    monkeypatch.setattr(report, "format_basis", refuse)
+    assert report.render_text(doc).startswith("system: p=4 state_dim=11 valid=yes")
+    with pytest.raises(ParseError, match="cannot write the analysis: a basis was formatted"):
+        report.render_json(doc)
