@@ -15,9 +15,11 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from . import _linalg as la
 from .blockmat import BlockMatrix
-from .fileio import load_system
+from .fileio import format_basis, load_system
 from .poset import (
     Poset,
     build_poset,
@@ -95,13 +97,12 @@ def load_corpus_system(name: str) -> PosetCausalSystem:
 
 
 def _span(ambient: int, combos) -> Subspace:
-    cols = []
-    for combo in combos:
-        vec = [0] * ambient
-        for index, coef in combo.items():
-            vec[index - 1] = coef
-        cols.append(vec)
-    return Subspace.from_columns(ambient, cols)
+    if not combos:
+        return Subspace.zero(ambient)
+    cols = np.zeros((ambient, len(combos)), dtype=object)
+    for k, combo in enumerate(combos):
+        cols[[index - 1 for index in combo], k] = list(combo.values())
+    return Subspace._span(ambient, cols)
 
 
 def _fmt_vector(vec) -> str:
@@ -121,7 +122,7 @@ def _fmt_vector(vec) -> str:
 def _fmt_space(space: Subspace) -> str:
     if space.is_zero():
         return "{0}"
-    return "span{" + ", ".join(_fmt_vector(v) for v in space.vectors()) + "}"
+    return "span{" + ", ".join(_fmt_vector(v) for v in format_basis(space)) + "}"
 
 
 def _space_check(label: str, computed: Subspace, combos) -> DemoCheck:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _linalg as la
 from .errors import CycleError, IncompatibleShapes, IndexOutOfRange, ParseError, PosetSysError
-from .poset import build_poset
+from .poset import build_poset, hasse_edges
 from .sim import InputSignal, Trajectory
 from .system import PosetCausalSystem
 
@@ -166,8 +166,6 @@ def _matrix_doc(entries: np.ndarray) -> list:
 
 
 def system_to_dict(sys: PosetCausalSystem) -> dict:
-    from .poset import hasse_edges
-
     doc = {
         "poset": {"p": sys.poset.p, "edges": [list(e) for e in sorted(hasse_edges(sys.poset))]},
         "partitions": {"n": list(sys.n.sizes), "m": list(sys.m.sizes), "r": list(sys.r.sizes)},

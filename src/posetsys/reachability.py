@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _linalg as la
-from .blockmat import BlockMatrix
+from .blockmat import BlockMatrix, is_incident
 from .errors import (
     NotWeaklyLocallyControllable,
     ShapeMismatch,
@@ -238,8 +238,6 @@ def char_poly_factored(a: BlockMatrix, poset: Poset) -> CharPolyFactorization:
     The product is verified exactly against the characteristic polynomial of
     the whole matrix.
     """
-    from .blockmat import is_incident
-
     if a.row_partition != a.col_partition:
         raise ShapeMismatch("characteristic polynomial needs a square block matrix")
     if not is_incident(a, poset):

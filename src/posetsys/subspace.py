@@ -27,11 +27,13 @@ Fractions appear only at the boundary, and ``_linalg`` crosses it both ways:
 ``Subspace(ambient, basis)`` takes any exact matrix and clears each column
 of its denominators (``_linalg.cleared_rows`` of the transpose; an integer
 matrix, such as a Krylov matrix of integer slices, is taken as it is), and
-``basis``, the pivot-1 form that ``vectors()`` and ``contains_vector`` read,
-is each integer column over its pivot (``_linalg.exact_over``), formed on
-first use. ``project_onto`` and the reductions solve their normal equations
-on the integer bases (``_linalg.normal_equations``) and never read
-``basis``.
+``basis`` is each integer column over its pivot (``_linalg.exact_over``),
+formed on first use. ``basis`` is output only: ``vectors()``,
+``reduction.Compression.basis`` and ``ReducedSystem.block_basis`` read it,
+and no computation does. ``apply`` and ``contains_vector`` clear their exact
+operand to one common denominator (``_linalg.cleared``) and work on
+``integer_basis``; ``project_onto`` and the reductions solve their normal
+equations on the integer bases (``_linalg.normal_equations``).
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 
 from . import _linalg as la
 from .blockmat import Partition
-from .errors import AmbientMismatch
+from .errors import AmbientMismatch, IncompatibleShapes
 
 __all__ = ["Subspace", "image", "kernel", "direct_sum"]
 
@@ -147,7 +149,7 @@ class Subspace:
         v = la.fvec(vec)
         if v.size != self.ambient:
             raise AmbientMismatch(f"vector has {v.size} entries, ambient is {self.ambient}")
-        return la.rank(np.hstack([self.basis, v])) == self.dim
+        return la.rank(np.hstack([self.integer_basis, la.cleared(v)[0]])) == self.dim
 
     # lattice operations -----------------------------------------------
 
@@ -193,8 +195,16 @@ class Subspace:
     # maps and projections ----------------------------------------------
 
     def apply(self, matrix: np.ndarray) -> "Subspace":
-        """Image of this subspace under a linear map (rows = new ambient)."""
-        return Subspace(matrix.shape[0], la.mdot(matrix, self.basis))
+        """Image of this subspace under an exact linear map (rows = new ambient), in integers.
+
+        The map over one common denominator (``_linalg.cleared``) spans the
+        same image, so it is the span of Im times the integer basis. A map
+        whose width is not ``ambient`` raises ``IncompatibleShapes``; a float
+        or bool entry raises ``exact_entry``'s TypeError.
+        """
+        if matrix.shape[1] != self.ambient:
+            raise IncompatibleShapes(f"cannot multiply {matrix.shape} by {(self.ambient, self.dim)}")
+        return Subspace._span(matrix.shape[0], la.cleared(matrix)[0].dot(self.integer_basis))
 
     def project_onto(self, target: "Subspace") -> "Subspace":
         """Orthogonal projection of this subspace onto ``target``, on the integer bases.

@@ -9,9 +9,10 @@ import pytest
 from conftest import random_poset, random_system
 from posetsys import cli, report
 from posetsys.cli import main
-from posetsys.corpus import demo_names, system_path
+from posetsys.corpus import demo_names, run_demo, system_path
 from posetsys.fileio import load_system, save_system, system_to_dict
 from posetsys.reduction import REDUCTION_VARIANTS, poset_reduce
+from posetsys.subspace import Subspace
 
 
 def _run(capsys, *argv):
@@ -219,6 +220,19 @@ DEMO_SHA256 = "f6b39b42c47989cac424def482b80bebcd038b8678ffa69c1df3c9bc08f18520"
 
 
 def test_demo_output_is_pinned(capsys):
+    code, out, err = _run(capsys, "demo")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == DEMO_SHA256
+
+
+def test_every_demo_passes_without_a_fraction_basis(capsys, monkeypatch):
+    # the demo compares and writes spans from the integer basis alone
+    def refuse(space):
+        raise AssertionError("Subspace.basis was read")
+
+    monkeypatch.setattr(Subspace, "basis", property(refuse))
+    for name in demo_names():
+        assert run_demo(name).ok, name
     code, out, err = _run(capsys, "demo")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == DEMO_SHA256

@@ -1,11 +1,18 @@
+import dataclasses
 from fractions import Fraction as F
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetsys import _linalg as la
 from posetsys.blockmat import Partition
-from posetsys.errors import AmbientMismatch
+from posetsys.errors import AmbientMismatch, IncompatibleShapes
+from posetsys.fileio import load_system
+from posetsys.observability import profile as obs_profile
+from posetsys.reachability import profile as reach_profile
 from posetsys.subspace import Subspace, direct_sum, image, kernel
 
 
@@ -214,3 +221,92 @@ def test_a_list_basis_is_made_exact():
     line = Subspace(2, [[1], [0]])
     assert line == Subspace.from_columns(2, [[1, 0]])
     assert Subspace(2, [[2, 0], [0, 0]]) == line
+
+
+# apply and contains_vector on the integer basis ------------------------------
+# Each must equal, by ==, the Fraction route it replaced: the map times the
+# pivot-1 basis, and the rank of the pivot-1 basis beside the vector.
+
+
+def _fraction_apply(space, matrix):
+    return Subspace(matrix.shape[0], la.mdot(matrix, space.basis))
+
+
+def _fraction_contains_vector(space, vec):
+    return la.rank(np.hstack([space.basis, la.fvec(vec)])) == space.dim
+
+
+def _random_map(rng, rows, cols):
+    entries = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)]
+    return la.fmat(entries).reshape(rows, cols)  # reshape: [] loses a 0 x cols shape
+
+
+def _assert_integer_routes_match(rng, space):
+    vectors = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(space.ambient)] for _ in range(3)]
+    coords = la.fmat([[F(rng.randint(-2, 2), rng.randint(1, 2))] for _ in range(space.dim)]).reshape(-1, 1)
+    vectors.append(la.mdot(space.basis, coords).ravel().tolist())  # a vector inside the space
+    for vec in vectors:
+        assert space.contains_vector(vec) == _fraction_contains_vector(space, vec)
+    for rows in (0, 1, space.ambient, space.ambient + 2):
+        matrix = _random_map(rng, rows, space.ambient)
+        assert space.apply(matrix) == _fraction_apply(space, matrix)
+
+
+SHIPPED = sorted(f.name for f in resources.files("posetsys.data").iterdir() if f.name.endswith(".json"))
+
+
+def _profile_spaces(prof) -> list:
+    spaces = []
+    for f in dataclasses.fields(prof):
+        value = getattr(prof, f.name)
+        if isinstance(value, Subspace):
+            spaces.append(value)
+        elif isinstance(value, dict):
+            spaces.extend(value[key] for key in sorted(value))
+    return spaces
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_apply_and_contains_vector_equal_the_fraction_route_on_the_shipped_profiles(rng, name):
+    sys = load_system(resources.files("posetsys.data").joinpath(name))
+    a = sys.A.entries
+    for space in _profile_spaces(reach_profile(sys)) + _profile_spaces(obs_profile(sys)):
+        if space.ambient == sys.state_dim:
+            assert space.apply(a) == _fraction_apply(space, a)
+        _assert_integer_routes_match(rng, space)
+
+
+_entries = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def _space_and_map(draw):
+    ambient = draw(st.integers(0, 5))
+    column = st.lists(_entries, min_size=ambient, max_size=ambient)
+    spanned = st.lists(column, max_size=ambient + 1).map(lambda cols: Subspace.from_columns(ambient, cols))
+    space = draw(st.one_of(st.sampled_from([Subspace.zero(ambient), Subspace.full(ambient)]), spanned))
+    rows = draw(st.integers(0, 6))
+    matrix = la.fmat(draw(st.lists(column, min_size=rows, max_size=rows))).reshape(rows, ambient)
+    vec = draw(column)
+    return space, matrix, vec
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_space_and_map())
+def test_apply_and_contains_vector_equal_the_fraction_route_on_any_operand(case):
+    space, matrix, vec = case
+    assert space.apply(matrix) == _fraction_apply(space, matrix)
+    assert space.contains_vector(vec) == _fraction_contains_vector(space, vec)
+
+
+def test_apply_keeps_the_old_contract():
+    line = Subspace.from_columns(3, [[1, 2, 0]])
+    with pytest.raises(IncompatibleShapes, match=r"^cannot multiply \(2, 2\) by \(3, 1\)$"):
+        line.apply(la.eye(2))
+    with pytest.raises(IncompatibleShapes, match=r"^cannot multiply \(3, 4\) by \(3, 1\)$"):
+        line.apply(la.zeros(3, 4))
+    for bad in (np.eye(3), np.array([[0.5, 0, 0]] * 3, dtype=object),
+                np.array([[True, 0, 0]] * 3, dtype=object)):
+        with pytest.raises(TypeError, match="exact rational"):
+            line.apply(bad)
+    assert line.apply(np.array([[0, 1, 0], [2, 0, 0]])) == Subspace.from_columns(2, [[2, 2]])
