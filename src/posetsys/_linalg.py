@@ -58,17 +58,21 @@ Ia only the vectors its last step added and canonicalizes once, and
 ``invariant_kernel`` shrinks the unobservable set (for ``unobservable``).
 ``certified_kernel`` finds each per-node unobservable set (for
 ``upstream_indistinguishable``) from the rows of the observability matrix
-that stay independent modulo a prime, and certifies it exactly. ``char_poly`` (Faddeev-LeVerrier on the cleared
-matrix) and ``poly_eval_matrix`` (Horner's rule on the cleared matrix and
-coefficients) clear ``m`` once and multiply Python ints: neither calls
-``mdot``, and each forms its Fractions once, at the end.
+that stay independent modulo a prime, and certifies it exactly. ``char_poly``
+and ``poly_eval_matrix`` clear ``m`` once and multiply Python ints: neither
+calls ``mdot``, and each forms its Fractions once, at the end.
+``integer_char_poly`` (not in ``__all__``, like ``cleared``) takes the power
+sums of the cleared matrix from about 2 sqrt(n) products, by baby steps and
+giant steps, and Newton's identities turn them into the coefficients;
+``poly_over`` divides them by powers of the denominator. ``poly_eval_matrix``
+is Horner's rule on the cleared matrix and coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import attrgetter, truediv
+from operator import attrgetter, mul, truediv
 
 import numpy as np
 
@@ -557,34 +561,65 @@ def solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def char_poly(m: np.ndarray) -> list[Fraction]:
     """Coefficients of det(lambda I - m), low degree first, leading 1.
 
-    ``m`` is cleared once, to Ia / d, and the Faddeev-LeVerrier recursion
-    runs on the integer matrix Ia: M_1 = I, M_(k+1) = Ia M_k + c_(n-k) I
-    with c_(n-k) = -tr(Ia M_k) / k. The c_j are the integer coefficients of
-    det(lambda I - Ia), so every division by k is exact; one that is not
-    raises ArithmeticError. Scaling lambda by d gives c_j / d^(n-j), the
-    coefficients of ``m``.
+    ``m`` is cleared once, to Ia / d, and ``integer_char_poly`` gives the
+    integer coefficients c_j of det(lambda I - Ia). Scaling lambda by d gives
+    c_j / d^(n-j), the coefficients of ``m`` (``poly_over``).
     """
     n, nc = m.shape
     if n != nc:
         raise IncompatibleShapes("characteristic polynomial of a non-square matrix")
     a_ints, d = cleared(m)
-    coeffs = [0] * n + [1]
-    diagonal = np.arange(n)
-    prod = a_ints.copy()  # Ia M_1
+    return poly_over(integer_char_poly(a_ints), d)
+
+
+def integer_char_poly(a_ints: np.ndarray) -> list[int]:
+    """Integer coefficients of det(lambda I - Ia) for a square integer matrix, low degree first.
+
+    The power sums p_k = tr(Ia^k), k = 1..n, come from baby steps Ia^1 ..
+    Ia^s, s = isqrt(n), and giant steps Ia^(js), j >= 2, each made only once
+    a trace needs it. With k = i + js and 1 <= i <= s, p_k is tr(Ia^i) for
+    j = 0 and otherwise the elementwise product sum of Ia^i and
+    (Ia^(js))^T, so about 2 sqrt(n) matrix products are made (Preparata and
+    Sarwate, Inf. Process. Lett. 7, 1978). Newton's identities,
+    k c_(n-k) = -sum_(i=1..k) c_(n-k+i) p_i with c_n = 1, then give the
+    coefficients. They are integers, so every division by k is exact; one
+    that is not raises ArithmeticError. Not in ``__all__``, like ``cleared``.
+    """
+    n = a_ints.shape[0]
+    s = isqrt(n)
+    baby = [a_ints]  # baby[i - 1] = Ia^i
+    for _ in range(1, s):
+        baby.append(a_ints.dot(baby[-1]))
+    sums = [0]  # sums[k] = p_k
+    giant = None  # Ia^(js); None while j = 0
     for k in range(1, n + 1):
-        trace = prod.trace()
-        c, rest = divmod(-trace, k)
+        j, i = divmod(k - 1, s)
+        if j and not i:
+            giant = baby[-1] if j == 1 else giant.dot(baby[-1])
+        sums.append(baby[i].trace() if giant is None else (baby[i] * giant.T).sum())
+    coeffs = [0] * n + [1]
+    for k in range(1, n + 1):
+        total = sum(map(mul, coeffs[n - k + 1 :], sums[1 : k + 1]))
+        c, rest = divmod(-total, k)
         if rest:
-            raise ArithmeticError(f"Faddeev-LeVerrier step {k}: trace {trace} is not divisible by {k}")
+            raise ArithmeticError(f"Newton identity {k}: {total} is not divisible by {k}")
         coeffs[n - k] = c
-        if k < n:
-            prod[diagonal, diagonal] += c
-            prod = a_ints.dot(prod)
+    return coeffs
+
+
+def poly_over(coeffs: list[int], d: int) -> list[Fraction]:
+    """The coefficients c_j / d^(n-j) of det(lambda I - Ia / d), from those c_j of det(lambda I - Ia).
+
+    Not in ``__all__``, like ``exact_over``: the one place a characteristic
+    polynomial leaves the integers.
+    """
+    n = len(coeffs) - 1
     return [Fraction(c, d ** (n - j)) for j, c in enumerate(coeffs)]
 
 
-def poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+def poly_mul(p: list, q: list) -> list:
+    """The product of two polynomials, low degree first; int operands give ints."""
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         for j, b in enumerate(q):
             out[i + j] += a * b

@@ -235,20 +235,29 @@ class CharPolyFactorization:
 def char_poly_factored(a: BlockMatrix, poset: Poset) -> CharPolyFactorization:
     """Per-block characteristic polynomials whose product is the full one.
 
-    The product is verified exactly against the characteristic polynomial of
-    the whole matrix.
+    ``a`` is cleared once, to Ia / d, so every diagonal block of Ia shares the
+    denominator d. The block polynomials of Ia are multiplied on Python ints
+    and the product is verified exactly against the characteristic
+    polynomial of the whole of Ia; only then are the blocks and the product
+    formed as Fractions, the polynomials of ``a``'s blocks and of ``a``.
     """
     if a.row_partition != a.col_partition:
         raise ShapeMismatch("characteristic polynomial needs a square block matrix")
     if not is_incident(a, poset):
         raise StructureViolation("matrix does not respect the poset pattern")
-    blocks = {j: la.char_poly(a.block(j, j)) for j in poset.nodes}
-    product = [Fraction(1)]
+    ints, d = la.cleared(a.entries)
+    blocks = {}
+    product = [1]
     for j in poset.nodes:
+        rows = a.row_partition.block_range(j)
+        blocks[j] = la.integer_char_poly(ints[rows.start : rows.stop, rows.start : rows.stop])
         product = la.poly_mul(product, blocks[j])
-    if product != la.char_poly(a.entries):
+    if product != la.integer_char_poly(ints):
         raise StructureViolation("block factorization disagrees with the full matrix (internal bug)")
-    return CharPolyFactorization(blocks=blocks, product=product)
+    return CharPolyFactorization(
+        blocks={j: la.poly_over(coeffs, d) for j, coeffs in blocks.items()},
+        product=la.poly_over(product, d),
+    )
 
 
 def _ackermann(a: np.ndarray, b: np.ndarray, target: list) -> np.ndarray:

@@ -187,6 +187,26 @@ def fraction_char_poly(m):
     return coeffs
 
 
+def faddeev_leverrier_char_poly(a_ints):
+    """The integer Faddeev-LeVerrier recursion ``_linalg.char_poly`` ran before its power traces.
+
+    M_1 = I, M_(k+1) = Ia M_k + c_(n-k) I with c_(n-k) = -tr(Ia M_k) / k: the
+    integer coefficients of det(lambda I - Ia), low degree first.
+    """
+    n = a_ints.shape[0]
+    coeffs = [0] * n + [1]
+    diagonal = np.arange(n)
+    prod = a_ints.copy()  # Ia M_1
+    for k in range(1, n + 1):
+        c, rest = divmod(-prod.trace(), k)
+        assert rest == 0, (k, prod.trace())
+        coeffs[n - k] = c
+        if k < n:
+            prod[diagonal, diagonal] += c
+            prod = a_ints.dot(prod)
+    return coeffs
+
+
 def fraction_poly_eval_matrix(p, m):
     """The Fraction Horner loop ``_linalg.poly_eval_matrix`` ran before it moved to ints."""
     n = m.shape[0]
