@@ -59,13 +59,12 @@ Ia only the vectors its last step added and canonicalizes once, and
 ``certified_kernel`` finds each per-node unobservable set (for
 ``upstream_indistinguishable``) from the rows of the observability matrix
 that stay independent modulo a prime, and certifies it exactly. ``char_poly``
-and ``poly_eval_matrix`` clear ``m`` once and multiply Python ints: neither
-calls ``mdot``, and each forms its Fractions once, at the end.
-``integer_char_poly`` (not in ``__all__``, like ``cleared``) takes the power
-sums of the cleared matrix from about 2 sqrt(n) products, by baby steps and
-giant steps, and Newton's identities turn them into the coefficients;
-``poly_over`` divides them by powers of the denominator. ``poly_eval_matrix``
-is Horner's rule on the cleared matrix and coefficients.
+clears ``m`` once and multiplies Python ints: it calls no ``mdot`` and forms
+its Fractions once, at the end. ``integer_char_poly`` (not in ``__all__``,
+like ``cleared``) takes the power sums of the cleared matrix from about
+2 sqrt(n) products, by baby steps and giant steps, and Newton's identities
+turn them into the coefficients; ``poly_over`` divides them by powers of the
+denominator.
 """
 
 from __future__ import annotations
@@ -98,7 +97,6 @@ __all__ = [
     "char_poly",
     "poly_mul",
     "poly_eval",
-    "poly_eval_matrix",
     "mat_to_float",
 ]
 
@@ -631,27 +629,6 @@ def poly_eval(p: list[Fraction], x: Fraction) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def poly_eval_matrix(p: list[Fraction], m: np.ndarray) -> np.ndarray:
-    """The exact matrix p(m) = sum_j p[j] m^j.
-
-    ``m`` is cleared once, to Ia / d, and ``p`` to C_j / D, so p(m) is
-    sum_j C_j d^(deg-j) Ia^j over D d^deg: Horner's rule on ints, divided once.
-    """
-    n = m.shape[0]
-    if not p:
-        return zeros(n, n)
-    a_ints, d = cleared(m)
-    den = lcm(*(c.denominator for c in p))
-    deg = len(p) - 1
-    diagonal = np.arange(n)
-    acc = np.zeros((n, n), dtype=object)
-    for j in range(deg, -1, -1):
-        if j < deg:
-            acc = a_ints.dot(acc)
-        acc[diagonal, diagonal] += p[j].numerator * (den // p[j].denominator) * d ** (deg - j)
-    return exact_over(acc, [den * d**deg] * n, [1] * n)
 
 
 def mat_to_float(m: np.ndarray) -> np.ndarray:

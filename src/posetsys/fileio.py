@@ -155,7 +155,7 @@ def system_from_dict(doc: dict) -> PosetCausalSystem:
         mats[name] = mat
     x0 = None
     if doc.get("x0") is not None:
-        x0 = [parse_rational(v) for v in _list(doc["x0"], "x0")]
+        x0 = _parse_matrix([_list(doc["x0"], "x0")], "x0")[0].tolist()
         if len(x0) != sum(n):
             raise ParseError(f"x0 has {len(x0)} entries, expected {sum(n)}")
     return PosetCausalSystem(poset=poset, n=n, m=m, r=r, x0=x0, **mats)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -212,12 +213,15 @@ def profile(sys: PosetCausalSystem) -> ReachabilityProfile:
     return prof
 
 
+def _locally_controllable(sys: PosetCausalSystem, j: int) -> bool:
+    """Whether the local pair (A_jj, B_jj) is controllable: the rank of its integer Krylov matrix."""
+    a, b, _ = model_integers(sys, "local", j)  # multiples of the local A and of its B's columns
+    return la.rank(ctrb_matrix(a, b)) == sys.n.size(j)
+
+
 def weakly_locally_controllable(sys: PosetCausalSystem):
     """(flag, per-node detail): every local pair must be controllable."""
-    detail = {}
-    for i in sys.poset.nodes:
-        a, b, _ = model_integers(sys, "local", i)  # multiples of the local A and of its B's columns
-        detail[i] = la.rank(ctrb_matrix(a, b)) == sys.n.size(i)
+    detail = {j: _locally_controllable(sys, j) for j in sys.poset.nodes}
     return all(detail.values()), detail
 
 
@@ -261,15 +265,21 @@ def char_poly_factored(a: BlockMatrix, poset: Poset) -> CharPolyFactorization:
 
 
 def _ackermann(a: np.ndarray, b: np.ndarray, target: list) -> np.ndarray:
-    """Single-input feedback row f with char(A + b f) = target (b is n x 1).
+    """Single-input feedback row f with char(A + b f) = target, of degree n (b is n x 1).
 
-    f = -e_n^T K^-1 target(A) with K = [b, Ab, ..., A^(n-1) b]; the row
-    e_n^T K^-1 is one solve with K^T. Raises SingularMatrix if (A, b) is not
-    controllable.
+    f = -q target(A) with q = e_n^T K^-1 and K = [b, Ab, ..., A^(n-1) b]; q is
+    one solve with K^T, which raises SingularMatrix if (A, b) is not
+    controllable. With q = Qi / e, A = Ia / d and target = C_j / D, that is
+    -sum_j C_j d^(n-j) Qi Ia^j over e D d^n: Horner's rule on integers.
     """
     n = a.shape[0]
-    last = la.solve(ctrb_matrix(a, b).T, la.eye(n)[:, n - 1 :]).T
-    return -la.mdot(last, la.poly_eval_matrix(target, a))
+    q_ints, e = la.cleared(la.solve(ctrb_matrix(a, b).T, la.eye(n)[:, n - 1 :]).T)
+    a_ints, d = la.cleared(a)
+    c_ints, den = la.cleared(np.array([target], dtype=object))
+    acc = c_ints[0, n] * q_ints
+    for j in range(n - 1, -1, -1):
+        acc = acc.dot(a_ints) + c_ints[0, j] * d ** (n - j) * q_ints
+    return la.exact_over(-acc, [e * den * d**n], [1] * n)
 
 
 def _check_target(target, size: int):
@@ -283,7 +293,11 @@ def pole_place(sys: PosetCausalSystem, targets, seed: int = 0) -> BlockMatrix:
     """Block-diagonal feedback giving each local closed loop a prescribed polynomial.
 
     ``targets`` maps node -> monic coefficient list (low degree first, length
-    n_j + 1), or lists them in node order; it must cover exactly the nodes.
+    n_j + 1), or lists them in node order; it must cover exactly the nodes,
+    and every target is checked before any pair is decided. Each local pair
+    is decided once, in node order, where its block is placed: a single-input
+    pair by ``_ackermann``'s solve, any other by ``_locally_controllable``;
+    the first that is not controllable raises NotWeaklyLocallyControllable.
     Multi-input blocks are reduced to a single input through a randomized
     preliminary feedback, then placed by the companion-matrix formula; the
     per-block and global characteristic polynomials are verified exactly
@@ -293,24 +307,22 @@ def pole_place(sys: PosetCausalSystem, targets, seed: int = 0) -> BlockMatrix:
         targets = dict(enumerate(targets, start=1))
     if set(targets) != set(sys.poset.nodes):
         raise ShapeMismatch(f"targets must cover exactly the nodes 1..{sys.poset.p}")
-    ok, detail = weakly_locally_controllable(sys)
-    if not ok:
-        witness = min(j for j, good in detail.items() if not good)
-        raise NotWeaklyLocallyControllable(witness)
+    targets = {j: _check_target(targets[j], sys.n.size(j)) for j in sys.poset.nodes}
     rng = random.Random(seed)
     f = la.zeros(sys.m.total, sys.n.total)
-    wanted = [Fraction(1)]
     for j in sys.poset.nodes:
-        nj = sys.n.size(j)
-        target = _check_target(targets[j], nj)
-        wanted = la.poly_mul(wanted, target)
-        block = _place_block(sys.A.block(j, j), sys.B.block(j, j), target, rng)
+        if sys.m.size(j) != 1 and not _locally_controllable(sys, j):
+            raise NotWeaklyLocallyControllable(j)
+        try:  # a single-input pair is decided by the one solve with its Krylov matrix
+            block = _place_block(sys.A.block(j, j), sys.B.block(j, j), targets[j], rng)
+        except SingularMatrix:
+            raise NotWeaklyLocallyControllable(j) from None
         rows = sys.m.block_range(j)
         cols = sys.n.block_range(j)
         f[rows.start : rows.stop, cols.start : cols.stop] = block
     feedback = BlockMatrix(f, sys.m, sys.n)
     closed = sys.A.entries + la.mdot(sys.B.entries, feedback.entries)
-    if la.char_poly(closed) != wanted:
+    if la.char_poly(closed) != reduce(la.poly_mul, targets.values(), [1]):
         raise StructureViolation("feedback verification failed (internal bug)")
     return feedback
 

@@ -97,7 +97,10 @@ def expm(m) -> np.ndarray:
     n = a.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    norm = np.linalg.norm(a, 1)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a, 1)
+    if not math.isfinite(norm):  # finite entries whose column sum overflows
+        raise NonFinite("matrix exponential overflows double precision")
     squarings = 0
     if norm > _THETA13:
         squarings = max(0, int(math.ceil(math.log2(norm / _THETA13))))

@@ -208,7 +208,7 @@ def faddeev_leverrier_char_poly(a_ints):
 
 
 def fraction_poly_eval_matrix(p, m):
-    """The Fraction Horner loop ``_linalg.poly_eval_matrix`` ran before it moved to ints."""
+    """p(m) by Horner's rule on Fractions: one ``mdot`` per coefficient."""
     n = m.shape[0]
     acc = la.zeros(n, n)
     for c in reversed(p):
@@ -367,7 +367,7 @@ def looped_solve(m, rhs) -> np.ndarray:
 
 
 def looped_poly_eval_matrix(p, m) -> np.ndarray:
-    """``_linalg.poly_eval_matrix``: Horner's rule on the cleared ``m`` and ``p``, each entry over D d^deg."""
+    """p(m) by Horner's rule on the cleared ``m`` and ``p``, each entry formed over D d^deg in a loop."""
     n = m.shape[0]
     if not p:
         return la.zeros(n, n)
@@ -501,7 +501,7 @@ def inverted_ackermann(a: np.ndarray, b: np.ndarray, target: list) -> np.ndarray
     """``reachability._ackermann`` reading the last row of the Krylov matrix's full inverse."""
     n = a.shape[0]
     inv = la.inverse(ctrb_matrix(a, b))
-    return -la.mdot(inv[n - 1 : n, :], la.poly_eval_matrix(target, a))
+    return -la.mdot(inv[n - 1 : n, :], fraction_poly_eval_matrix(target, a))
 
 
 def ranked_place_block(a: np.ndarray, b: np.ndarray, target: list, rng: random.Random):

@@ -1,16 +1,15 @@
-"""Characteristic polynomials and matrix polynomials on integers, against their oracles.
+"""Characteristic polynomials on integers, against their oracles.
 
 ``_linalg.char_poly`` clears its matrix once and ``_linalg.integer_char_poly``
 takes the power traces of the integer matrix by baby steps and giant steps,
-then Newton's identities; ``_linalg.poly_eval_matrix`` runs Horner's rule on
-the cleared matrix and coefficients. Each must equal, with ``==``, the routine
-it replaced (``fraction_char_poly``, the integer Faddeev-LeVerrier recursion
-``faddeev_leverrier_char_poly``, ``fraction_poly_eval_matrix``), sympy, and a
-route that shares nothing with it: the interpolated determinant for
-``char_poly``, Cayley-Hamilton for ``poly_eval_matrix``. The matrices are
-``hypothesis`` rational and integer matrices, the 0 x 0, 1 x 1 and zero
-matrices, the shipped systems and their duals, and the A matrices of the
-seed-1 reference ladder, each with its diagonal blocks.
+then Newton's identities. Each must equal, with ``==``, the routine it
+replaced (``fraction_char_poly``, the integer Faddeev-LeVerrier recursion
+``faddeev_leverrier_char_poly``), sympy, and two routes that share nothing
+with it: the interpolated determinant, and Cayley-Hamilton, by which the
+polynomial evaluated at its matrix (``looped_poly_eval_matrix``) vanishes.
+The matrices are ``hypothesis`` rational and integer matrices, the 0 x 0,
+1 x 1 and zero matrices, the shipped systems and their duals, and the A
+matrices of the seed-1 reference ladder, each with its diagonal blocks.
 ``reachability.char_poly_factored``, which multiplies its block polynomials
 on ints, must equal the Fraction route it replaced.
 """
@@ -27,7 +26,7 @@ from conftest import (
     char_poly_by_interpolation,
     faddeev_leverrier_char_poly,
     fraction_char_poly,
-    fraction_poly_eval_matrix,
+    looped_poly_eval_matrix,
 )
 from posetsys import _linalg as la
 from posetsys import corpus
@@ -76,18 +75,6 @@ def _fraction(x) -> Fraction:
 
 def sympy_char_poly(m):
     return [_fraction(c) for c in reversed(_sympy(m).charpoly().all_coeffs())]
-
-
-def sympy_poly_eval_matrix(p, m):
-    n = m.shape[0]
-    power, acc = sympy.eye(n), sympy.zeros(n, n)
-    for c in p:
-        acc += sympy.Rational(c.numerator, c.denominator) * power
-        power = power * _sympy(m)
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        out[i, :] = [_fraction(x) for x in acc.row(i)]
-    return out
 
 
 def sympy_integer_char_poly(ints):
@@ -142,12 +129,6 @@ def assert_char_poly_oracles(m):
     assert got == fraction_char_poly(m)
     assert got == sympy_char_poly(m)
     assert got == char_poly_by_interpolation(m)
-
-
-def assert_poly_eval_oracles(p, m):
-    got = la.poly_eval_matrix(p, m)
-    assert_identical(got, fraction_poly_eval_matrix(p, m))
-    assert_identical(got, sympy_poly_eval_matrix(p, m))
 
 
 @SETTINGS
@@ -244,33 +225,24 @@ def test_char_poly_factored_of_the_demo_closed_loops_is_the_fraction_route(monke
         assert_factored_is_the_fraction_route(a, poset)
 
 
-@SETTINGS
-@given(POLYNOMIALS, SQUARE)
-def test_poly_eval_matrix_matches_the_oracles(p, m):
-    assert_poly_eval_oracles(p, m)
+def assert_cayley_hamilton(m):
+    assert_identical(looped_poly_eval_matrix(la.char_poly(m), m), la.zeros(*m.shape))
 
 
 @SETTINGS
 @given(SQUARE)
-def test_poly_eval_matrix_of_the_char_poly_vanishes(m):
-    # Cayley-Hamilton: an independent route to the zero matrix
-    assert_identical(la.poly_eval_matrix(la.char_poly(m), m), la.zeros(*m.shape))
+def test_char_poly_satisfies_cayley_hamilton(m):
+    assert_cayley_hamilton(m)
 
 
 @pytest.mark.parametrize("m", EDGE_MATRICES.values(), ids=EDGE_MATRICES.keys())
-def test_poly_eval_matrix_edge_matrices_match_the_oracles(m):
-    for p in ([], [Fraction(0)], [Fraction(5, 3)], [Fraction(1, 10**30), Fraction(-2), Fraction(1)]):
-        assert_poly_eval_oracles(p, m)
-    assert_identical(la.poly_eval_matrix(la.char_poly(m), m), la.zeros(*m.shape))
+def test_char_poly_of_the_edge_matrices_satisfies_cayley_hamilton(m):
+    assert_cayley_hamilton(m)
 
 
 @pytest.mark.parametrize("k", range(sum(LADDER_SYSTEMS.values())))
-def test_poly_eval_matrix_on_the_reference_ladder_matches_the_oracles(ladder_seed_1, k):  # noqa: F811
-    a = ladder_seed_1[k].A.entries
-    n = a.shape[0]
-    target = [Fraction(j - 2, j + 1) for j in range(n)] + [Fraction(1)]
-    assert_poly_eval_oracles(target, a)
-    assert_identical(la.poly_eval_matrix(la.char_poly(a), a), la.zeros(n, n))
+def test_char_poly_of_the_reference_ladder_satisfies_cayley_hamilton(ladder_seed_1, k):  # noqa: F811
+    assert_cayley_hamilton(ladder_seed_1[k].A.entries)
 
 
 def _factored_with_one_side_perturbed(monkeypatch, shape):

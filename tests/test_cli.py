@@ -326,6 +326,19 @@ def test_simulate_beyond_double_precision_exits_1(tmp_path, capsys, breakage, na
     assert out == "" and err.startswith("error:") and named in err
 
 
+@pytest.mark.parametrize("check", [[], ["--check-lemma"]])
+def test_simulate_with_a_step_whose_exponential_norm_overflows_exits_1(tmp_path, capsys, check):
+    # B h holds 1e308 twice in one column: finite entries, an infinite 1-norm
+    sig = tmp_path / "sig.txt"
+    sig.write_text("0 1 2\n0.1 1 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, "simulate", str(system_path("two-node-local-gap")), str(sig),
+                              "--h", "1e308", *check)
+    assert code == 1 and out == ""
+    assert err == "error: matrix exponential overflows double precision\n"
+
+
 @pytest.mark.parametrize("width", [0, 1, 3])
 def test_simulate_signal_of_the_wrong_width_exits_2(tmp_path, capsys, width):
     sig = tmp_path / "sig.txt"

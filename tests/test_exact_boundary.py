@@ -29,7 +29,6 @@ from conftest import (
     looped_basis,
     looped_krylov,
     looped_mdot,
-    looped_poly_eval_matrix,
     looped_solve,
     random_poset,
     random_system,
@@ -42,7 +41,7 @@ from posetsys.reduction import moments_equal
 from posetsys.subspace import Subspace, kernel
 from posetsys.system import PosetCausalSystem, dual_system
 from test_global_sets_oracle import LADDER_SYSTEMS, ladder_seed_1  # noqa: F401
-from test_linalg_oracle import RATIONALS, matrices, products
+from test_linalg_oracle import matrices, products
 from test_power_loop_oracle import SHIPPED, _stem, old_moments_equal, one_node, power_moments_equal
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True)
@@ -179,12 +178,6 @@ def test_solve_and_inverse_match_the_row_loop(data, n, cols):
         return
     assert_same(la.solve(m, rhs), want)
     assert_same(la.inverse(m), looped_solve(m, la.eye(n)))
-
-
-@SETTINGS
-@given(st.lists(RATIONALS, max_size=5), st.integers(0, 4).flatmap(lambda n: matrices(rows=n, cols=n)))
-def test_poly_eval_matrix_matches_the_horner_loop(p, m):
-    assert_same(la.poly_eval_matrix(p, m), looped_poly_eval_matrix(p, m))
 
 
 @SETTINGS

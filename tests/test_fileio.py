@@ -143,6 +143,20 @@ def test_malformed_documents_raise_parse_error():
             system_from_dict(doc)
 
 
+@pytest.mark.parametrize("x0, reason", [
+    ([[1], 0], r"\[1\]: cannot use \[1\] as an exact rational entry"),
+    (["1e5000", 0], "'1e5000': exponent exceeds"),
+])
+def test_a_bad_x0_entry_is_named_as_a_matrix_entry_is(x0, reason):
+    doc = json.loads(system_path("two-node-local-gap").read_text())
+    doc["x0"] = x0
+    with pytest.raises(ParseError, match=f"^x0: bad rational entry {reason}"):
+        system_from_dict(doc)
+    doc["A"], doc["x0"] = [[x0[0], 0], [0, 0]], None
+    with pytest.raises(ParseError, match=f"^A: bad rational entry {reason}"):
+        system_from_dict(doc)
+
+
 def test_negative_partition_size_is_named_before_any_shape():
     doc = json.loads(system_path("two-node-local-gap").read_text())
     doc["poset"] = {"p": 1, "edges": []}

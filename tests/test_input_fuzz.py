@@ -5,6 +5,11 @@ is fuzzed too, and applies a few random mutations: a value anywhere in the
 tree is replaced by one of another type (scalars for lists, floats and
 booleans for sizes, strings, nulls, NaN) or a key or list element is dropped.
 A document that loads must keep its sizes exactly, not truncated.
+
+``simulate`` is fuzzed on the shipped documents unmutated: grid steps from
+10^-320 to 10^308 and signal values up to 1e308 in magnitude, with and
+without ``--check-lemma``, where a matrix exponential or a trajectory beyond
+double precision must be reported, not raised.
 """
 
 import contextlib
@@ -100,4 +105,37 @@ def test_analyze_exit_code_is_0_1_or_2(doc):
             code = main(["analyze", str(path)])
     assert code in (0, 1, 2)
     if code == 2:
+        assert err.getvalue().startswith("error:")
+
+
+@st.composite
+def simulate_runs(draw):
+    """(document, signal text, argv flags): a shipped document, a signal and its flags."""
+    doc = DOCS[draw(st.sampled_from(sorted(DOCS)))]
+    width = sum(doc["partitions"]["m"])
+    values = st.floats(-1e308, 1e308, allow_nan=False)
+    rows = draw(st.lists(st.lists(values, min_size=width, max_size=width), min_size=1, max_size=4))
+    signal = "".join(" ".join(map(repr, [k / 10, *row])) + "\n" for k, row in enumerate(rows))
+    # the ends as often as not: at 1e308, B h has finite entries and an infinite 1-norm
+    exponent = draw(st.sampled_from([-320, 308]) | st.integers(-320, 308))
+    flags = ["--h", f"1e{exponent}"]
+    if draw(st.booleans()):
+        flags.append("--check-lemma")
+    return doc, signal, flags
+
+
+@settings(FUZZ, max_examples=100)
+@given(simulate_runs())
+def test_simulate_exit_code_is_0_1_or_2(run):
+    doc, signal, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path, signal_path = Path(tmp) / "system.json", Path(tmp) / "signal.txt"
+        path.write_text(json.dumps(doc))
+        signal_path.write_text(signal)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["simulate", str(path), str(signal_path), *flags])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code and "bound" not in err.getvalue():  # a failed --check-lemma prints its report instead
         assert err.getvalue().startswith("error:")

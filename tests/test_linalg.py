@@ -84,9 +84,6 @@ def test_char_poly_companion():
 def test_poly_helpers():
     assert la.poly_mul([F(1), F(1)], [F(-1), F(1)]) == [F(-1), F(0), F(1)]
     assert la.poly_eval([F(2), F(0), F(1)], F(3)) == 11
-    m = la.fmat([[1, 1], [0, 1]])
-    res = la.poly_eval_matrix([F(-1), F(0), F(1)], m)  # m^2 - I
-    assert np.array_equal(res, la.fmat([[0, 2], [0, 0]]))
 
 
 def test_mdot_empty_operands():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     coordinate_subspace,
+    inverted_ackermann,
     named_poset,
     random_locally_controllable_system,
     random_poset,
@@ -19,7 +20,7 @@ from posetsys import corpus
 from posetsys import reachability
 from posetsys.blockmat import BlockMatrix, Partition
 from posetsys.corpus import load_corpus_system
-from posetsys.errors import NotWeaklyLocallyControllable, ShapeMismatch
+from posetsys.errors import NotWeaklyLocallyControllable, ShapeMismatch, SingularMatrix
 from posetsys.poset import build_poset, derived_set
 from posetsys.reachability import (
     char_poly_factored,
@@ -290,6 +291,90 @@ def test_pole_place_rejects_uncontrollable_with_witness():
     with pytest.raises(NotWeaklyLocallyControllable) as info:
         pole_place(sys, {1: [0, 0, 1], 2: [0, 0, 1], 3: [0, 1]})
     assert info.value.block == 2
+    # node 2 has a single input: its refusal is the singular Krylov matrix, raised from None
+    assert info.value.__suppress_context__ and info.value.__cause__ is None
+
+
+def test_pole_place_rejects_a_multi_input_pair_by_its_rank():
+    # node 2 has no input at all, so its pair is decided by the rank of its Krylov matrix
+    sys = PosetCausalSystem(
+        poset=build_poset(2, []), n=(1, 1), m=(1, 0), r=(0, 0),
+        A=la.zeros(2, 2), B=la.fmat([[1], [0]]), C=la.zeros(0, 2), D=la.zeros(0, 1),
+    )
+    with pytest.raises(NotWeaklyLocallyControllable) as info:
+        pole_place(sys, {1: [1, 1], 2: [1, 1]})
+    assert info.value.block == 2
+
+
+def test_pole_place_refuses_a_bad_target_before_an_uncontrollable_pair(monkeypatch):
+    # node 2 is not controllable, and node 3's target has the wrong degree: the target is refused
+    # first, before any Krylov matrix is built
+    calls = []
+    monkeypatch.setattr(reachability, "ctrb_matrix", lambda *args: calls.append(args))
+    sys = load_corpus_system("feedback-obstruction")
+    with pytest.raises(ShapeMismatch, match="monic polynomial of degree 1"):
+        pole_place(sys, {1: [0, 0, 1], 2: [0, 0, 1], 3: [0, 0, 1]})
+    assert calls == []
+
+
+def _three_node_chain():
+    """A chain 1 < 2 < 3 with n = (3, 4, 3) and m = (1, 1, 2), every local pair controllable."""
+    a = la.zeros(10, 10)
+    a[0:3, 0:3] = la.fmat([[0, 1, 0], [0, 0, 1], [1, 2, 3]])
+    a[3:7, 3:7] = la.fmat([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [la.F(1, 2), 0, -1, 0]])
+    a[7:10, 7:10] = la.fmat([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    a[4, 1] = a[8, 5] = la.F(1)  # couplings in blocks (2, 1) and (3, 2)
+    b = la.zeros(10, 4)
+    b[2, 0] = b[6, 1] = la.F(1)
+    b[7:10, 2:4] = la.fmat([[1, 0], [1, 1], [0, 1]])
+    return PosetCausalSystem(
+        poset=build_poset(3, [(1, 2), (2, 3)]), n=(3, 4, 3), m=(1, 1, 2), r=(0, 0, 0),
+        A=a, B=b, C=la.zeros(0, 10), D=la.zeros(0, 4),
+    )
+
+
+def test_pole_place_builds_one_krylov_matrix_per_single_input_node(monkeypatch):
+    # nodes 1 and 2 are decided by the Krylov matrix Ackermann solves with; node 3 by one rank
+    # test and then one candidate, which its first draw already controls
+    sys = _three_node_chain()
+    targets = {1: [1, 3, 3, 1], 2: [1, 4, 6, 4, 1], 3: [-6, 11, -6, 1]}
+    calls = []
+
+    def counting(a, b):
+        calls.append(b.shape[1])
+        return ctrb_matrix(a, b)
+
+    monkeypatch.setattr(reachability, "ctrb_matrix", counting)
+    f = pole_place(sys, targets)
+    assert calls == [1, 1, 2, 1]
+    for j in sys.poset.nodes:
+        closed = sys.A.block(j, j) + la.mdot(sys.B.block(j, j), f.block(j, j))
+        assert la.char_poly(closed) == targets[j]
+
+
+def test_ackermann_equals_the_inverted_oracle(rng):
+    # random rational single-input pairs and targets, n = 1..8: the integer Horner row against
+    # the last row of the Krylov matrix's inverse times the Fraction Horner target(A)
+    def rational():
+        return la.F(rng.randint(-9, 9), rng.randint(1, 6))
+
+    for n in range(1, 9):
+        tried = 0
+        while tried < 6:
+            a = la.fmat([[rational() for _ in range(n)] for _ in range(n)])
+            b = la.fmat([[rational()] for _ in range(n)])
+            target = [rational() for _ in range(n)] + [la.F(1)]
+            try:
+                want = inverted_ackermann(a, b, target)
+            except SingularMatrix:
+                with pytest.raises(SingularMatrix):
+                    reachability._ackermann(a, b, target)
+                continue
+            got = reachability._ackermann(a, b, target)
+            assert got.shape == (1, n) and all(type(x) is la.F for x in got.flat)
+            assert np.array_equal(got, want)
+            assert la.char_poly(a + la.mdot(b, got)) == target
+            tried += 1
 
 
 def test_local_hull_counterexample():

@@ -70,6 +70,14 @@ def test_expm_overflow_raises_nonfinite_without_warnings():
             expm(np.array([[1e299]]))
 
 
+def test_expm_whose_norm_overflows_raises_nonfinite_without_warnings():
+    # every entry is finite, but the first column sums past the largest double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="overflows"):
+            expm(np.array([[1.7e308, 0.0], [1.7e308, 0.0]]))
+
+
 def test_entries_beyond_double_precision_raise_nonfinite():
     sys = load_corpus_system("two-node-local-gap")
     huge = la.F(10) ** 400
