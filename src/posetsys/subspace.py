@@ -4,7 +4,7 @@ The canonical form is the reduced column echelon form with each column scaled
 to a primitive integer vector with a positive pivot (``_linalg.column_echelon``).
 It is unique, so two Subspace objects are equal iff their ``integer_basis``
 arrays are identical. Every lattice operation, projection and section
-eliminates on these integers and forms no Fraction; ``embed`` and
+works on these integers and forms no Fraction; ``embed`` and
 ``direct_sum`` place canonical bases without eliminating at all.
 
 The canonical basis of {0} has no columns and that of the full space is the
@@ -19,9 +19,24 @@ alone, with no elimination:
 * ``section`` and ``project`` of {0} are {0}, and of the full space the full
   space of the chosen coordinates.
 
-Each is a lattice identity, and canonical bases are unique, so each result
-equals, by ``==``, the one the elimination gives. Every other operand is
-eliminated.
+The canonical basis B also decides most cuts and every complement by its
+pivots. Each column's first nonzero entry, its pivot, lies in a row of its
+own (``_leads``: the rows increase with the columns), and every other column
+is zero in that row:
+
+* ``section`` and ``project`` at one run [lo, hi) of coordinates, such as a
+  single block, look only at the columns that pivot inside it. If those
+  columns vanish below hi, the section is those columns cut to the run; if
+  the columns that pivot above lo vanish on the run, the projection is the
+  same cut, each column made primitive. A failed test eliminates only the
+  columns it concerns, and rows that are not one run eliminate as before;
+* ``complement`` is the kernel of B^T, and B^T is already the reduced row
+  echelon form that ``rref`` would return for it, so the kernel is read off
+  its rows (``_linalg.reduced_kernel``) and only canonicalized.
+
+Each is a lattice identity or holds by the structure of B, and canonical
+bases are unique, so each result equals, by ``==``, the one the elimination
+gives. Everything else is eliminated.
 
 Fractions appear only at the boundary, and ``_linalg`` crosses it both ways:
 ``Subspace(ambient, basis)`` takes any exact matrix and clears each column
@@ -38,9 +53,10 @@ equations on the integer bases (``_linalg.normal_equations``).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -82,9 +98,19 @@ class Subspace:
         return cls._canonical(ambient, la.column_echelon(columns))
 
     @cached_property
+    def _leads(self) -> tuple:
+        """(rows, pivots): the row and the value of each canonical integer column's first nonzero entry.
+
+        One scan gives both. The rows increase, since the basis is in column
+        echelon form, and every other column is zero at each of them.
+        """
+        leads = [next((i, x) for i, x in enumerate(col) if x) for col in self.integer_basis.T.tolist()]
+        return tuple(i for i, _ in leads), tuple(x for _, x in leads)
+
+    @property
     def pivots(self) -> tuple:
         """The first nonzero entry of each canonical integer column, in column order."""
-        return tuple(next(x for x in col if x) for col in self.integer_basis.T.tolist())
+        return self._leads[1]
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -181,12 +207,21 @@ class Subspace:
         return Subspace._span(self.ambient, self.integer_basis.dot(null[: self.dim, :]))
 
     def complement(self) -> "Subspace":
-        """Orthogonal complement in the standard inner product; {0} and the full space swap."""
+        """Orthogonal complement in the standard inner product; {0} and the full space swap.
+
+        It is the kernel of B^T for the canonical basis B. The rows of B^T are
+        primitive, with positive pivots at the increasing pivot rows of B, and
+        each is zero at the pivots of the others: exactly what ``rref`` would
+        return for B^T. So the kernel is read off those rows
+        (``_linalg.reduced_kernel``) with no elimination, and only its span is
+        canonicalized.
+        """
         if self.is_zero():
             return Subspace.full(self.ambient)
         if self.is_full():
             return Subspace.zero(self.ambient)
-        return Subspace._span(self.ambient, la.kernel_basis(self.integer_basis.T))
+        null = la.reduced_kernel(self.integer_basis.T.tolist(), self._leads[0], self.ambient)
+        return Subspace._span(self.ambient, null)
 
     def ominus(self, other: "Subspace") -> "Subspace":
         """self intersected with the orthogonal complement of ``other``."""
@@ -235,21 +270,67 @@ class Subspace:
         """{0} or the full space of ``rows``, as this one: its section and projection there."""
         return Subspace.zero(len(rows)) if self.is_zero() else Subspace.full(len(rows))
 
+    def _run(self, rows: list):
+        """(lo, hi, a, b) if ``rows`` is one run [lo, hi) of coordinates, else None.
+
+        The canonical columns a..b-1 pivot inside the run; those before a
+        pivot above it, and those from b on below it.
+        """
+        lo = rows[0] if rows else 0
+        hi = lo + len(rows)
+        if rows and rows[-1] != hi - 1:
+            return None
+        leads = self._leads[0]
+        return lo, hi, bisect_left(leads, lo), bisect_left(leads, hi)
+
     def project(self, partition: Partition, nodes) -> "Subspace":
-        """Projection onto the coordinate blocks in ``nodes``, in their coordinates."""
+        """Projection onto the coordinate blocks in ``nodes``, in their coordinates.
+
+        On one run [lo, hi) of coordinates, the columns that pivot below it
+        are zero there and drop out. If the columns that pivot above it
+        vanish there too, the projection is spanned by the columns that
+        pivot inside, cut to the run. Each stays zero at the others' pivots
+        with its own pivot positive, so made primitive it is the canonical
+        basis. Otherwise the columns that pivot before hi are eliminated.
+        """
         rows = self._rows(partition, nodes)
         if self.is_zero() or self.is_full():
             return self._trivial_on(rows)
-        return Subspace._span(len(rows), self.integer_basis[rows, :])
+        run = self._run(rows)
+        if run is None:
+            return Subspace._span(len(rows), self.integer_basis[rows, :])
+        lo, hi, a, b = run
+        cut = self.integer_basis[lo:hi, :b]
+        if la.is_zero_matrix(cut[:, :a]):
+            return Subspace._canonical(hi - lo, _primitive(cut[:, a:]))
+        return Subspace._span(hi - lo, cut)
 
     def section(self, partition: Partition, nodes) -> "Subspace":
-        """Intersection with the coordinate blocks in ``nodes``, in their coordinates."""
+        """Intersection with the coordinate blocks in ``nodes``, in their coordinates.
+
+        Every other column is zero at a canonical column's pivot, so a vector
+        of the span is zero there iff its coefficient on that column is. On
+        one run [lo, hi) of coordinates, the section is therefore spanned by
+        the columns that pivot inside it, combined to vanish below hi: their
+        rows below hi have that combination as their kernel. If those rows
+        are zero, the columns cut to the run are primitive, and already the
+        canonical basis. Otherwise that kernel is eliminated; for ``nodes``
+        whose coordinates are not one run, the kernel of every row off them.
+        """
         rows = self._rows(partition, nodes)
         if self.is_zero() or self.is_full():
             return self._trivial_on(rows)
-        cols = self.integer_basis
-        coords = la.kernel_basis(np.delete(cols, rows, axis=0))  # vanishing off ``nodes``
-        return Subspace._span(len(rows), cols[rows, :].dot(coords))
+        run = self._run(rows)
+        if run is None:
+            cols = self.integer_basis
+            coords = la.kernel_basis(np.delete(cols, rows, axis=0))  # vanishing off ``nodes``
+            return Subspace._span(len(rows), cols[rows, :].dot(coords))
+        lo, hi, a, b = run
+        inner = self.integer_basis[:, a:b]
+        below = inner[hi:, :]
+        if la.is_zero_matrix(below):
+            return Subspace._canonical(hi - lo, inner[lo:hi, :])
+        return Subspace._span(hi - lo, inner[lo:hi, :].dot(la.kernel_basis(below)))
 
     def embed(self, partition: Partition, nodes) -> "Subspace":
         """This subspace of the coordinates of ``nodes``, placed in the full ambient.
@@ -273,6 +354,16 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
+
+
+def _primitive(m: np.ndarray) -> np.ndarray:
+    """The integer matrix ``m``, no column zero, with each column divided by the gcd of its entries."""
+    out = m.copy()
+    for k, col in enumerate(m.T.tolist()):
+        content = gcd(*col)
+        if content > 1:
+            out[:, k] = [x // content for x in col]
+    return out
 
 
 def image(matrix: np.ndarray) -> Subspace:

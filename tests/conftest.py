@@ -463,19 +463,19 @@ def fixpoint_poset(p: int, edges) -> Poset:
 
 
 def scanned_hasse_edges(poset) -> frozenset:
-    """``poset.hasse_edges`` as a scan of every node between each related pair (``Poset.gt``)."""
+    """``poset.hasse_edges`` as a scan of every node strictly between each related pair (``Poset.geq``)."""
     return frozenset(
         (i, j) for i, j in poset.relation
-        if i != j and not any(poset.gt(i, k) and poset.gt(k, j) for k in poset.nodes)
+        if i != j and not any(k not in (i, j) and poset.geq(i, k) and poset.geq(k, j) for k in poset.nodes)
     )
 
 
 def scanned_block_triangular_relabel(poset) -> dict[int, int]:
-    """``poset.block_triangular_relabel`` scanning the unplaced nodes pairwise (``Poset.gt``)."""
+    """``poset.block_triangular_relabel`` scanning the unplaced nodes pairwise (``Poset.geq``)."""
     remaining = set(poset.nodes)
     order: list[int] = []
     while remaining:
-        ready = sorted(j for j in remaining if not any(poset.gt(k, j) for k in remaining if k != j))
+        ready = sorted(j for j in remaining if not any(poset.geq(k, j) for k in remaining if k != j))
         order.append(ready[0])
         remaining.remove(ready[0])
     return {old: new for new, old in enumerate(order, start=1)}

@@ -64,7 +64,7 @@ def test_partition_prefix_sums_match_summing_the_sizes(sizes, nodes):
     assert part.total == sum(sizes)
     for j in range(1, len(sizes) + 1):
         start = sum(sizes[: j - 1])
-        assert part.offset(j) == start
+        assert part.starts[j - 1] == start
         assert part.block_range(j) == range(start, start + sizes[j - 1])
     assert part.indices(nodes) == [
         k for j in sorted(nodes) for k in range(sum(sizes[: j - 1]), sum(sizes[:j]))

@@ -124,3 +124,41 @@ def test_fmat_refuses_text_entries():
     for text in ("1/2", "1e1000000000"):
         with pytest.raises(TypeError):
             la.fmat([[text]])
+
+
+def _scanned_is_integer(m) -> bool:
+    """``_linalg._is_integer`` as the generator it replaced: every entry's type, one at a time."""
+    return m.dtype == object and all(type(x) is int for x in m.flat)
+
+
+def test_is_integer_gives_the_entry_scans_verdict():
+    def obj(entries, shape):
+        out = np.empty(shape, dtype=object)
+        out.flat[:] = entries
+        return out
+
+    integer = [
+        obj([1, -2, 3, 0], (2, 2)),
+        obj([1 << 200, 0], (1, 2)),
+        np.empty((0, 0), dtype=object),
+        np.empty((0, 3), dtype=object),
+        np.empty((2, 0), dtype=object),
+    ]
+    other = [
+        obj([1, True], (1, 2)),
+        obj([False], (1, 1)),
+        obj([np.int64(1), 2], (2, 1)),
+        obj([3, np.uint8(4)], (1, 2)),
+        obj([F(1), 2], (1, 2)),
+        obj([F(1, 2)], (1, 1)),
+        obj([1, 0.5], (1, 2)),
+        obj([np.float64(1.0)], (1, 1)),
+        obj([None, 1], (1, 2)),
+        np.array([[1, 2]]),
+        np.array([[True]]),
+        np.array([[0.5]]),
+        np.empty((0, 0)),
+        la.fmat([[1, 2]]),
+    ]
+    assert [la._is_integer(m) for m in integer + other] == [_scanned_is_integer(m) for m in integer + other]
+    assert all(map(la._is_integer, integer)) and not any(map(la._is_integer, other))
